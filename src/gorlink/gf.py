@@ -10,13 +10,10 @@ which also makes every echelon form canonical and deterministic.
 
 import numpy as np
 
-from ._frozen import Frozen
-
 __all__ = [
     "is_odd_prime",
+    "check_modulus",
     "inv_mod",
-    "PrimeFieldElement",
-    "FpMatrix",
     "rref",
     "reduce_rows",
     "kernel_basis_array",
@@ -67,97 +64,8 @@ def inv_mod(a, p):
     return pow(a, -1, p)
 
 
-class PrimeFieldElement(Frozen):
-    """A residue in GF(p), p an odd prime below 2**31.
-
-    Immutable; operators mix with plain ints on either side.
-    """
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue, p):
-        check_modulus(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "residue", int(residue) % p)
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-            return other.residue
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement((self.residue + r) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement((self.residue - r) % self.p, self.p)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement((r - self.residue) % self.p, self.p)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * r % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.residue % self.p, self.p)
-
-    def inverse(self):
-        return PrimeFieldElement(inv_mod(self.residue, self.p), self.p)
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * inv_mod(r, self.p) % self.p, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return "PrimeFieldElement(%d, p=%d)" % (self.residue, self.p)
-
-
-def field_inverse(a):
-    """Inverse of a nonzero PrimeFieldElement."""
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # dense linear algebra on int64 arrays, entries in [0, p)
-
-
-def _as_array(rows, cols, entries):
-    a = np.asarray(entries, dtype=np.int64).reshape(rows, cols)
-    return a
 
 
 def rref(A, p):
@@ -315,60 +223,6 @@ def charpoly_mod_p(A, p):
     return [c % p for c in polys[n]]
 
 
-class FpMatrix(Frozen):
-    """An immutable rows x cols matrix over GF(p), row-major entries."""
-
-    __slots__ = ("rows", "cols", "p", "_a")
-
-    def __init__(self, rows, cols, entries, p):
-        check_modulus(p)
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count %d != %d x %d" % (len(entries), rows, cols))
-        vals = [e.residue if isinstance(e, PrimeFieldElement) else int(e) % p
-                for e in entries]
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_a", _as_array(rows, cols, vals) % p)
-
-    @classmethod
-    def from_array(cls, a, p):
-        a = np.asarray(a, dtype=np.int64)
-        return cls(a.shape[0], a.shape[1], a.reshape(-1).tolist(), p)
-
-    def array(self):
-        return self._a.copy()
-
-    def entry(self, i, j):
-        return PrimeFieldElement(int(self._a[i, j]), self.p)
-
-    def rank(self):
-        return rank(self._a, self.p)
-
-    def kernel_basis(self):
-        """Canonical kernel basis as a list of column vectors (lists)."""
-        B = kernel_basis_array(self._a, self.p)
-        return [list(map(int, v)) for v in B]
-
-    def matmul(self, other):
-        if self.cols != other.rows or self.p != other.p:
-            raise ValueError("shape or modulus mismatch")
-        prod = _safe_matmul(self._a, other._a, self.p)
-        return FpMatrix.from_array(prod, self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self._a.shape == other._a.shape
-            and bool((self._a == other._a).all())
-        )
-
-    def __repr__(self):
-        return "FpMatrix(%dx%d mod %d)" % (self.rows, self.cols, self.p)
-
-
 def _safe_matmul(A, B, p):
     """A @ B mod p without int64 overflow (block the inner dimension)."""
     step = max(1, ((1 << 63) - 1) // ((p - 1) * (p - 1)) - 1)
@@ -379,7 +233,3 @@ def _safe_matmul(A, B, p):
         out = (out + A[:, s : s + step] @ B[s : s + step]) % p
     return out
 
-
-def kernel_basis(M):
-    """Kernel of an FpMatrix; module-level convenience mirroring FpMatrix."""
-    return M.kernel_basis()

@@ -21,9 +21,13 @@ The subscheme is extracted degreewise: a form of degree t lies in I_X
 iff its normal form, pushed into the stable piece by a power of x_h,
 falls in the row space of f_d(T) where T is the multiplication operator;
 that row space is exactly the space of functions on G vanishing along X.
-The result agrees with saturating I_G + (homogenized factor) by x_h and
-is verified through its postconditions (degree, containment, and the
-liaison involution I_G : (I_G : I_X) = I_X).
+The result equals I_G + (homogenized factor) with x_h divided out (the
+saturation by x_h) and is verified through its postconditions (degree,
+containment, and the liaison involution I_G : (I_G : I_X) = I_X).
+
+Every stage takes and returns ideals as gorlink.groebner.GradedSpaces
+objects, so the graded pieces of I_G, I_X and I_Y are each echelonized
+once per attempt and shared by every stage that reads them.
 """
 
 import numpy as np
@@ -32,12 +36,13 @@ from ._frozen import Frozen
 from .gf import (
     charpoly_mod_p,
     kernel_basis_array,
+    rank,
     rref,
     reduce_rows,
     _safe_matmul,
 )
-from .mpoly import MultiPoly, monomials_of_degree, monomial_count
-from .groebner import GradedSpaces, groebner, normal_form, saturate
+from .mpoly import MultiPoly, monomials_of_degree
+from .groebner import GradedSpaces, echelon_piece, groebner, h_vector
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import UniPoly, is_squarefree, find_factor_of_degree
 from .rng import SplitStream
@@ -53,12 +58,10 @@ __all__ = [
     "char_poly_of_projection",
     "multiplication_operator",
     "extract_subscheme",
-    "extract_subscheme_by_saturation",
     "residual",
     "point_ideal_quotient",
     "is_reduced_and_split",
-    "scheme_degree",
-    "stable_degree",
+    "witness_splits",
     "DegeneracyError",
     "ExtractionError",
     "BadPositionError",
@@ -66,6 +69,7 @@ __all__ = [
 
 MATRIX_RETRIES = 32
 PROJECTION_RETRIES = 16
+DEHOMOGENIZER_RETRIES = 4
 
 
 class DegeneracyError(RuntimeError):
@@ -283,13 +287,13 @@ def submaximal_pfaffians(M):
     return out
 
 
-def random_gorenstein(h, p, seed_or_stream, retries=MATRIX_RETRIES):
+def random_gorenstein(h, p, seed_or_stream):
     """Random skew matrix with the generic degree layout, plus its ideal.
 
     Draws uniformly random homogeneous entries (degree-zero slots stay
     zero, keeping the presentation minimal), takes the Pfaffian ideal,
     and checks that the h-vector came out right; degenerate draws are
-    retried up to `retries` times.
+    retried up to MATRIX_RETRIES times.
     """
     dm = generic_degree_matrix(h)
     target = _entries(h)
@@ -298,7 +302,7 @@ def random_gorenstein(h, p, seed_or_stream, retries=MATRIX_RETRIES):
         if isinstance(seed_or_stream, SplitStream)
         else SplitStream(seed_or_stream).child("gorenstein")
     )
-    for attempt in range(retries):
+    for attempt in range(MATRIX_RETRIES):
         st = stream.child("draw", attempt)
         upper = {}
         for i in range(dm.size):
@@ -313,16 +317,14 @@ def random_gorenstein(h, p, seed_or_stream, retries=MATRIX_RETRIES):
         gens = [f for f in submaximal_pfaffians(M) if not f.is_zero()]
         if len(gens) < dm.size:
             continue
-        gb = groebner(gens, p)
+        ideal = groebner(gens, p)
         try:
-            from .groebner import h_vector
-
-            if h_vector(gb) == target:
-                return M, gb
+            if h_vector(ideal) == target:
+                return M, ideal
         except ValueError:
             pass
     raise DegeneracyError(
-        "no Gorenstein scheme with h-vector %r after %d draws" % (target, retries)
+        "no Gorenstein scheme with h-vector %r after %d draws" % (target, MATRIX_RETRIES)
     )
 
 
@@ -342,48 +344,17 @@ class ProjectionWitness(Frozen):
         object.__setattr__(self, "factor", factor)
 
 
-def stable_degree(spaces, limit=64):
-    """First degree where the Hilbert function of the cone stabilizes."""
-    prev = spaces.hf(0)
-    for t in range(1, limit):
-        cur = spaces.hf(t)
-        if cur == prev:
-            return t - 1, cur
-        prev = cur
-    raise ValueError("Hilbert function did not stabilize")
-
-
-def scheme_degree(gb):
-    return stable_degree(GradedSpaces(gb))[1]
-
-
-def _artinian_hf_ok(spaces, xh, hvec):
+def _artinian_hf_ok(ideal, xh, hvec):
     """Is the Hilbert function of S/(I + (x_h)) equal to the h-vector?
 
-    Fails exactly when x_h is a zero-divisor mod I, i.e. vanishes at a
-    point of the scheme.
+    Its value in degree t is hf(t) less the rank of multiplication by x_h
+    from (S/I)_(t-1).  Fails exactly when x_h is a zero-divisor mod I,
+    i.e. vanishes at a point of the scheme.
     """
-    p = spaces.p
     e = _entries(hvec)
     for t in range(len(e) + 2):
-        expected = e[t] if t < len(e) else 0
-        R, pivots, _ = spaces.piece(t)
-        rows = [R] if R.shape[0] else []
-        if t >= 1:
-            monos = monomials_of_degree(t)
-            index = {m: i for i, m in enumerate(monos)}
-            prod = np.zeros((monomial_count(t - 1), len(monos)), dtype=np.int64)
-            for j, m in enumerate(monomials_of_degree(t - 1)):
-                for xm, xc in xh.terms.items():
-                    mm = (m[0] + xm[0], m[1] + xm[1], m[2] + xm[2], m[3] + xm[3])
-                    prod[j, index[mm]] = xc
-            rows.append(prod)
-        if rows:
-            stacked = np.concatenate(rows, axis=0)
-            rk = len(rref(stacked, p)[1])
-        else:
-            rk = 0
-        if monomial_count(t) - rk != expected:
+        image = rank(ideal.mult_matrix(xh, t - 1), ideal.p) if t else 0
+        if ideal.hf(t) - image != (e[t] if t < len(e) else 0):
             return False
     return True
 
@@ -395,15 +366,15 @@ def _random_linear(stream, p):
             return MultiPoly.linear_form(coeffs, p)
 
 
-def multiplication_operator(spaces, ell, xh, sigma0):
+def multiplication_operator(ideal, ell, xh, sigma0):
     """Matrix of multiplication by ell/x_h on the stable graded piece.
 
     Row-vector convention: coordinates map through v -> v @ T.  Requires
     multiplication by x_h from degree sigma0 to sigma0+1 to be bijective.
     """
-    p = spaces.p
-    L = spaces.mult_matrix(ell, sigma0)
-    X = spaces.mult_matrix(xh, sigma0)
+    p = ideal.p
+    L = ideal.mult_matrix(ell, sigma0)
+    X = ideal.mult_matrix(xh, sigma0)
     n = L.shape[0]
     aug = np.concatenate([X, np.eye(n, dtype=np.int64)], axis=1)
     R, pivots = rref(aug, p)
@@ -413,39 +384,39 @@ def multiplication_operator(spaces, ell, xh, sigma0):
     return _safe_matmul(L, Xinv, p)
 
 
-def char_poly_of_projection(gb, seed_or_stream, retries=PROJECTION_RETRIES, spaces=None):
+def _projection_char_poly(ideal, ell, xh):
+    """Characteristic polynomial of ell/x_h on the stable piece of S/I."""
+    T = multiplication_operator(ideal, ell, xh, ideal.stable_degree()[0])
+    return UniPoly(charpoly_mod_p(T, ideal.p), ideal.p)
+
+
+def char_poly_of_projection(ideal, seed_or_stream):
     """Random projection of the scheme to a line.
 
-    Picks a dehomogenizer x_h that misses the scheme (retrying while the
-    artinian reduction has the wrong Hilbert function) and a direction
-    ell, and returns (ell, x_h, characteristic polynomial of ell/x_h).
+    Picks a dehomogenizer x_h that misses the scheme (retrying, up to
+    DEHOMOGENIZER_RETRIES times, while the artinian reduction has the
+    wrong Hilbert function) and a direction ell, and returns
+    (ell, x_h, characteristic polynomial of ell/x_h).
     """
-    from .groebner import h_vector as _hv
-
-    if spaces is None:
-        spaces = GradedSpaces(gb)
-    hvec = _hv(gb)
-    sigma0, n = stable_degree(spaces)
+    hvec = h_vector(ideal)
     stream = (
         seed_or_stream
         if isinstance(seed_or_stream, SplitStream)
         else SplitStream(seed_or_stream).child("projection")
     )
-    for attempt in range(retries):
+    for attempt in range(DEHOMOGENIZER_RETRIES):
         st = stream.child("proj", attempt)
-        xh = _random_linear(st, gb.p)
-        if not _artinian_hf_ok(spaces, xh, hvec):
+        xh = _random_linear(st, ideal.p)
+        if not _artinian_hf_ok(ideal, xh, hvec):
             continue
-        ell = _random_linear(st, gb.p)
-        T = multiplication_operator(spaces, ell, xh, sigma0)
-        coeffs = charpoly_mod_p(T, gb.p)
-        return ell, xh, UniPoly(coeffs, gb.p)
+        ell = _random_linear(st, ideal.p)
+        return ell, xh, _projection_char_poly(ideal, ell, xh)
     raise BadPositionError(
-        "no dehomogenizing linear form found in %d tries" % retries
+        "no dehomogenizing linear form found in %d tries" % DEHOMOGENIZER_RETRIES
     )
 
 
-def is_reduced_and_split(gb, d, seed_or_stream, retries=PROJECTION_RETRIES):
+def is_reduced_and_split(ideal, d, seed_or_stream):
     """Search for a projection certifying reducedness and a degree-d split.
 
     Tries random projections; succeeds when the characteristic polynomial
@@ -458,12 +429,9 @@ def is_reduced_and_split(gb, d, seed_or_stream, retries=PROJECTION_RETRIES):
         if isinstance(seed_or_stream, SplitStream)
         else SplitStream(seed_or_stream).child("split-search")
     )
-    spaces = GradedSpaces(gb)
-    for attempt in range(retries):
+    for attempt in range(PROJECTION_RETRIES):
         try:
-            ell, xh, f = char_poly_of_projection(
-                gb, stream.child(attempt), retries=4, spaces=spaces
-            )
+            ell, xh, f = char_poly_of_projection(ideal, stream.child(attempt))
         except BadPositionError:
             continue
         if not is_squarefree(f):
@@ -475,6 +443,25 @@ def is_reduced_and_split(gb, d, seed_or_stream, retries=PROJECTION_RETRIES):
         # degrees of the points of G; no other projection can change them
         return ProjectionWitness(ell, xh, f, fd) if fd is not None else None
     return None
+
+
+def witness_splits(ideal, witness, d):
+    """Does a stored witness certify a reduced scheme with a degree-d part?
+
+    Recomputes the characteristic polynomial of ell/x_h and requires it to
+    be square-free and the stored factor to be a monic degree-d divisor.
+    """
+    try:
+        f = _projection_char_poly(ideal, witness.ell, witness.xh)
+    except BadPositionError:
+        return False
+    fd = witness.factor
+    return (
+        is_squarefree(f)
+        and fd.degree == d
+        and fd.is_monic()
+        and (f % fd).is_zero()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +478,33 @@ def _poly_power(f, m):
 class _PieceCollector:
     """Collects ideal generators degree by degree above a base ideal.
 
-    Feed it, for each degree t, a basis (rows of standard-monomial
-    coordinates) of the target ideal's piece modulo the base ideal; it
-    returns the members not already generated by earlier pieces.
+    Feed it, for each degree t = 0, 1, ..., a basis (rows of
+    standard-monomial coordinates) of the target ideal's piece modulo the
+    base ideal; it keeps the members not already generated by earlier
+    pieces, and the echelonized piece of the target ideal itself.
     """
 
-    def __init__(self, spaces):
-        self.spaces = spaces
-        self.p = spaces.p
+    def __init__(self, base):
+        self.base = base
+        self.p = base.p
         self.prev_polys = []  # MultiPoly pieces at the previous degree
         self.generators = []
+        self.pieces = {}
+
+    def ideal(self):
+        """The target ideal, with every piece fed so far already in place."""
+        gens = self.base.gens + tuple(self.generators)
+        return GradedSpaces(gens, self.p, self.pieces)
 
     def add_degree(self, t, coord_rows):
-        spaces = self.spaces
+        p = self.p
         monos = monomials_of_degree(t)
         index = {m: i for i, m in enumerate(monos)}
-        base_R, base_piv, std = spaces.piece(t)
+        base_R, base_piv, std = self.base.piece(t)
+
+        def poly(row):
+            return MultiPoly({monos[i]: int(c) for i, c in enumerate(row) if c}, p)
+
         rows = []
         var_monos = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         for q in self.prev_polys:
@@ -516,37 +514,14 @@ class _PieceCollector:
                 for m, c in xq.terms.items():
                     row[index[m]] = c
                 rows.append(row)
-        if rows:
-            span, span_piv = rref(
-                reduce_rows(np.array(rows, dtype=np.int64), base_R, base_piv, self.p),
-                self.p,
-            )
-        else:
-            span = np.zeros((0, len(monos)), dtype=np.int64)
-            span_piv = []
-        piece_polys = []
-        new_gens = []
-        if len(coord_rows):
-            dense = np.zeros((len(coord_rows), len(monos)), dtype=np.int64)
-            for r, vec in enumerate(coord_rows):
-                for value, pos in zip(vec, std):
-                    dense[r, pos] = value % self.p
-            for row in dense:
-                poly = MultiPoly(
-                    {monos[i]: int(c) for i, c in enumerate(row) if c}, self.p
-                )
-                piece_polys.append(poly)
-            residues = reduce_rows(dense, span, span_piv, self.p)
-            keep, _ = rref(residues, self.p)
-            for row in keep:
-                poly = MultiPoly(
-                    {monos[i]: int(c) for i, c in enumerate(row) if c}, self.p
-                )
-                if not poly.is_zero():
-                    new_gens.append(poly)
-        self.generators.extend(new_gens)
-        self.prev_polys = piece_polys
-        return new_gens
+        rows = np.array(rows, dtype=np.int64).reshape(-1, len(monos))
+        span, span_piv = rref(reduce_rows(rows, base_R, base_piv, p), p)
+        dense = np.zeros((len(coord_rows), len(monos)), dtype=np.int64)
+        dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
+        self.pieces[t] = echelon_piece(np.concatenate([base_R, dense]), p)
+        keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
+        self.generators.extend(poly(row) for row in keep)
+        self.prev_polys = [poly(row) for row in dense]
 
 
 def _matrix_poly(coeffs, A, p):
@@ -560,61 +535,59 @@ def _matrix_poly(coeffs, A, p):
     return out
 
 
-def extract_subscheme(gb, ell, xh, f_d, max_extra_degrees=None):
+def extract_subscheme(ideal, ell, xh, f_d):
     """Ideal of the subscheme the degree-d factor cuts out.
 
-    Equals saturate(I_G + (F_d), x_h) with F_d the x_h-homogenization of
+    Equals (I_G + (F_d)) : x_h^infinity with F_d the x_h-homogenization of
     f_d(ell/x_h); computed degreewise instead: a degree-t form g lies in
     I_X iff the coordinates of g * x_h^(sigma0 - t) on the stable piece
     fall in the row space of f_d(T).  Raises ExtractionError when the
     resulting degree disagrees with deg f_d.
     """
-    p = gb.p
+    p = ideal.p
     d = f_d.degree
-    spaces = GradedSpaces(gb)
-    sigma0, n = stable_degree(spaces)
+    sigma0, n = ideal.stable_degree()
     if d == 0:
         return groebner([MultiPoly.constant(1, p)], p)
     if d == n:
-        return gb
+        return ideal
     if d > n:
         raise ValueError("factor degree exceeds the scheme degree")
-    T = multiplication_operator(spaces, ell, xh, sigma0)
+    T = multiplication_operator(ideal, ell, xh, sigma0)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)
     RW, pivW = rref(W, p)
     if len(pivW) != n - d:
         raise ExtractionError(
             "factor image has rank %d, expected %d" % (len(pivW), n - d)
         )
-    collector = _PieceCollector(spaces)
+    collector = _PieceCollector(ideal)
     hf_hist = []
-    cap = sigma0 + (max_extra_degrees if max_extra_degrees is not None else n + 2)
+    cap = sigma0 + n + 2
     t = 0
     while True:
         if t <= sigma0:
             # push degree-t forms into the stable piece and compare with W
-            push = spaces.mult_matrix(_poly_power(xh, sigma0 - t), t)
+            push = ideal.mult_matrix(_poly_power(xh, sigma0 - t), t)
             residual_map = reduce_rows(push, RW, pivW, p)
         else:
             # above the stable degree the vanishing space is W moved up by x_h
-            step = spaces.mult_matrix(_poly_power(xh, t - sigma0), sigma0)
+            step = ideal.mult_matrix(_poly_power(xh, t - sigma0), sigma0)
             RW_t, pivW_t = rref(_safe_matmul(W, step, p), p)
             residual_map = reduce_rows(
-                np.eye(spaces.hf(t), dtype=np.int64), RW_t, pivW_t, p
+                np.eye(ideal.hf(t), dtype=np.int64), RW_t, pivW_t, p
             )
         kernel = kernel_basis_array(residual_map.T, p)
         collector.add_degree(t, kernel)
-        hf_hist.append(spaces.hf(t) - len(kernel))
+        hf_hist.append(ideal.hf(t) - len(kernel))
         if _points_hf_done(hf_hist, d):
             break
         if t > cap:
             raise ExtractionError("subscheme pieces did not stabilize")
         t += 1
-    gens = list(gb.gens) + collector.generators
-    gbx = groebner(gens, p)
-    if scheme_degree(gbx) != d:
+    ideal_x = collector.ideal()
+    if ideal_x.scheme_degree() != d:
         raise ExtractionError("extracted subscheme has the wrong degree")
-    return gbx
+    return ideal_x
 
 
 def _points_hf_done(hist, expected):
@@ -625,61 +598,47 @@ def _points_hf_done(hist, expected):
     return hist[-1] == hist[-2] == hist[-3] == expected
 
 
-def extract_subscheme_by_saturation(gb, ell, xh, f_d):
-    """Reference implementation: saturate(I_G + (F_d), x_h) directly.
+def point_ideal_quotient(ideal, other_gens):
+    """I : J for the ideal I of a zero-scheme cone, degreewise.
 
-    F_d is f_d(ell/x_h) cleared of denominators by x_h^deg(f_d).  Slow for
-    large factors; used to cross-check extract_subscheme on small cases.
+    I must equal its own saturation.  Then the quotient does too and is
+    Cohen-Macaulay of dimension <= 1, so its Hilbert function stabilizes
+    and generators live below the stabilization degree plus one; the loop
+    runs two degrees further as a consistency window.  Generators of J
+    that already lie in I do not change the quotient and are skipped.
     """
-    p = gb.p
-    d = f_d.degree
-    F = MultiPoly.zero(p)
-    for i, c in enumerate(f_d.coeffs):
-        if c:
-            F = F + int(c) * (_poly_power(ell, i) * _poly_power(xh, d - i))
-    total = groebner(list(gb.gens) + [F], p)
-    return saturate(total, xh)
-
-
-def point_ideal_quotient(gb, other_gens, max_extra_degrees=None):
-    """I : J for a saturated ideal I of a zero-scheme cone, degreewise.
-
-    For such I the quotient is again saturated and Cohen-Macaulay of
-    dimension <= 1, so its Hilbert function stabilizes and generators
-    live below the stabilization degree plus one; the loop runs two
-    degrees further as a consistency window.
-    """
-    p = gb.p
+    p = ideal.p
     gens_j = [g for g in other_gens if not g.is_zero()]
     if not gens_j:
         raise ValueError("quotient by the zero ideal")
     if any(g.degree == 0 for g in gens_j):
-        return gb
-    spaces = GradedSpaces(gb)
-    sigma0, n = stable_degree(spaces)
-    collector = _PieceCollector(spaces)
+        return ideal
+    gens_j = [g for g in gens_j if not ideal.contains(g)]
+    if not gens_j:
+        return groebner([MultiPoly.constant(1, p)], p)
+    sigma0, n = ideal.stable_degree()
+    collector = _PieceCollector(ideal)
     hist = []
-    cap = sigma0 + (max_extra_degrees if max_extra_degrees is not None else n + 2)
+    cap = sigma0 + n + 2
     t = 0
     while True:
-        blocks = [spaces.mult_matrix(f, t) for f in gens_j]
+        blocks = [ideal.mult_matrix(f, t) for f in gens_j]
         stacked = np.concatenate(blocks, axis=1)
         kernel = kernel_basis_array(stacked.T, p)
         if t == 0 and len(kernel):
             return groebner([MultiPoly.constant(1, p)], p)
         collector.add_degree(t, kernel)
-        hist.append(spaces.hf(t) - len(kernel))
+        hist.append(ideal.hf(t) - len(kernel))
         if len(hist) >= 3 and hist[-1] == hist[-2] == hist[-3]:
             break
         if t > cap:
             raise RuntimeError("quotient pieces did not stabilize")
         t += 1
-    return groebner(list(gb.gens) + collector.generators, p)
+    return collector.ideal()
 
 
-def residual(gb_g, gb_x):
+def residual(ideal_g, ideal_x):
     """I_Y = I_G : I_X, the ideal of the residual subscheme."""
-    for g in gb_g.gens:
-        if not normal_form(g, gb_x).is_zero():
-            raise ValueError("residual needs I_G contained in I_X")
-    return point_ideal_quotient(gb_g, list(gb_x.gens))
+    if not all(ideal_x.contains(g) for g in ideal_g.gens):
+        raise ValueError("residual needs I_G contained in I_X")
+    return point_ideal_quotient(ideal_g, list(ideal_x.gens))

@@ -1,576 +1,61 @@
-"""Groebner bases, Hilbert functions and ideal operations in GF(p)[x0..x3].
+"""Homogeneous ideals in GF(p)[x0..x3] as degreewise linear algebra.
 
-Buchberger's algorithm with the coprime and chain pair-elimination
-criteria, normal selection (pairs by ascending lcm degree), and full
-interreduction at the end; the reduced basis is unique, so the output is
-independent of generator order.
+An ideal is held as its generators plus, for each degree t, the echelon
+form of its graded piece I_t: the row space that the products of the
+generators with the degree-(t - deg g) monomials span, over the degree-t
+monomials in descending grevlex order.  This is the Macaulay-matrix view
+of a Groebner basis (Lazard 1983; Faugere's F4, 1999): the pivots of the
+reduced echelon form are the leading monomials of I_t, reduction against
+it is the normal form, and the non-pivot columns are the standard
+monomials.  The reduced echelon form of a row space is unique, so two
+generating sets of one ideal give the same pieces.
 
-Ideal quotients go through the classical one-auxiliary-variable
-elimination construction (I : f = (I intersect (f)) / f, intersections
-via t*I + (1-t)*J).  Saturation by a linear form uses the graded
-reverse-lex division shortcut: after a linear change of coordinates
-moving the form to x3, dividing every element of a reduced grevlex basis
-by its x3 power yields a basis of the saturation.
-
-GradedSpaces is the workhorse for everything degreewise: row spaces of
-ideal pieces as numpy echelon forms, standard-monomial bases, normal
-forms in bulk, and multiplication matrices between graded pieces.
+Pieces are built lazily and cached, so one object per ideal serves every
+stage that reads it.  The Hilbert function, the h-vector, containment and
+equality are all read off the pieces.
 """
 
-import heapq
+from itertools import combinations
 
 import numpy as np
 
-from ._frozen import Frozen
-from .gf import inv_mod, rref, reduce_rows
-from .mpoly import (
-    NVARS,
-    MultiPoly,
-    grevlex_key,
-    monomial_degree,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-    monomials_of_degree,
-)
+from .gf import rref, reduce_rows
+from .mpoly import NVARS, monomial_mul, monomials_of_degree
 
-__all__ = [
-    "GroebnerBasis",
-    "groebner",
-    "normal_form",
-    "hilbert_function",
-    "quotient_dimension",
-    "h_vector",
-    "ideal_quotient",
-    "saturate",
-    "GradedSpaces",
-]
+__all__ = ["groebner", "h_vector", "echelon_piece", "GradedSpaces"]
 
-MAX_HF_PROBE = 80
+# A piece is a dense matrix over all C(t+3, 3) degree-t monomials, so the
+# Hilbert-function scan gives up at degree 20 (1771 monomials).  Every
+# candidate h-vector has at most 12 entries, so its cone repeats by degree 12.
+MAX_HF_PROBE = 20
 
+_PAIRS = frozenset(frozenset(pair) for pair in combinations(range(NVARS), 2))
 
-# ---------------------------------------------------------------------------
-# reduction and Buchberger
 
-
-def _reduce_full(terms, basis, p):
-    """Full normal form of a term dict against [(lt, lt_inv_coeff, terms)]."""
-    work = dict(terms)
-    remainder = {}
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        for lt, ltc_inv, g in basis:
-            if monomial_divides(lt, m):
-                shift = monomial_div(m, lt)
-                factor = c * ltc_inv % p
-                for gm, gc in g.items():
-                    if gm == lt:
-                        continue
-                    key = monomial_mul(gm, shift)
-                    v = (work.get(key, 0) - factor * gc) % p
-                    if v:
-                        work[key] = v
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[m] = c
-    return remainder
-
-
-def _spoly(f, ltf, g, ltg, p):
-    lcm = monomial_lcm(ltf, ltg)
-    cf = inv_mod(f[ltf], p)
-    cg = inv_mod(g[ltg], p)
-    sf, sg = monomial_div(lcm, ltf), monomial_div(lcm, ltg)
-    out = {}
-    for m, c in f.items():
-        key = monomial_mul(m, sf)
-        out[key] = (out.get(key, 0) + c * cf) % p
-    for m, c in g.items():
-        key = monomial_mul(m, sg)
-        out[key] = (out.get(key, 0) - c * cg) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def _buchberger(seed_polys, p):
-    basis = []  # list of term dicts
-    lts = []
-
-    def push(terms):
-        basis.append(terms)
-        lts.append(max(terms, key=grevlex_key))
-
-    for f in seed_polys:
-        if f:
-            push(f)
-    if not basis:
-        return []
-
-    pairs = []
-    done = set()
-
-    def queue_pair(i, j):
-        lcm = monomial_lcm(lts[i], lts[j])
-        heapq.heappush(
-            pairs, (monomial_degree(lcm), grevlex_key(lcm), i, j, lcm)
-        )
-
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            queue_pair(i, j)
-
-    while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        # coprime criterion
-        if monomial_mul(lts[i], lts[j]) == lcm:
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lts[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        red_basis = [(lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
-                     for k in range(len(basis))]
-        rem = _reduce_full(_spoly(basis[i], lts[i], basis[j], lts[j], p),
-                           red_basis, p)
-        if rem:
-            push(rem)
-            new = len(basis) - 1
-            for k in range(new):
-                queue_pair(k, new)
-
-    return _interreduce(basis, lts, p)
-
-
-def _interreduce(basis, lts, p):
-    # drop elements whose leading term another element's leading term divides
-    order = sorted(range(len(basis)), key=lambda i: grevlex_key(lts[i]))
-    keep = []
-    for i in order:
-        if not any(monomial_divides(lts[k], lts[i]) for k in keep):
-            keep.append(i)
-    reduced = []
-    for idx, i in enumerate(keep):
-        others = [
-            (lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
-            for k in keep
-            if k != i
-        ]
-        rem = _reduce_full(basis[i], others, p)
-        if rem:
-            lt = max(rem, key=grevlex_key)
-            inv = inv_mod(rem[lt], p)
-            reduced.append({m: c * inv % p for m, c in rem.items()})
-    reduced.sort(key=lambda t: grevlex_key(max(t, key=grevlex_key)))
-    return reduced
-
-
-class GroebnerBasis(Frozen):
-    """Reduced grevlex Groebner basis of a homogeneous ideal."""
-
-    __slots__ = ("gens", "p", "_lts")
-
-    def __init__(self, gens, p, _trusted=False):
-        if not _trusted:
-            raise TypeError("use groebner() to construct a GroebnerBasis")
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(
-            self,
-            "_lts",
-            tuple(g.leading_monomial() for g in self.gens),
-        )
-
-    def leading_monomials(self):
-        return self._lts
-
-    def is_zero(self):
-        return not self.gens
-
-    def is_unit(self):
-        return any(monomial_degree(lt) == 0 for lt in self._lts)
-
-    def contains(self, f):
-        return normal_form(f, self).is_zero()
-
-    def max_degree(self):
-        return max((g.degree for g in self.gens), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.p == other.p
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.gens, self.p))
-
-    def __repr__(self):
-        return "GroebnerBasis(%d gens mod %d)" % (len(self.gens), self.p)
-
-
-def groebner(gens, p=None):
-    """Reduced Groebner basis of the ideal the given polynomials generate."""
-    polys = [g for g in gens if not g.is_zero()]
-    if p is None:
-        if not polys:
-            raise ValueError("cannot infer modulus from an empty generator list")
-        p = polys[0].p
-    for g in polys:
-        if g.p != p:
-            raise ValueError("mixed moduli")
-        if not g.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
-    reduced = _buchberger([dict(g.terms) for g in polys], p)
-    return GroebnerBasis([MultiPoly(t, p) for t in reduced], p, _trusted=True)
-
-
-def normal_form(f, gb):
-    """Unique remainder of f on division by the reduced basis."""
-    basis = [
-        (lt, inv_mod(g.terms[lt], gb.p), g.terms)
-        for lt, g in zip(gb.leading_monomials(), gb.gens)
-    ]
-    return MultiPoly(_reduce_full(dict(f.terms), basis, gb.p), gb.p)
-
-
-def hilbert_function(gb, t):
-    """dim of (S/I)_t: the number of degree-t standard monomials."""
-    if t < 0:
-        return 0
-    lts = gb.leading_monomials()
-    count = 0
-    for m in monomials_of_degree(t):
-        if not any(monomial_divides(lt, m) for lt in lts):
-            count += 1
-    return count
-
-
-def quotient_dimension(gb):
-    """Krull dimension of S/I (equals that of S/LT(I)); -1 for the unit ideal.
-
-    A variable subset V is independent iff no leading monomial is supported
-    inside V; the dimension is the largest independent |V|.
-    """
-    lts = gb.leading_monomials()
-    if any(monomial_degree(lt) == 0 for lt in lts):
-        return -1
-    supports = [frozenset(i for i in range(NVARS) if lt[i]) for lt in lts]
-    best = 0
-    for mask in range(1 << NVARS):
-        V = frozenset(i for i in range(NVARS) if mask >> i & 1)
-        if len(V) <= best:
-            continue
-        if all(not s <= V for s in supports):
-            best = len(V)
-    return best
-
-
-def h_vector(gb):
-    """First difference of the Hilbert function of a dimension-one cone.
-
-    Returns a tuple of positive integers summing to the degree of the
-    scheme.  Raises if S/I does not have Krull dimension <= 1.
-    """
-    dim = quotient_dimension(gb)
-    if dim > 1:
-        raise ValueError("h-vector needs a zero-scheme cone, S/I has dimension %d" % dim)
-    if dim == -1:
-        return ()
-    values = [hilbert_function(gb, 0)]
-    for t in range(1, MAX_HF_PROBE):
-        values.append(hilbert_function(gb, t))
-        if values[-1] == values[-2]:
-            break
-    else:
-        raise ValueError("Hilbert function did not stabilize")
-    diffs = [values[0]] + [values[i] - values[i - 1] for i in range(1, len(values))]
-    while diffs and diffs[-1] == 0:
-        diffs.pop()
-    if any(d <= 0 for d in diffs):
-        raise ValueError("Hilbert function not monotone; not a reduced cone ideal")
-    return tuple(diffs)
-
-
-# ---------------------------------------------------------------------------
-# elimination with one auxiliary variable (for quotients of general ideals)
-#
-# monomials here are 5-tuples (e_t, e0, e1, e2, e3) ordered by the block
-# order "t first, then grevlex on the x part", which eliminates t.
-
-
-def _e5_key(m):
-    return (m[0], grevlex_key(m[1:]))
-
-
-def _e5_divides(a, b):
-    return all(a[i] <= b[i] for i in range(5))
-
-
-def _e5_reduce(terms, basis, p):
-    work = dict(terms)
-    remainder = {}
-    while work:
-        m = max(work, key=_e5_key)
-        c = work.pop(m)
-        hit = None
-        for lt, ltc_inv, g in basis:
-            if _e5_divides(lt, m):
-                hit = (lt, ltc_inv, g)
-                break
-        if hit is None:
-            remainder[m] = c
-            continue
-        lt, ltc_inv, g = hit
-        shift = tuple(m[i] - lt[i] for i in range(5))
-        factor = c * ltc_inv % p
-        for gm, gc in g.items():
-            if gm == lt:
-                continue
-            key = tuple(gm[i] + shift[i] for i in range(5))
-            v = (work.get(key, 0) - factor * gc) % p
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return remainder
-
-
-def _e5_buchberger(seed, p):
-    basis = [dict(t) for t in seed if t]
-    lts = [max(t, key=_e5_key) for t in basis]
-    pairs = []
-    done = set()
-
-    def queue(i, j):
-        lcm = tuple(max(lts[i][k], lts[j][k]) for k in range(5))
-        heapq.heappush(pairs, (sum(lcm), _e5_key(lcm), i, j, lcm))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            queue(i, j)
-    while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        if tuple(lts[i][k] + lts[j][k] for k in range(5)) == lcm:
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k not in (i, j) and _e5_divides(lts[k], lcm):
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        ci = inv_mod(basis[i][lts[i]], p)
-        cj = inv_mod(basis[j][lts[j]], p)
-        si = tuple(lcm[k] - lts[i][k] for k in range(5))
-        sj = tuple(lcm[k] - lts[j][k] for k in range(5))
-        s = {}
-        for m, c in basis[i].items():
-            key = tuple(m[k] + si[k] for k in range(5))
-            s[key] = (s.get(key, 0) + c * ci) % p
-        for m, c in basis[j].items():
-            key = tuple(m[k] + sj[k] for k in range(5))
-            s[key] = (s.get(key, 0) - c * cj) % p
-        s = {m: c for m, c in s.items() if c}
-        red = [(lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
-               for k in range(len(basis))]
-        rem = _e5_reduce(s, red, p)
-        if rem:
-            basis.append(rem)
-            lts.append(max(rem, key=_e5_key))
-            for k in range(len(basis) - 1):
-                queue(k, len(basis) - 1)
-    return basis, lts
-
-
-def _intersect(gb1, gb2, p):
-    """Generators of I1 \\cap I2 via t*I1 + (1-t)*I2 and elimination of t."""
-    seed = []
-    for g in gb1:
-        seed.append({(1,) + m: c for m, c in g.terms.items()})
-    for g in gb2:
-        d = {(1,) + m: c for m, c in g.terms.items()}
-        for m, c in g.terms.items():
-            key = (0,) + m
-            d[key] = (d.get(key, 0) - c) % p
-        seed.append({m: c for m, c in d.items() if c})
-    basis, lts = _e5_buchberger(seed, p)
-    out = []
-    for terms, lt in zip(basis, lts):
-        if lt[0] == 0:  # block order: t-free leading term means t-free element
-            out.append(MultiPoly({m[1:]: c for m, c in terms.items()}, p))
-    return out
-
-
-def _divide_by(polys, f):
-    out = []
-    for g in polys:
-        q = _exact_divide(g, f)
-        out.append(q)
-    return out
-
-
-def _exact_divide(g, f):
-    """g / f when f divides g exactly (used after intersecting with (f))."""
-    p = g.p
-    work = dict(g.terms)
-    ltf = f.leading_monomial()
-    cf = inv_mod(f.terms[ltf], p)
-    quo = {}
-    while work:
-        m = max(work, key=grevlex_key)
-        if not monomial_divides(ltf, m):
-            raise ArithmeticError("division is not exact")
-        shift = monomial_div(m, ltf)
-        c = work[m] * cf % p
-        quo[shift] = c
-        for fm, fc in f.terms.items():
-            key = monomial_mul(fm, shift)
-            v = (work.get(key, 0) - c * fc) % p
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return MultiPoly(quo, p)
-
-
-def ideal_quotient(gb, other):
-    """I : J = {f | f*J in I}, computed per generator of J and intersected."""
-    p = gb.p
-    if isinstance(other, GroebnerBasis):
-        jgens = list(other.gens)
-    else:
-        jgens = [g for g in other if not g.is_zero()]
-    if not jgens:
-        raise ValueError("quotient by the zero ideal")
-    if gb.is_unit():
-        return gb
-    result = None
-    for f in jgens:
-        if f.degree == 0:
-            part = gb
-        else:
-            meet = _intersect(gb.gens, [f], p)
-            part = groebner(_divide_by(meet, f), p)
-        if part.is_unit():
-            # f already lies in I, so I : f = (1): neutral for the meet
-            continue
-        if result is None:
-            result = part
-        else:
-            result = groebner(_intersect(result.gens, part.gens, p), p)
-    if result is None:
-        result = groebner([MultiPoly.constant(1, p)], p)
-    return result
-
-
-# saturation -----------------------------------------------------------------
-
-
-def _complete_to_basis(coeffs, p):
-    """Rows of an invertible matrix whose last row is the given covector."""
-    rows = [list(coeffs)]
-    for i in range(NVARS):
-        e = [0] * NVARS
-        e[i] = 1
-        cand = rows + [e]
-        A = np.array(cand, dtype=np.int64)
-        if len(rref(A, p)[1]) == len(cand):
-            rows.append(e)
-        if len(rows) == NVARS:
-            break
-    rows = rows[1:] + [rows[0]]  # linear form last, so it becomes x3
-    return np.array(rows, dtype=np.int64)
-
-
-def _matrix_inverse(A, p):
-    n = A.shape[0]
-    aug = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return R[:, n:]
-
-
-def _saturate_by_linear(gb, f):
-    """I : f^infty for a linear form f, via the grevlex division shortcut."""
-    p = gb.p
-    coeffs = [0] * NVARS
-    for m, c in f.terms.items():
-        coeffs[m.index(1)] = c
-    A = _complete_to_basis(coeffs, p)  # y = A x with y3 = f
-    Ainv = _matrix_inverse(A, p)
-    # x_i = sum_j Ainv[i][j] y_j ; writing gens in y-coordinates substitutes that
-    to_y = [MultiPoly.linear_form(Ainv[i].tolist(), p) for i in range(NVARS)]
-    moved = [g.substitute_linear(to_y) for g in gb.gens]
-    gby = groebner(moved, p)
-    divided = []
-    for g in gby.gens:
-        k = min(m[3] for m in g.terms)
-        if k:
-            divided.append(
-                MultiPoly({(m[0], m[1], m[2], m[3] - k): c for m, c in g.terms.items()}, p)
-            )
-        else:
-            divided.append(g)
-    back = [MultiPoly.linear_form(A[i].tolist(), p) for i in range(NVARS)]
-    restored = [g.substitute_linear(back) for g in divided]
-    return groebner(restored, p)
-
-
-def saturate(gb, f):
-    """I : f^infty, reached when I : f^(m+1) = I : f^m."""
-    if f.is_zero():
-        raise ValueError("saturation by zero")
-    if not f.is_homogeneous():
-        raise ValueError("saturation needs a homogeneous polynomial")
-    if f.degree == 0 or gb.is_unit():
-        return gb
-    if f.degree == 1:
-        return _saturate_by_linear(gb, f)
-    current = gb
-    for _ in range(MAX_HF_PROBE):
-        nxt = ideal_quotient(current, [f])
-        if nxt == current:
-            return current
-        current = nxt
-    raise RuntimeError("saturation did not stabilize")
-
-
-# ---------------------------------------------------------------------------
-# degreewise linear algebra on graded pieces
+def echelon_piece(rows, p):
+    """(R, pivots, std_positions) of the row space of a 2-d array mod p."""
+    R, pivots = rref(rows, p)
+    pivot_set = set(pivots)
+    return R, pivots, [i for i in range(rows.shape[1]) if i not in pivot_set]
 
 
 class GradedSpaces:
-    """Echelonized graded pieces of an ideal and its quotient ring.
+    """A homogeneous ideal: its generators and its echelonized graded pieces.
 
     For each degree t this holds the row space of I_t over the degree-t
     monomials in descending grevlex order (so echelon pivots are leading
     monomials and reduction against them is the normal form), plus the
-    standard-monomial coordinate frame of (S/I)_t.
+    standard-monomial coordinate frame of (S/I)_t.  A caller that has
+    already echelonized some pieces (as the degreewise quotient and
+    extraction do) hands them in as `pieces`, a dict keyed by degree.
     """
 
-    def __init__(self, gb):
-        self.gb = gb
-        self.p = gb.p
-        self._pieces = {}
+    def __init__(self, gens, p, pieces=()):
+        self.gens = tuple(gens)
+        self.p = p
+        self._pieces = dict(pieces)
         self._mult_cache = {}
+        self._stable = None
 
     def _index(self, t):
         monos = monomials_of_degree(t)
@@ -581,7 +66,7 @@ class GradedSpaces:
         if t not in self._pieces:
             monos, index = self._index(t)
             rows = []
-            for g in self.gb.gens:
+            for g in self.gens:
                 d = g.degree
                 if d > t:
                     continue
@@ -590,20 +75,91 @@ class GradedSpaces:
                     for m, c in g.terms.items():
                         row[index[monomial_mul(m, shift)]] = c
                     rows.append(row)
-            if rows:
-                R, pivots = rref(np.array(rows, dtype=np.int64), self.p)
-            else:
-                R = np.zeros((0, len(monos)), dtype=np.int64)
-                pivots = []
-            pivot_set = set(pivots)
-            std = [i for i in range(len(monos)) if i not in pivot_set]
-            self._pieces[t] = (R, pivots, std)
+            rows = np.array(rows, dtype=np.int64).reshape(-1, len(monos))
+            self._pieces[t] = echelon_piece(rows, self.p)
         return self._pieces[t]
 
     def hf(self, t):
+        """dim (S/I)_t."""
         if t < 0:
             return 0
         return len(self.piece(t)[2])
+
+    def stable_degree(self):
+        """(sigma0, n): the Hilbert function first repeats from sigma0 to
+        sigma0 + 1, at the value n, the degree of the scheme.
+
+        Also certifies that S/I has Krull dimension at most one: for every
+        pair of variables some leading monomial (a pivot of a piece) lies in
+        those two variables alone.  While that certificate is missing after
+        the first repeat, the scan goes on and raises if the value moves.
+        Raises ValueError when no repeat shows up below MAX_HF_PROBE.
+        """
+        if self._stable is None:
+            missing = set(_PAIRS)
+            values = []
+            sigma0 = None
+            for t in range(MAX_HF_PROBE):
+                values.append(self.hf(t))
+                monos = monomials_of_degree(t)
+                for col in self.piece(t)[1] if missing else ():
+                    support = {i for i in range(NVARS) if monos[col][i]}
+                    missing = {pair for pair in missing if not support <= pair}
+                if sigma0 is None:
+                    if t and values[-1] == values[-2]:
+                        sigma0 = t - 1
+                elif values[-1] != values[-2]:
+                    raise ValueError(
+                        "Hilbert function leaves its repeated value; "
+                        "S/I is not a zero-scheme cone"
+                    )
+                if sigma0 is not None and not missing:
+                    self._stable = (sigma0, values[-1])
+                    break
+            else:
+                raise ValueError("Hilbert function did not stabilize")
+        return self._stable
+
+    def scheme_degree(self):
+        return self.stable_degree()[1]
+
+    def is_unit(self):
+        return self.hf(0) == 0
+
+    def contains(self, f):
+        """Is the polynomial f in the ideal?  Checked per homogeneous part."""
+        parts = {}
+        for m, c in f.terms.items():
+            parts.setdefault(sum(m), {})[m] = c
+        for t, terms in parts.items():
+            monos, index = self._index(t)
+            row = np.zeros((1, len(monos)), dtype=np.int64)
+            for m, c in terms.items():
+                row[0, index[m]] = c
+            if self.nf_rows(row, t).any():
+                return False
+        return True
+
+    def max_degree(self):
+        return max((g.degree for g in self.gens), default=0)
+
+    def __eq__(self, other):
+        """Same ideal: equal pieces up to the larger generator degree."""
+        if not isinstance(other, GradedSpaces):
+            return NotImplemented
+        if self.p != other.p:
+            return False
+        for t in range(max(self.max_degree(), other.max_degree()) + 1):
+            R, pivots, _ = self.piece(t)
+            R2, pivots2, _ = other.piece(t)
+            if pivots != pivots2 or not np.array_equal(R, R2):
+                return False
+        return True
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "GradedSpaces(%d gens mod %d)" % (len(self.gens), self.p)
 
     def std_monomials(self, t):
         monos = monomials_of_degree(t)
@@ -619,22 +175,6 @@ class GradedSpaces:
         reduced = self.nf_rows(rows, t)
         _, _, std = self.piece(t)
         return reduced[:, std]
-
-    def dense_row(self, poly, t):
-        monos, index = self._index(t)
-        row = np.zeros(len(monos), dtype=np.int64)
-        for m, c in poly.terms.items():
-            row[index[m]] = c
-        return row
-
-    def poly_from_coords(self, vec, t):
-        monos = monomials_of_degree(t)
-        _, _, std = self.piece(t)
-        terms = {}
-        for value, pos in zip(vec, std):
-            if value % self.p:
-                terms[monos[pos]] = int(value) % self.p
-        return MultiPoly(terms, self.p)
 
     def mult_matrix(self, f, t):
         """Matrix of multiplication by f: (S/I)_t -> (S/I)_{t + deg f}.
@@ -654,7 +194,34 @@ class GradedSpaces:
             self._mult_cache[key] = self.coords(rows, t + d)
         return self._mult_cache[key]
 
-    def variable_mult_matrices(self, t):
-        return [
-            self.mult_matrix(MultiPoly.variable(i, self.p), t) for i in range(NVARS)
-        ]
+
+def groebner(gens, p=None):
+    """The ideal the given homogeneous polynomials generate."""
+    polys = [g for g in gens if not g.is_zero()]
+    if p is None:
+        if not polys:
+            raise ValueError("cannot infer modulus from an empty generator list")
+        p = polys[0].p
+    for g in polys:
+        if g.p != p:
+            raise ValueError("mixed moduli")
+        if not g.is_homogeneous():
+            raise ValueError("generators must be homogeneous")
+    return GradedSpaces(polys, p)
+
+
+def h_vector(ideal):
+    """First difference of the Hilbert function of a dimension-one cone.
+
+    Returns a tuple of positive integers summing to the degree of the
+    scheme; () for the unit ideal.  Raises ValueError if S/I is not a
+    zero-scheme cone.
+    """
+    sigma0, _ = ideal.stable_degree()
+    values = [ideal.hf(t) for t in range(sigma0 + 2)]
+    diffs = [values[0]] + [values[i] - values[i - 1] for i in range(1, len(values))]
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    if any(d <= 0 for d in diffs):
+        raise ValueError("Hilbert function not monotone; not a reduced cone ideal")
+    return tuple(diffs)

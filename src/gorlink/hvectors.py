@@ -34,6 +34,7 @@ __all__ = [
     "generic_hvector",
     "parse_gorenstein_type",
     "gorenstein_family_dim",
+    "additivity_shift",
     "decompose",
     "stanley_admissible",
     "enumerate_candidates",
@@ -200,6 +201,23 @@ def family_dim_of(h):
     return gorenstein_family_dim(t)
 
 
+def additivity_shift(h_g, h_x, h_y):
+    """Shift k with h_G = h_X + shift^k(reverse(h_Y)), or None."""
+    eg, ex, ey = _entries(h_g), _entries(h_x), _entries(h_y)
+    rev = tuple(reversed(ey))
+    if len(ex) > len(eg) or len(rev) > len(eg):
+        return None
+    for k in range(len(eg) - len(rev) + 1):
+        acc = [0] * len(eg)
+        for i, v in enumerate(ex):
+            acc[i] += v
+        for i, v in enumerate(rev):
+            acc[k + i] += v
+        if tuple(acc) == eg:
+            return k
+    return None
+
+
 def decompose(h, d):
     """Split h as h_X + shift^k(reverse(h_Y)) with generic h_X, h_Y.
 
@@ -207,28 +225,13 @@ def decompose(h, d):
     points.  Returns (h_X, h_Y, k) for the unique shift k >= 0 making the
     entrywise sum work out, or None.
     """
-    e = _entries(h)
-    total = sum(e)
+    total = sum(_entries(h))
     if d < 0 or d > total:
         raise ValueError("need 0 <= d <= degree(h)")
     hx = generic_hvector(d)
     hy = generic_hvector(total - d)
-    if len(hx) > len(e):
-        return None
-    rev = tuple(reversed(hy.entries))
-    if not rev:
-        if tuple(hx.entries) == e:
-            return hx, hy, 0
-        return None
-    for k in range(0, len(e) - len(rev) + 1):
-        candidate = [0] * len(e)
-        for i, v in enumerate(hx.entries):
-            candidate[i] += v
-        for i, v in enumerate(rev):
-            candidate[k + i] += v
-        if tuple(candidate) == e:
-            return hx, hy, k
-    return None
+    k = additivity_shift(h, hx, hy)
+    return None if k is None else (hx, hy, k)
 
 
 def stanley_admissible(h):

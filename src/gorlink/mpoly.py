@@ -11,7 +11,6 @@ in certificate files, so the renderer and parser here are strict.
 """
 
 from ._frozen import Frozen
-from .gf import inv_mod
 
 __all__ = [
     "NVARS",
@@ -138,15 +137,6 @@ class MultiPoly(Frozen):
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def monic(self):
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        inv = inv_mod(lc, self.p)
-        return MultiPoly({m: c * inv % self.p for m, c in self.terms.items()}, self.p)
-
     def _check(self, other):
         if self.p != other.p:
             raise ValueError("mixed moduli")
@@ -226,13 +216,6 @@ class MultiPoly(Frozen):
                     piece = piece * cache[e]
             out = out + piece
         return out
-
-    def coefficient_vector(self, monomial_index, size):
-        """Dense coefficient row for a fixed monomial ordering."""
-        row = [0] * size
-        for m, c in self.terms.items():
-            row[monomial_index[m]] = c
-        return row
 
     def __eq__(self, other):
         return (

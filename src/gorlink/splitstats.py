@@ -24,6 +24,7 @@ from math import factorial
 import numpy as np
 
 from ._frozen import Frozen
+from .gf import check_modulus
 from .rng import SplitStream
 from . import unipoly
 
@@ -455,6 +456,7 @@ def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
     polynomial from a child stream of the seed indexed by trial number, so
     the result does not depend on how trials are scheduled.
     """
+    check_modulus(q)
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
     if trials < 1:

@@ -10,6 +10,7 @@ import hashlib
 import os
 import tempfile
 
+from .gf import check_modulus
 from .hvectors import HVector
 from .mpoly import MultiPoly
 from .gorenstein import ProjectionWitness, SkewPolyMatrix
@@ -104,7 +105,7 @@ def parse_certificate(text):
             fields[key.strip()] = value.strip()
         i += 1
     h = HVector.from_csv(fields["h"])
-    p = int(fields["p"])
+    p = check_modulus(int(fields["p"]))
     matrix = witness = None
     hom_ix = hom_iy = hom_sg = h_x = h_y = None
     gdim = None

@@ -23,9 +23,9 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import kernel_basis_array, rref, solve_in_rowspace
+from .gf import check_modulus, kernel_basis_array, rref, solve_in_rowspace
 from .mpoly import MultiPoly, monomials_of_degree
-from .groebner import GradedSpaces, groebner, hilbert_function, h_vector
+from .groebner import groebner, h_vector
 from .gorenstein import (
     ExtractionError,
     extract_subscheme,
@@ -33,21 +33,18 @@ from .gorenstein import (
     random_gorenstein,
     residual,
     point_ideal_quotient,
-    scheme_degree,
     submaximal_pfaffians,
+    witness_splits,
     DegeneracyError,
 )
-from .hvectors import HVector, _entries, family_dim_of
+from .hvectors import HVector, _entries, additivity_shift, family_dim_of
 from .rng import SplitStream
 
 __all__ = [
-    "GradedPieceBasis",
-    "graded_piece",
     "QuotientRingTarget",
     "SubquotientTarget",
     "hom_dim_zero",
     "generic_hilbert_function_test",
-    "additivity_shift",
     "EdgeCertificate",
     "verify_edge",
     "replay_certificate",
@@ -57,69 +54,36 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 50
 
 
-class GradedPieceBasis(Frozen):
-    """Basis of one graded piece of S/I or of a subquotient I_num/I_den."""
-
-    __slots__ = ("degree", "basis", "tag")
-
-    def __init__(self, degree, basis, tag):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "tag", tag)
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-
-def graded_piece(gb_num, gb_den, t, tag="I_num/I_den"):
-    """Basis of ker((S/I_den)_t -> (S/I_num)_t) = (I_num/I_den)_t.
-
-    Representatives are normal forms mod I_den, echelonized so the output
-    is canonical.  Requires I_den to be contained in I_num.
-    """
-    from .groebner import normal_form
-
-    for g in gb_den.gens:
-        if not normal_form(g, gb_num).is_zero():
-            raise ValueError("graded_piece needs I_den contained in I_num")
-    spaces_den = GradedSpaces(gb_den)
-    sub = SubquotientTarget(spaces_den, gb_num, tag)
-    polys = sub.basis_polys(t)
-    return GradedPieceBasis(t, polys, tag)
-
-
 class QuotientRingTarget:
     """The module S/I as a target for degree-zero homomorphisms."""
 
-    def __init__(self, spaces, tag="S/I"):
-        self.spaces = spaces
-        self.tag = tag
-        self.p = spaces.p
+    def __init__(self, ideal):
+        self.ideal = ideal
+        self.p = ideal.p
 
     def dim(self, t):
-        return self.spaces.hf(t)
+        return self.ideal.hf(t)
 
     def mult_map(self, f, t):
-        return self.spaces.mult_matrix(f, t)
+        return self.ideal.mult_matrix(f, t)
 
 
 class SubquotientTarget:
     """The module I_num/I_den inside S/I_den, in echelon coordinates."""
 
-    def __init__(self, spaces_den, gb_num, tag="I_num/I_den"):
-        self.spaces = spaces_den
-        self.gb_num = gb_num
-        self.num_spaces = GradedSpaces(gb_num)
-        self.tag = tag
-        self.p = spaces_den.p
+    def __init__(self, den, num):
+        if not all(num.contains(g) for g in den.gens):
+            raise ValueError("SubquotientTarget needs I_den contained in I_num")
+        self.den = den
+        self.num = num
+        self.p = den.p
         self._frames = {}
 
     def _frame(self, t):
         """(B, pivots): echelonized monomial-coordinate rows spanning the piece."""
         if t not in self._frames:
-            num_R = self.num_spaces.piece(t)[0]
-            reduced = self.spaces.nf_rows(num_R, t) if num_R.shape[0] else num_R
+            num_R = self.num.piece(t)[0]
+            reduced = self.den.nf_rows(num_R, t) if num_R.shape[0] else num_R
             B, pivots = rref(reduced, self.p)
             self._frames[t] = (B, pivots)
         return self._frames[t]
@@ -152,7 +116,7 @@ class SubquotientTarget:
                 for fm, fc in f.terms.items():
                     key = (fm[0] + m[0], fm[1] + m[1], fm[2] + m[2], fm[3] + m[3])
                     rows[r, index[key]] = (rows[r, index[key]] + c * fc) % self.p
-        reduced = self.spaces.nf_rows(rows, t + f.degree)
+        reduced = self.den.nf_rows(rows, t + f.degree)
         return solve_in_rowspace(target_B, target_piv, reduced, self.p)
 
 
@@ -190,33 +154,16 @@ def hom_dim_zero(M, target, check_presentation=False):
     return len(kernel_basis_array(A.T, p))
 
 
-def generic_hilbert_function_test(gb, d):
+def generic_hilbert_function_test(ideal, d):
     """HF(S/I, t) == min(C(t+3,3), d) up to one degree past stabilization."""
     t = 0
     while True:
         expected = min((t + 1) * (t + 2) * (t + 3) // 6, d)
-        if hilbert_function(gb, t) != expected:
+        if ideal.hf(t) != expected:
             return False
         if expected == d:
-            return hilbert_function(gb, t + 1) == d
+            return ideal.hf(t + 1) == d
         t += 1
-
-
-def additivity_shift(h_g, h_x, h_y):
-    """Shift k with h_G = h_X + shift^k(reverse(h_Y)), or None."""
-    eg, ex, ey = _entries(h_g), _entries(h_x), _entries(h_y)
-    rev = tuple(reversed(ey))
-    if len(ex) > len(eg) or len(rev) > len(eg):
-        return None
-    for k in range(len(eg) - len(rev) + 1):
-        acc = [0] * len(eg)
-        for i, v in enumerate(ex):
-            acc[i] += v
-        for i, v in enumerate(rev):
-            acc[k + i] += v
-        if tuple(acc) == eg:
-            return k
-    return None
 
 
 class EdgeCertificate(Frozen):
@@ -249,7 +196,7 @@ class EdgeCertificate(Frozen):
         return self.verdict == "verified"
 
 
-def _run_attempt(h, d, matrix, gb, witness, gdim):
+def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     """All tests downstream of a successful reduced split; returns
     (tests dict, dims tuple, h_x, h_y)."""
     e = sum(_entries(h)) - d
@@ -262,20 +209,19 @@ def _run_attempt(h, d, matrix, gb, witness, gdim):
         "hom_IY": False,
         "smooth_SG": False,
     }
-    gb_x = extract_subscheme(gb, witness.ell, witness.xh, witness.factor)
-    gb_y = residual(gb, gb_x)
-    if scheme_degree(gb_y) != e:
+    ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
+    ideal_y = residual(ideal_g, ideal_x)
+    if ideal_y.scheme_degree() != e:
         raise ExtractionError("residual degree mismatch")
-    if point_ideal_quotient(gb, list(gb_y.gens)) != gb_x:
+    if point_ideal_quotient(ideal_g, list(ideal_y.gens)) != ideal_x:
         raise ExtractionError("liaison involution failed")
-    h_x, h_y = h_vector(gb_x), h_vector(gb_y)
-    tests["generic_hf_X"] = generic_hilbert_function_test(gb_x, d)
-    tests["generic_hf_Y"] = generic_hilbert_function_test(gb_y, e)
+    h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
+    tests["generic_hf_X"] = generic_hilbert_function_test(ideal_x, d)
+    tests["generic_hf_Y"] = generic_hilbert_function_test(ideal_y, e)
     tests["additivity"] = additivity_shift(h, h_x, h_y) is not None
-    spaces = GradedSpaces(gb)
-    target_sg = QuotientRingTarget(spaces, "S/I_G")
-    target_ix = SubquotientTarget(spaces, gb_x, "I_X/I_G")
-    target_iy = SubquotientTarget(spaces, gb_y, "I_Y/I_G")
+    target_sg = QuotientRingTarget(ideal_g)
+    target_ix = SubquotientTarget(ideal_g, ideal_x)
+    target_iy = SubquotientTarget(ideal_g, ideal_y)
     hom_sg = hom_dim_zero(matrix, target_sg)
     hom_ix = hom_dim_zero(matrix, target_ix)
     hom_iy = hom_dim_zero(matrix, target_iy)
@@ -300,6 +246,7 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
     tests), 'refuted' (witnesses were found, none passed), or
     'inconclusive' (no reduced split appeared at all).
     """
+    check_modulus(p)
     h = HVector(_entries(h))
     e = h.degree - d
     if not (1 <= d <= h.degree - 1):
@@ -310,14 +257,14 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
     for attempt in range(max_attempts):
         st = root.child(attempt)
         try:
-            matrix, gb = random_gorenstein(h, p, st.child("gor"))
+            matrix, ideal = random_gorenstein(h, p, st.child("gor"))
         except DegeneracyError:
             continue
-        witness = is_reduced_and_split(gb, d, st.child("split"))
+        witness = is_reduced_and_split(ideal, d, st.child("split"))
         if witness is None:
             continue
         try:
-            tests, dims, h_x, h_y = _run_attempt(h, d, matrix, gb, witness, gdim)
+            tests, dims, h_x, h_y = _run_attempt(h, d, matrix, ideal, witness, gdim)
         except ExtractionError:
             continue
         verdict = "verified" if all(tests.values()) else "refuted"
@@ -364,21 +311,28 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
 
 
 def replay_certificate(cert):
-    """Recompute every dimension in a certificate from its stored witness.
+    """Recompute every claim in a certificate from its stored witness.
 
-    Entirely deterministic: rebuilds the ideal from the stored matrix and
-    the subscheme from the stored projection data, then re-runs all the
-    tests.  Returns (ok, recomputed tests, recomputed dims).
+    Entirely deterministic: rebuilds the ideal from the stored matrix,
+    re-checks e = degree(h) - d, recomputes the characteristic polynomial
+    of the stored projection (square-free, divisible by the stored monic
+    degree-d factor), extracts the subscheme from the stored projection
+    data and re-runs all the tests, comparing the h-vectors of X and Y as
+    well.  Returns (ok, recomputed tests, recomputed dims).
     """
     if cert.matrix is None:
         return cert.verdict == "inconclusive", {}, ()
+    if cert.e != cert.h.degree - cert.d:
+        return False, {}, ()
     gens = [f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()]
-    gb = groebner(gens, cert.p)
-    if h_vector(gb) != tuple(cert.h.entries):
+    ideal = groebner(gens, cert.p)
+    if h_vector(ideal) != tuple(cert.h.entries):
+        return False, {}, ()
+    if not witness_splits(ideal, cert.witness, cert.d):
         return False, {}, ()
     try:
-        tests, dims, _, _ = _run_attempt(
-            cert.h, cert.d, cert.matrix, gb, cert.witness, cert.gdim
+        tests, dims, h_x, h_y = _run_attempt(
+            cert.h, cert.d, cert.matrix, ideal, cert.witness, cert.gdim
         )
     except ExtractionError:
         return False, {}, ()
@@ -387,5 +341,6 @@ def replay_certificate(cert):
         verdict == cert.verdict
         and dims == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
         and tests == cert.tests
+        and (h_x, h_y) == (tuple(cert.h_x), tuple(cert.h_y))
     )
     return ok, tests, dims

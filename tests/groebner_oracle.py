@@ -1,0 +1,535 @@
+"""Slow reference ideal engine, kept for cross-checks in the test suite.
+
+Buchberger's algorithm with the coprime and chain pair-elimination
+criteria, normal selection (pairs by ascending lcm degree), and full
+interreduction at the end; the reduced basis is unique, so the output is
+independent of generator order.
+
+Ideal quotients go through the classical one-auxiliary-variable
+elimination construction (I : f = (I intersect (f)) / f, intersections
+via t*I + (1-t)*J).  Saturation by a linear form uses the graded
+reverse-lex division shortcut: after a linear change of coordinates
+moving the form to x3, dividing every element of a reduced grevlex basis
+by its x3 power yields a basis of the saturation.
+
+The program itself works degreewise (gorlink.groebner.GradedSpaces);
+the tests compare its ideals, Hilbert functions and quotients with the
+ones computed here.
+"""
+
+import heapq
+
+import numpy as np
+
+from gorlink._frozen import Frozen
+from gorlink.gf import inv_mod, rref
+from gorlink.gorenstein import _poly_power
+from gorlink.mpoly import (
+    NVARS,
+    MultiPoly,
+    grevlex_key,
+    monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomials_of_degree,
+)
+
+MAX_HF_PROBE = 80
+
+
+# ---------------------------------------------------------------------------
+# reduction and Buchberger
+
+
+def _reduce_full(terms, basis, p):
+    """Full normal form of a term dict against [(lt, lt_inv_coeff, terms)]."""
+    work = dict(terms)
+    remainder = {}
+    while work:
+        m = max(work, key=grevlex_key)
+        c = work.pop(m)
+        for lt, ltc_inv, g in basis:
+            if monomial_divides(lt, m):
+                shift = monomial_div(m, lt)
+                factor = c * ltc_inv % p
+                for gm, gc in g.items():
+                    if gm == lt:
+                        continue
+                    key = monomial_mul(gm, shift)
+                    v = (work.get(key, 0) - factor * gc) % p
+                    if v:
+                        work[key] = v
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _spoly(f, ltf, g, ltg, p):
+    lcm = monomial_lcm(ltf, ltg)
+    cf = inv_mod(f[ltf], p)
+    cg = inv_mod(g[ltg], p)
+    sf, sg = monomial_div(lcm, ltf), monomial_div(lcm, ltg)
+    out = {}
+    for m, c in f.items():
+        key = monomial_mul(m, sf)
+        out[key] = (out.get(key, 0) + c * cf) % p
+    for m, c in g.items():
+        key = monomial_mul(m, sg)
+        out[key] = (out.get(key, 0) - c * cg) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _buchberger(seed_polys, p):
+    basis = []  # list of term dicts
+    lts = []
+
+    def push(terms):
+        basis.append(terms)
+        lts.append(max(terms, key=grevlex_key))
+
+    for f in seed_polys:
+        if f:
+            push(f)
+    if not basis:
+        return []
+
+    pairs = []
+    done = set()
+
+    def queue_pair(i, j):
+        lcm = monomial_lcm(lts[i], lts[j])
+        heapq.heappush(
+            pairs, (monomial_degree(lcm), grevlex_key(lcm), i, j, lcm)
+        )
+
+    n = len(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            queue_pair(i, j)
+
+    while pairs:
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        # coprime criterion
+        if monomial_mul(lts[i], lts[j]) == lcm:
+            continue
+        # chain criterion
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            if monomial_divides(lts[k], lcm):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a in done and b in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        red_basis = [(lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
+                     for k in range(len(basis))]
+        rem = _reduce_full(_spoly(basis[i], lts[i], basis[j], lts[j], p),
+                           red_basis, p)
+        if rem:
+            push(rem)
+            new = len(basis) - 1
+            for k in range(new):
+                queue_pair(k, new)
+
+    return _interreduce(basis, lts, p)
+
+
+def _interreduce(basis, lts, p):
+    # drop elements whose leading term another element's leading term divides
+    order = sorted(range(len(basis)), key=lambda i: grevlex_key(lts[i]))
+    keep = []
+    for i in order:
+        if not any(monomial_divides(lts[k], lts[i]) for k in keep):
+            keep.append(i)
+    reduced = []
+    for idx, i in enumerate(keep):
+        others = [
+            (lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
+            for k in keep
+            if k != i
+        ]
+        rem = _reduce_full(basis[i], others, p)
+        if rem:
+            lt = max(rem, key=grevlex_key)
+            inv = inv_mod(rem[lt], p)
+            reduced.append({m: c * inv % p for m, c in rem.items()})
+    reduced.sort(key=lambda t: grevlex_key(max(t, key=grevlex_key)))
+    return reduced
+
+
+class GroebnerBasis(Frozen):
+    """Reduced grevlex Groebner basis of a homogeneous ideal."""
+
+    __slots__ = ("gens", "p", "_lts")
+
+    def __init__(self, gens, p, _trusted=False):
+        if not _trusted:
+            raise TypeError("use groebner() to construct a GroebnerBasis")
+        object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(
+            self,
+            "_lts",
+            tuple(g.leading_monomial() for g in self.gens),
+        )
+
+    def leading_monomials(self):
+        return self._lts
+
+    def is_zero(self):
+        return not self.gens
+
+    def is_unit(self):
+        return any(monomial_degree(lt) == 0 for lt in self._lts)
+
+    def contains(self, f):
+        return normal_form(f, self).is_zero()
+
+    def max_degree(self):
+        return max((g.degree for g in self.gens), default=0)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GroebnerBasis)
+            and self.p == other.p
+            and self.gens == other.gens
+        )
+
+    def __hash__(self):
+        return hash((self.gens, self.p))
+
+    def __repr__(self):
+        return "GroebnerBasis(%d gens mod %d)" % (len(self.gens), self.p)
+
+
+def groebner(gens, p=None):
+    """Reduced Groebner basis of the ideal the given polynomials generate."""
+    polys = [g for g in gens if not g.is_zero()]
+    if p is None:
+        if not polys:
+            raise ValueError("cannot infer modulus from an empty generator list")
+        p = polys[0].p
+    for g in polys:
+        if g.p != p:
+            raise ValueError("mixed moduli")
+        if not g.is_homogeneous():
+            raise ValueError("generators must be homogeneous")
+    reduced = _buchberger([dict(g.terms) for g in polys], p)
+    return GroebnerBasis([MultiPoly(t, p) for t in reduced], p, _trusted=True)
+
+
+def normal_form(f, gb):
+    """Unique remainder of f on division by the reduced basis."""
+    basis = [
+        (lt, inv_mod(g.terms[lt], gb.p), g.terms)
+        for lt, g in zip(gb.leading_monomials(), gb.gens)
+    ]
+    return MultiPoly(_reduce_full(dict(f.terms), basis, gb.p), gb.p)
+
+
+def hilbert_function(gb, t):
+    """dim of (S/I)_t: the number of degree-t standard monomials."""
+    if t < 0:
+        return 0
+    lts = gb.leading_monomials()
+    count = 0
+    for m in monomials_of_degree(t):
+        if not any(monomial_divides(lt, m) for lt in lts):
+            count += 1
+    return count
+
+
+def quotient_dimension(gb):
+    """Krull dimension of S/I (equals that of S/LT(I)); -1 for the unit ideal.
+
+    A variable subset V is independent iff no leading monomial is supported
+    inside V; the dimension is the largest independent |V|.
+    """
+    lts = gb.leading_monomials()
+    if any(monomial_degree(lt) == 0 for lt in lts):
+        return -1
+    supports = [frozenset(i for i in range(NVARS) if lt[i]) for lt in lts]
+    best = 0
+    for mask in range(1 << NVARS):
+        V = frozenset(i for i in range(NVARS) if mask >> i & 1)
+        if len(V) <= best:
+            continue
+        if all(not s <= V for s in supports):
+            best = len(V)
+    return best
+
+# ---------------------------------------------------------------------------
+# elimination with one auxiliary variable (for quotients of general ideals)
+#
+# monomials here are 5-tuples (e_t, e0, e1, e2, e3) ordered by the block
+# order "t first, then grevlex on the x part", which eliminates t.
+
+
+def _e5_key(m):
+    return (m[0], grevlex_key(m[1:]))
+
+
+def _e5_divides(a, b):
+    return all(a[i] <= b[i] for i in range(5))
+
+
+def _e5_reduce(terms, basis, p):
+    work = dict(terms)
+    remainder = {}
+    while work:
+        m = max(work, key=_e5_key)
+        c = work.pop(m)
+        hit = None
+        for lt, ltc_inv, g in basis:
+            if _e5_divides(lt, m):
+                hit = (lt, ltc_inv, g)
+                break
+        if hit is None:
+            remainder[m] = c
+            continue
+        lt, ltc_inv, g = hit
+        shift = tuple(m[i] - lt[i] for i in range(5))
+        factor = c * ltc_inv % p
+        for gm, gc in g.items():
+            if gm == lt:
+                continue
+            key = tuple(gm[i] + shift[i] for i in range(5))
+            v = (work.get(key, 0) - factor * gc) % p
+            if v:
+                work[key] = v
+            else:
+                work.pop(key, None)
+    return remainder
+
+
+def _e5_buchberger(seed, p):
+    basis = [dict(t) for t in seed if t]
+    lts = [max(t, key=_e5_key) for t in basis]
+    pairs = []
+    done = set()
+
+    def queue(i, j):
+        lcm = tuple(max(lts[i][k], lts[j][k]) for k in range(5))
+        heapq.heappush(pairs, (sum(lcm), _e5_key(lcm), i, j, lcm))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            queue(i, j)
+    while pairs:
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if tuple(lts[i][k] + lts[j][k] for k in range(5)) == lcm:
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k not in (i, j) and _e5_divides(lts[k], lcm):
+                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        ci = inv_mod(basis[i][lts[i]], p)
+        cj = inv_mod(basis[j][lts[j]], p)
+        si = tuple(lcm[k] - lts[i][k] for k in range(5))
+        sj = tuple(lcm[k] - lts[j][k] for k in range(5))
+        s = {}
+        for m, c in basis[i].items():
+            key = tuple(m[k] + si[k] for k in range(5))
+            s[key] = (s.get(key, 0) + c * ci) % p
+        for m, c in basis[j].items():
+            key = tuple(m[k] + sj[k] for k in range(5))
+            s[key] = (s.get(key, 0) - c * cj) % p
+        s = {m: c for m, c in s.items() if c}
+        red = [(lts[k], inv_mod(basis[k][lts[k]], p), basis[k])
+               for k in range(len(basis))]
+        rem = _e5_reduce(s, red, p)
+        if rem:
+            basis.append(rem)
+            lts.append(max(rem, key=_e5_key))
+            for k in range(len(basis) - 1):
+                queue(k, len(basis) - 1)
+    return basis, lts
+
+
+def _intersect(gb1, gb2, p):
+    """Generators of I1 \\cap I2 via t*I1 + (1-t)*I2 and elimination of t."""
+    seed = []
+    for g in gb1:
+        seed.append({(1,) + m: c for m, c in g.terms.items()})
+    for g in gb2:
+        d = {(1,) + m: c for m, c in g.terms.items()}
+        for m, c in g.terms.items():
+            key = (0,) + m
+            d[key] = (d.get(key, 0) - c) % p
+        seed.append({m: c for m, c in d.items() if c})
+    basis, lts = _e5_buchberger(seed, p)
+    out = []
+    for terms, lt in zip(basis, lts):
+        if lt[0] == 0:  # block order: t-free leading term means t-free element
+            out.append(MultiPoly({m[1:]: c for m, c in terms.items()}, p))
+    return out
+
+
+def _divide_by(polys, f):
+    out = []
+    for g in polys:
+        q = _exact_divide(g, f)
+        out.append(q)
+    return out
+
+
+def _exact_divide(g, f):
+    """g / f when f divides g exactly (used after intersecting with (f))."""
+    p = g.p
+    work = dict(g.terms)
+    ltf = f.leading_monomial()
+    cf = inv_mod(f.terms[ltf], p)
+    quo = {}
+    while work:
+        m = max(work, key=grevlex_key)
+        if not monomial_divides(ltf, m):
+            raise ArithmeticError("division is not exact")
+        shift = monomial_div(m, ltf)
+        c = work[m] * cf % p
+        quo[shift] = c
+        for fm, fc in f.terms.items():
+            key = monomial_mul(fm, shift)
+            v = (work.get(key, 0) - c * fc) % p
+            if v:
+                work[key] = v
+            else:
+                work.pop(key, None)
+    return MultiPoly(quo, p)
+
+
+def ideal_quotient(gb, other):
+    """I : J = {f | f*J in I}, computed per generator of J and intersected."""
+    p = gb.p
+    if isinstance(other, GroebnerBasis):
+        jgens = list(other.gens)
+    else:
+        jgens = [g for g in other if not g.is_zero()]
+    if not jgens:
+        raise ValueError("quotient by the zero ideal")
+    if gb.is_unit():
+        return gb
+    result = None
+    for f in jgens:
+        if f.degree == 0:
+            part = gb
+        else:
+            meet = _intersect(gb.gens, [f], p)
+            part = groebner(_divide_by(meet, f), p)
+        if part.is_unit():
+            # f already lies in I, so I : f = (1): neutral for the meet
+            continue
+        if result is None:
+            result = part
+        else:
+            result = groebner(_intersect(result.gens, part.gens, p), p)
+    if result is None:
+        result = groebner([MultiPoly.constant(1, p)], p)
+    return result
+
+
+# saturation -----------------------------------------------------------------
+
+
+def _complete_to_basis(coeffs, p):
+    """Rows of an invertible matrix whose last row is the given covector."""
+    rows = [list(coeffs)]
+    for i in range(NVARS):
+        e = [0] * NVARS
+        e[i] = 1
+        cand = rows + [e]
+        A = np.array(cand, dtype=np.int64)
+        if len(rref(A, p)[1]) == len(cand):
+            rows.append(e)
+        if len(rows) == NVARS:
+            break
+    rows = rows[1:] + [rows[0]]  # linear form last, so it becomes x3
+    return np.array(rows, dtype=np.int64)
+
+
+def _matrix_inverse(A, p):
+    n = A.shape[0]
+    aug = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
+    R, pivots = rref(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return R[:, n:]
+
+
+def _saturate_by_linear(gb, f):
+    """I : f^infty for a linear form f, via the grevlex division shortcut."""
+    p = gb.p
+    coeffs = [0] * NVARS
+    for m, c in f.terms.items():
+        coeffs[m.index(1)] = c
+    A = _complete_to_basis(coeffs, p)  # y = A x with y3 = f
+    Ainv = _matrix_inverse(A, p)
+    # x_i = sum_j Ainv[i][j] y_j ; writing gens in y-coordinates substitutes that
+    to_y = [MultiPoly.linear_form(Ainv[i].tolist(), p) for i in range(NVARS)]
+    moved = [g.substitute_linear(to_y) for g in gb.gens]
+    gby = groebner(moved, p)
+    divided = []
+    for g in gby.gens:
+        k = min(m[3] for m in g.terms)
+        if k:
+            divided.append(
+                MultiPoly({(m[0], m[1], m[2], m[3] - k): c for m, c in g.terms.items()}, p)
+            )
+        else:
+            divided.append(g)
+    back = [MultiPoly.linear_form(A[i].tolist(), p) for i in range(NVARS)]
+    restored = [g.substitute_linear(back) for g in divided]
+    return groebner(restored, p)
+
+
+def saturate(gb, f):
+    """I : f^infty, reached when I : f^(m+1) = I : f^m."""
+    if f.is_zero():
+        raise ValueError("saturation by zero")
+    if not f.is_homogeneous():
+        raise ValueError("saturation needs a homogeneous polynomial")
+    if f.degree == 0 or gb.is_unit():
+        return gb
+    if f.degree == 1:
+        return _saturate_by_linear(gb, f)
+    current = gb
+    for _ in range(MAX_HF_PROBE):
+        nxt = ideal_quotient(current, [f])
+        if nxt == current:
+            return current
+        current = nxt
+    raise RuntimeError("saturation did not stabilize")
+
+
+# subscheme extraction ------------------------------------------------------
+
+
+def extract_subscheme_by_saturation(gb, ell, xh, f_d):
+    """Reference implementation: saturate(I_G + (F_d), x_h) directly.
+
+    F_d is f_d(ell/x_h) cleared of denominators by x_h^deg(f_d).  Slow for
+    large factors; used to cross-check extract_subscheme on small cases.
+    """
+    p = gb.p
+    d = f_d.degree
+    F = MultiPoly.zero(p)
+    for i, c in enumerate(f_d.coeffs):
+        if c:
+            F = F + int(c) * (_poly_power(ell, i) * _poly_power(xh, d - i))
+    total = groebner(list(gb.gens) + [F], p)
+    return saturate(total, xh)
+

@@ -21,12 +21,13 @@ from gorlink.graph import build_graph, glicci_component
 from gorlink.gorenstein import generic_degree_matrix
 from gorlink.hvectors import (
     acm_curve_exclusion,
+    additivity_shift,
     enumerate_candidates,
     family_dim_of,
     parse_gorenstein_type,
 )
 from gorlink.store import load_certificates, save_certificate
-from gorlink.tangent import additivity_shift, verify_edge
+from gorlink.tangent import verify_edge
 from gorlink.unipoly import UniPoly, is_squarefree
 
 EXTENDED = os.environ.get("GORLINK_EXTENDED") == "1"

@@ -3,13 +3,13 @@ import pytest
 
 from gorlink.gf import det_mod_p
 from gorlink.mpoly import MultiPoly, monomials_of_degree
-from gorlink.groebner import GradedSpaces, groebner, h_vector, normal_form
+from gorlink.groebner import groebner, h_vector
 from gorlink.gorenstein import (
     DegreeMatrix,
+    ProjectionWitness,
     SkewPolyMatrix,
     char_poly_of_projection,
     extract_subscheme,
-    extract_subscheme_by_saturation,
     generic_degree_matrix,
     is_reduced_and_split,
     multiplication_operator,
@@ -18,13 +18,14 @@ from gorlink.gorenstein import (
     point_ideal_quotient,
     random_gorenstein,
     residual,
-    scheme_degree,
-    stable_degree,
     submaximal_pfaffians,
+    witness_splits,
 )
 from gorlink.hvectors import enumerate_candidates
 from gorlink.rng import SplitStream
 from gorlink.unipoly import UniPoly
+
+import groebner_oracle as oracle
 
 
 def P(s, p):
@@ -160,16 +161,15 @@ def test_random_gorenstein_hits_target_hvector():
 def test_random_gorenstein_single_point():
     _, gb = random_gorenstein((1,), 101, 5)
     assert h_vector(gb) == (1,)
-    assert scheme_degree(gb) == 1
+    assert gb.scheme_degree() == 1
 
 
 def test_char_poly_single_point():
     p = 101
     gb = groebner([P("x1", p), P("x2", p), P("x3", p)], p)
-    spaces = GradedSpaces(gb)
-    sigma0, n = stable_degree(spaces)
+    sigma0, n = gb.stable_degree()
     assert (sigma0, n) == (0, 1)
-    T = multiplication_operator(spaces, P("x1", p), P("x0", p), sigma0)
+    T = multiplication_operator(gb, P("x1", p), P("x0", p), sigma0)
     from gorlink.gf import charpoly_mod_p
 
     assert charpoly_mod_p(T, p) == [0, 1]  # f = t
@@ -179,10 +179,9 @@ def test_char_poly_two_points():
     p = 101
     # points (1:0:0:0) and (1:1:0:0): ideal (x2, x3, x1(x1-x0))
     gb = groebner([P("x2", p), P("x3", p), P("x1^2 + 100*x0*x1", p)], p)
-    spaces = GradedSpaces(gb)
-    sigma0, n = stable_degree(spaces)
+    sigma0, n = gb.stable_degree()
     assert n == 2
-    T = multiplication_operator(spaces, P("x1", p), P("x0", p), sigma0)
+    T = multiplication_operator(gb, P("x1", p), P("x0", p), sigma0)
     from gorlink.gf import charpoly_mod_p
 
     # f = t(t-1) = t^2 - t
@@ -201,6 +200,25 @@ def test_is_reduced_and_split_rejects_nonreduced():
     # a double point: char poly of any projection is (t - a)^2
     gb = groebner([P("x1^2", p), P("x2", p), P("x3", p)], p)
     assert is_reduced_and_split(gb, 1, SplitStream(7).child("nr")) is None
+
+
+def test_witness_splits_checks_char_poly():
+    p = 101
+    _, gb = random_gorenstein((1, 3, 3, 1), p, 8)
+    w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
+    assert w is not None and witness_splits(gb, w, 5)
+    cofactor = w.char_poly // w.factor
+    assert witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, cofactor), 3)
+    assert not witness_splits(gb, w, 4)  # the factor has degree 5
+    for bad in (w.factor * UniPoly([2], p), w.factor + UniPoly([1], p)):
+        # not monic, or not a divisor
+        assert not witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, bad), 5)
+    # a double point: the char poly t^2 of x1/x0 is not square-free
+    double = groebner([P("x1^2", p), P("x2", p), P("x3", p)], p)
+    t = UniPoly([0, 1], p)
+    assert not witness_splits(double, ProjectionWitness(P("x1", p), P("x0", p), None, t), 1)
+    # x_h = x1 vanishes at the point, so it is no dehomogenizer there
+    assert not witness_splits(double, ProjectionWitness(P("x0", p), P("x1", p), None, t), 1)
 
 
 def test_extraction_trivial_cases():
@@ -223,8 +241,8 @@ def test_extraction_matches_saturation_formula():
             if w is None:
                 continue
             fast = extract_subscheme(gb, w.ell, w.xh, w.factor)
-            slow = extract_subscheme_by_saturation(gb, w.ell, w.xh, w.factor)
-            assert fast == slow
+            slow = oracle.extract_subscheme_by_saturation(gb, w.ell, w.xh, w.factor)
+            assert oracle.groebner(fast.gens, 101) == slow
             checked += 1
         if checked >= 4:
             break
@@ -238,8 +256,8 @@ def test_residual_two_points():
     gbx = groebner([P("x1", p), P("x2", p), P("x3", p)], p)
     gby = residual(gb, gbx)
     # Y = (1:1:0:0): ideal (x1 - x0, x2, x3)
-    assert normal_form(P("x1 + 100*x0", p), gby).is_zero()
-    assert scheme_degree(gby) == 1
+    assert gby.contains(P("x1 + 100*x0", p))
+    assert gby.scheme_degree() == 1
 
 
 def test_end_to_end_split_30_points():
@@ -252,11 +270,11 @@ def test_end_to_end_split_30_points():
             continue
         found = True
         gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-        assert scheme_degree(gbx) == 20
+        assert gbx.scheme_degree() == 20
         assert h_vector(gbx) == (1, 3, 6, 10)
-        assert all(normal_form(g, gbx).is_zero() for g in gb.gens)
+        assert all(gbx.contains(g) for g in gb.gens)
         gby = residual(gb, gbx)
-        assert scheme_degree(gby) == 10
+        assert gby.scheme_degree() == 10
         assert h_vector(gby) == (1, 3, 6)
         # liaison involution
         assert point_ideal_quotient(gb, list(gby.gens)) == gbx
@@ -268,8 +286,6 @@ def test_end_to_end_split_30_points():
 def test_residual_agrees_with_elimination_quotient():
     # dual-route check: the degreewise point quotient behind residual()
     # must match the general elimination-based ideal_quotient
-    from gorlink.groebner import ideal_quotient
-
     checked = 0
     for h, d, seeds in (((1, 1, 1), 2, range(1, 6)), ((1, 3, 3, 1), 6, range(6, 12))):
         for seed in seeds:
@@ -278,7 +294,11 @@ def test_residual_agrees_with_elimination_quotient():
             if w is None:
                 continue
             gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-            assert point_ideal_quotient(gb, list(gbx.gens)) == ideal_quotient(gb, gbx)
+            fast = point_ideal_quotient(gb, list(gbx.gens))
+            slow = oracle.ideal_quotient(
+                oracle.groebner(gb.gens, 101), oracle.groebner(gbx.gens, 101)
+            )
+            assert oracle.groebner(fast.gens, 101) == slow
             checked += 1
             break
     assert checked == 2

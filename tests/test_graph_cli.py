@@ -11,6 +11,7 @@ from gorlink.store import (
     serialize_certificate,
     write_index,
 )
+from gorlink.splitstats import montecarlo_split_fraction
 from gorlink.tangent import verify_edge, replay_certificate
 
 
@@ -73,6 +74,49 @@ def test_replay_detects_tampering(tmp_path, small_cert):
     graph, report = build_graph(str(tmp_path), replay=True)
     assert graph.edges == ()
     assert any("replay mismatch" in line for line in report)
+
+
+def _set_field(text, field, value):
+    lines = []
+    for line in text.splitlines():
+        name, sep, _ = line.partition(": ")
+        lines.append("%s: %s" % (name, value) if sep and name == field else line)
+    out = "\n".join(lines) + "\n"
+    assert out != text
+    return out
+
+
+def test_replay_rejects_corrupted_claims(tmp_path, small_cert):
+    # e, h_x and h_y are claims too: replay recomputes them, and a
+    # certificate that misstates one adds no edge to the replayed graph
+    text = serialize_certificate(small_cert)
+    assert "\ne: 1\n" in text and "\nh_x: 1,3,3\n" in text and "\nh_y: 1\n" in text
+    for field, value in (("e", "2"), ("h_x", "1,3,4"), ("h_y", "2"),
+                         ("factor", "1," + text.split("factor: ")[1].split(",", 1)[1])):
+        store = tmp_path / field
+        store.mkdir()
+        (store / "edge.cert").write_text(_set_field(text, field, value))
+        certs, errors = load_certificates(str(store))
+        assert not errors
+        ok, _, _ = replay_certificate(certs[0])
+        assert not ok, field
+        graph, report = build_graph(str(store), replay=True)
+        assert graph.edges == (), field
+        assert any("replay mismatch" in line for line in report)
+
+
+def test_bad_modulus_rejected_up_front(small_cert, capsys):
+    text = serialize_certificate(small_cert)
+    for p in (10005, (1 << 31) + 11):
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_edge((1, 3, 3, 1), 7, p, seed=0)
+        with pytest.raises(ValueError, match="odd prime"):
+            montecarlo_split_fraction(30, 20, p, 10, 0)
+        with pytest.raises(ValueError, match="odd prime"):
+            parse_certificate(_set_field(text, "p", str(p)))
+    status = main(["link", "verify", "--h", "1,3,3,1", "--d", "7", "--p", "10005"])
+    assert status == 4
+    assert "odd prime" in capsys.readouterr().err
 
 
 def test_store_skips_malformed_with_report(tmp_path, small_cert):

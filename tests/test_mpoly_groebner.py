@@ -1,17 +1,18 @@
 import pytest
 
 from gorlink.mpoly import MultiPoly, grevlex_key, monomials_of_degree
-from gorlink.groebner import (
-    GradedSpaces,
-    groebner,
-    h_vector,
+from gorlink.groebner import groebner, h_vector
+from gorlink.rng import SplitStream
+
+# the slow Buchberger engine the degreewise ideals are checked against
+import groebner_oracle as oracle
+from groebner_oracle import (
     hilbert_function,
     ideal_quotient,
     normal_form,
     quotient_dimension,
     saturate,
 )
-from gorlink.rng import SplitStream
 
 
 def P(s, p=7):
@@ -43,17 +44,17 @@ def test_render_parse_roundtrip():
 
 
 def test_groebner_monomial_ideal_is_itself():
-    G = groebner([P("x0"), P("x1")])
+    G = oracle.groebner([P("x0"), P("x1")])
     assert [g.render() for g in G.gens] == ["x1", "x0"]
 
 
 def test_groebner_spair_reduces_to_zero():
-    G = groebner([P("x0*x1"), P("x0*x2")])
+    G = oracle.groebner([P("x0*x1"), P("x0*x2")])
     assert sorted(g.render() for g in G.gens) == ["x0*x1", "x0*x2"]
 
 
 def test_groebner_chain_example():
-    G = groebner([P("x0^2"), P("x0*x1 + x2^2")])
+    G = oracle.groebner([P("x0^2"), P("x0*x1 + x2^2")])
     rendered = {g.render() for g in G.gens}
     assert "x0*x2^2" in rendered  # the S-polynomial remainder, up to sign
     assert "x2^4" in rendered
@@ -63,11 +64,11 @@ def test_groebner_independent_of_generator_order():
     st = SplitStream(11).child("perm")
     p = 101
     gens = [random_form(2, p, st) for _ in range(3)] + [random_form(3, p, st)]
-    base = groebner(gens, p)
+    base = oracle.groebner(gens, p)
     import itertools
 
     for perm in itertools.permutations(range(4)):
-        assert groebner([gens[i] for i in perm], p) == base
+        assert oracle.groebner([gens[i] for i in perm], p) == base
 
 
 def test_groebner_reduced_basis_property():
@@ -79,7 +80,7 @@ def test_groebner_reduced_basis_property():
     p = 101
     for trial in range(5):
         gens = [random_form(2, p, st) for _ in range(3)] + [random_form(3, p, st)]
-        G = groebner(gens, p)
+        G = oracle.groebner(gens, p)
         lts = G.leading_monomials()
         for i, a in enumerate(lts):
             assert G.gens[i].leading_coefficient() == 1
@@ -98,17 +99,17 @@ def test_groebner_reduced_basis_property():
 
 
 def test_normal_form_examples():
-    G = groebner([P("x0")])
+    G = oracle.groebner([P("x0")])
     assert normal_form(P("x0^2"), G).is_zero()
     assert normal_form(P("x1"), G) == P("x1")
-    G2 = groebner([P("x0 + 6*x1")])  # x0 - x1 mod 7
+    G2 = oracle.groebner([P("x0 + 6*x1")])  # x0 - x1 mod 7
     assert normal_form(P("x0*x1 + x1^2"), G2) == P("2*x1^2")
 
 
 def test_normal_form_idempotent():
     st = SplitStream(12).child("nf")
     p = 101
-    G = groebner([random_form(2, p, st) for _ in range(2)], p)
+    G = oracle.groebner([random_form(2, p, st) for _ in range(2)], p)
     for _ in range(20):
         f = random_form(3, p, st)
         r = normal_form(f, G)
@@ -118,11 +119,11 @@ def test_normal_form_idempotent():
 
 def test_hilbert_function_examples():
     # (x0,x1,x2): one standard monomial x3^t per degree
-    G = groebner([P("x0"), P("x1"), P("x2")])
+    G = oracle.groebner([P("x0"), P("x1"), P("x2")])
     for t in (0, 1, 5, 9):
         assert hilbert_function(G, t) == 1
     # principal quadric: HF = C(t+3,3) - C(t+1,3)
-    Q = groebner([P("x0^2")])
+    Q = oracle.groebner([P("x0^2")])
     assert hilbert_function(Q, 3) == 20 - 4
     # the full ring in degree 3 has C(6,3) = 20 monomials
     from gorlink.mpoly import monomial_count
@@ -144,19 +145,48 @@ def test_complete_intersection_hilbert_series():
                     nxt[i + j] += c
             prod = nxt
         assert list(h_vector(G)) == prod
-        assert quotient_dimension(G) == 1
+        assert quotient_dimension(oracle.groebner(G.gens, p)) == 1
 
 
 def test_h_vector_rejects_positive_dimension():
+    # a plane: the Hilbert function never repeats
     G = groebner([P("x0")])
     with pytest.raises(ValueError):
         h_vector(G)
+    # a line with x1 killed to first order: HF 1, 3, 3, 4, 5, ... repeats
+    # once, with no leading monomial in x2, x3 alone, then moves on
+    line = [P("x0"), P("x1^2"), P("x1*x2"), P("x1*x3")]
+    assert quotient_dimension(oracle.groebner(line)) == 2
+    assert [groebner(line).hf(t) for t in range(4)] == [1, 3, 3, 4]
+    with pytest.raises(ValueError):
+        h_vector(groebner(line))
+
+
+def test_ideal_contains_equality_and_unit_match_oracle():
+    # pieces spanned by any generating set give the same ideal as the
+    # reduced Buchberger basis, and membership agrees with normal forms
+    st = SplitStream(18).child("eq")
+    p = 101
+    gens = [random_form(2, p, st) for _ in range(3)] + [random_form(3, p, st)]
+    ideal = groebner(gens, p)
+    reduced = oracle.groebner(gens, p)
+    assert ideal == groebner(reduced.gens, p)
+    assert ideal != groebner(gens[:3], p)
+    assert groebner(gens[:3], p) != ideal
+    for _ in range(10):
+        f = random_form(3, p, st)
+        r = normal_form(f, reduced)
+        assert not ideal.contains(f) or r.is_zero()
+        assert ideal.contains(f - r)
+    assert ideal.contains(gens[0] + gens[3])  # a sum across degrees
+    assert not ideal.is_unit()
+    assert groebner(gens + [P("5", p)], p).is_unit()
 
 
 def test_ideal_quotient_examples():
-    q1 = ideal_quotient(groebner([P("x0*x1")]), [P("x0")])
+    q1 = ideal_quotient(oracle.groebner([P("x0*x1")]), [P("x0")])
     assert [g.render() for g in q1.gens] == ["x1"]
-    ideal = groebner([P("x0^2"), P("x0*x1")])
+    ideal = oracle.groebner([P("x0^2"), P("x0*x1")])
     assert ideal_quotient(ideal, [P("3")]) == ideal
     q2 = ideal_quotient(ideal, [P("x0")])
     assert sorted(g.render() for g in q2.gens) == ["x0", "x1"]
@@ -168,7 +198,7 @@ def test_ideal_quotient_generator_inside_ideal():
     # a generator of J lying in I makes that partial quotient the unit
     # ideal, which is neutral for the intersection, not an early answer
     p = 101
-    I = groebner([P("x0", p), P("x1*x2", p)], p)
+    I = oracle.groebner([P("x0", p), P("x1*x2", p)], p)
     q = ideal_quotient(I, [P("x0", p), P("x1", p)])
     assert sorted(g.render() for g in q.gens) == ["x0", "x2"]
     q2 = ideal_quotient(I, [P("x0", p), P("x0*x1*x2", p)])
@@ -178,7 +208,7 @@ def test_ideal_quotient_generator_inside_ideal():
 def test_ideal_quotient_left_inverse():
     st = SplitStream(14).child("quot")
     p = 101
-    ideal = groebner([random_form(2, p, st), random_form(2, p, st)], p)
+    ideal = oracle.groebner([random_form(2, p, st), random_form(2, p, st)], p)
     j = [random_form(1, p, st), random_form(2, p, st)]
     q = ideal_quotient(ideal, j)
     for qg in q.gens:
@@ -187,18 +217,18 @@ def test_ideal_quotient_left_inverse():
 
 
 def test_saturate_examples():
-    s1 = saturate(groebner([P("x0*x1")]), P("x0"))
+    s1 = saturate(oracle.groebner([P("x0*x1")]), P("x0"))
     assert [g.render() for g in s1.gens] == ["x1"]
-    s2 = saturate(groebner([P("x0")]), P("x1"))
+    s2 = saturate(oracle.groebner([P("x0")]), P("x1"))
     assert [g.render() for g in s2.gens] == ["x0"]
     # (x0^2, x0*x1) : x0^inf contains 1 since x0^2 is in the ideal
-    s3 = saturate(groebner([P("x0^2"), P("x0*x1")]), P("x0"))
+    s3 = saturate(oracle.groebner([P("x0^2"), P("x0*x1")]), P("x0"))
     assert s3.is_unit()
 
 
 def test_saturate_unit_bruteforce_membership():
     # degree <= 4 oracle for the example above: x0^m * 1 must enter the ideal
-    ideal = groebner([P("x0^2"), P("x0*x1")])
+    ideal = oracle.groebner([P("x0^2"), P("x0*x1")])
     assert normal_form(P("x0^2"), ideal).is_zero()  # so 1 in I : x0^2
 
 
@@ -206,11 +236,11 @@ def test_saturate_by_general_linear_form():
     st = SplitStream(15).child("sat")
     p = 101
     # saturated ideal of a point stays fixed under saturation
-    point = groebner([P("x1", p), P("x2", p), P("x3", p)], p)
+    point = oracle.groebner([P("x1", p), P("x2", p), P("x3", p)], p)
     ell = MultiPoly.linear_form([1, 2, 3, 4], p)
     assert saturate(point, ell) == point
     # an irrelevant-power thickening collapses back to the point
-    thick = groebner(
+    thick = oracle.groebner(
         [f * MultiPoly.variable(0, p) for f in point.gens] + [P("x0^2", p) * P("x1", p)],
         p,
     )
@@ -221,19 +251,19 @@ def test_saturate_by_general_linear_form():
 def test_saturate_by_nonlinear_polynomial():
     # degree >= 2 saturations go through the iterated-quotient path
     p = 101
-    S = saturate(groebner([P("x0^2*x2", p), P("x0^2*x3", p)], p), P("x0^2", p))
+    S = saturate(oracle.groebner([P("x0^2*x2", p), P("x0^2*x3", p)], p), P("x0^2", p))
     assert sorted(g.render() for g in S.gens) == ["x2", "x3"]
-    S2 = saturate(groebner([P("x0^3*x1", p)], p), P("x0*x1", p))
+    S2 = saturate(oracle.groebner([P("x0^3*x1", p)], p), P("x0*x1", p))
     assert S2.is_unit()
-    S3 = saturate(groebner([P("x0*x1^2 + x1^3", p), P("x2", p)], p), P("x1^2", p))
+    S3 = saturate(oracle.groebner([P("x0*x1^2 + x1^3", p), P("x2", p)], p), P("x1^2", p))
     assert sorted(g.render() for g in S3.gens) == ["x0 + x1", "x2"]
 
 
 def test_graded_spaces_match_hilbert_function():
     st = SplitStream(16).child("spaces")
     p = 101
-    G = groebner([random_form(2, p, st) for _ in range(3)], p)
-    spaces = GradedSpaces(G)
+    spaces = groebner([random_form(2, p, st) for _ in range(3)], p)
+    G = oracle.groebner(spaces.gens, p)
     for t in range(8):
         assert spaces.hf(t) == hilbert_function(G, t)
 
@@ -241,14 +271,18 @@ def test_graded_spaces_match_hilbert_function():
 def test_graded_spaces_mult_matrix_matches_normal_form():
     st = SplitStream(17).child("mult")
     p = 101
-    G = groebner([random_form(2, p, st) for _ in range(3)], p)
-    spaces = GradedSpaces(G)
+    spaces = groebner([random_form(2, p, st) for _ in range(3)], p)
+    G = oracle.groebner(spaces.gens, p)
     f = random_form(1, p, st)
     t = 2
     M = spaces.mult_matrix(f, t)
     std = spaces.std_monomials(t)
+    index = {m: i for i, m in enumerate(monomials_of_degree(t + 1))}
     for j, m in enumerate(std):
         prod = f.term_mul(m, 1)
         nf = normal_form(prod, G)
-        vec = spaces.coords([spaces.dense_row(nf, t + 1)], t + 1)[0]
+        row = [0] * len(index)
+        for mono, c in nf.terms.items():
+            row[index[mono]] = c
+        vec = spaces.coords([row], t + 1)[0]
         assert list(vec) == list(M[j])
