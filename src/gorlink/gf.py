@@ -224,12 +224,17 @@ def charpoly_mod_p(A, p):
 
 
 def _safe_matmul(A, B, p):
-    """A @ B mod p without int64 overflow (block the inner dimension)."""
-    step = max(1, ((1 << 63) - 1) // ((p - 1) * (p - 1)) - 1)
-    if A.shape[1] <= step:
-        return (A @ B) % p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, A.shape[1], step):
-        out = (out + A[:, s : s + step] @ B[s : s + step]) % p
-    return out
+    """A @ B mod p for residue matrices, exact for every p <= 2**31.
 
+    When K * (p - 1)**2 < 2**63 (K the inner dimension) one int64 product
+    is exact.  Otherwise A is split into 16-bit limbs, A = hi * 2**16 + lo,
+    and A @ B = ((hi @ B) mod p) * 2**16 + lo @ B mod p: hi < 2**15 and
+    lo < 2**16 keep every partial sum below 2**63 while K < 2**16, so a
+    longer inner dimension raises ValueError.
+    """
+    K = A.shape[1]
+    if K * (p - 1) * (p - 1) < 1 << 63:
+        return (A @ B) % p
+    if K >= 1 << 16 or p > _P_LIMIT:
+        raise ValueError("no exact int64 product for inner dimension %d mod %d" % (K, p))
+    return (((A >> 16) @ B % p << 16) + (A & 0xFFFF) @ B) % p

@@ -34,24 +34,6 @@ def monomial_mul(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def monomial_divides(a, b):
-    """True iff a | b."""
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2] and a[3] <= b[3]
-
-
-def monomial_div(b, a):
-    return (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
-
-
-def monomial_lcm(a, b):
-    return (
-        max(a[0], b[0]),
-        max(a[1], b[1]),
-        max(a[2], b[2]),
-        max(a[3], b[3]),
-    )
-
-
 def monomial_degree(m):
     return m[0] + m[1] + m[2] + m[3]
 
@@ -195,27 +177,6 @@ class MultiPoly(Frozen):
         return MultiPoly(
             {monomial_mul(m, mono): c * coeff % p for m, c in self.terms.items()}, p
         )
-
-    def substitute_linear(self, images):
-        """Apply xi -> images[i] (a linear change of coordinates)."""
-        out = MultiPoly.zero(self.p)
-        one = MultiPoly.constant(1, self.p)
-        power_cache = [{0: one} for _ in range(NVARS)]
-        for m, c in self.terms.items():
-            piece = MultiPoly.constant(c, self.p)
-            for i in range(NVARS):
-                e = m[i]
-                cache = power_cache[i]
-                if e not in cache:
-                    top = max(cache)
-                    cur = cache[top]
-                    for k in range(top + 1, e + 1):
-                        cur = cur * images[i]
-                        cache[k] = cur
-                if e:
-                    piece = piece * cache[e]
-            out = out + piece
-        return out
 
     def __eq__(self, other):
         return (

@@ -15,13 +15,13 @@ contribution of a partition tends to 1 / prod(t_i! * L_i^t_i), the
 relative size of the corresponding conjugacy class in the symmetric
 group, giving the q -> infinity limit p(n, k).
 
-A seeded Monte Carlo harness measures the same fraction empirically.
+A seeded Monte Carlo harness measures the same fraction empirically; each
+trial reads the factor degrees of its draw from the distinct-degree
+factorization in gorlink.unipoly.
 """
 
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
 
 from ._frozen import Frozen
 from .gf import check_modulus
@@ -359,94 +359,9 @@ def splits_with_degree_factor(f, k):
     if k == 0 or k == f.degree:
         return True
     degrees = []
-    for d, count in unipoly.factor_degree_profile(f):
-        degrees.extend([d] * count)
+    for prod, d in unipoly._distinct_degree(list(f.coeffs), f.p):
+        degrees.extend([d] * ((len(prod) - 1) // d))
     return _subset_sum_hits(tuple(degrees), k)
-
-
-class _FastSplitTester:
-    """Vectorized square-free-with-degree-k-factor test for one (n, q).
-
-    Distinct-degree splitting needs x^(q^i) mod f; the q-power map is
-    applied through its matrix (built once per f with numpy), so each
-    round costs one n x n mat-vec instead of a modular exponentiation.
-    """
-
-    def __init__(self, n, q):
-        self.n = n
-        self.q = q
-
-    def _mulmod_mat(self, a, b, f_arr, red):
-        conv = np.convolve(a, b) % self.q
-        low, high = conv[: self.n], conv[self.n :]
-        if high.size:
-            low = (low + high @ red[: high.size]) % self.q
-        return low
-
-    def factor_degrees(self, coeffs):
-        """Degrees of the irreducible factors, or None when not square-free.
-
-        coeffs is the full ascending coefficient list of a monic poly."""
-        n, q = self.n, self.q
-        if not unipoly._squarefree_raw(list(coeffs), q):
-            return None
-        f = list(coeffs)
-        f_arr = np.array(f, dtype=np.int64)
-        # red[k] = x^(n+k) mod f as a length-n row
-        red = np.zeros((n - 1, n), dtype=np.int64)
-        row = (-f_arr[:n]) % q
-        red[0] = row
-        for kk in range(1, n - 1):
-            shifted = np.roll(row, 1)
-            carry = row[n - 1]
-            shifted[0] = 0
-            row = (shifted + carry * red[0]) % q
-            red[kk] = row
-        # frobenius: x^q mod f by square-and-multiply, then its powers
-        xq = np.zeros(n, dtype=np.int64)
-        xq[0] = 1
-        sq = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            sq[1] = 1
-        e = q
-        while e:
-            if e & 1:
-                xq = self._mulmod_mat(xq, sq, f_arr, red)
-            e >>= 1
-            if e:
-                sq = self._mulmod_mat(sq, sq, f_arr, red)
-        Q = np.zeros((n, n), dtype=np.int64)
-        Q[0, 0] = 1
-        col = np.zeros(n, dtype=np.int64)
-        col[0] = 1
-        for j in range(1, n):
-            col = self._mulmod_mat(col, xq, f_arr, red)
-            Q[:, j] = col
-        # distinct-degree rounds entirely mod f
-        degrees = []
-        r = list(f)
-        h = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            h[1] = 1
-        d = 0
-        while len(r) - 1 > 2 * d + 1:
-            d += 1
-            h = (Q @ h) % q
-            hm = unipoly._mod([int(v) for v in h], r, q)
-            delta = unipoly._sub(hm, [0, 1], q)
-            g = unipoly._gcd(r, delta, q)
-            if len(g) > 1:
-                degrees.extend([d] * ((len(g) - 1) // d))
-                r = unipoly._divmod(r, g, q)[0]
-        if len(r) > 1:
-            degrees.append(len(r) - 1)
-        return degrees
-
-    def splits(self, coeffs, k):
-        degrees = self.factor_degrees(coeffs)
-        if degrees is None:
-            return False
-        return _subset_sum_hits(tuple(degrees), k)
 
 
 def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
@@ -461,43 +376,32 @@ def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
         raise ValueError("need 0 <= k <= n")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    root = SplitStream(seed).child("montecarlo", n, k, q)
     if n == 1:
         # a monic linear polynomial is square-free and is its own factor
         return trials, Fraction(1)
     if workers and workers > 1:
         successes = _montecarlo_parallel(n, k, q, trials, seed, workers)
     else:
-        tester = _FastSplitTester(n, q)
-        successes = 0
-        for i in range(trials):
-            st = root.child(i)
-            coeffs = [st.below(q) for _ in range(n)] + [1]
-            if tester.splits(coeffs, k):
-                successes += 1
+        successes = _montecarlo_chunk(n, k, q, seed, 0, trials)
     return successes, Fraction(successes, trials)
 
 
-def _montecarlo_chunk(args):
-    n, k, q, seed, lo, hi = args
+def _montecarlo_chunk(n, k, q, seed, lo, hi):
+    """Successes among trials lo..hi-1 of one Monte Carlo run."""
     root = SplitStream(seed).child("montecarlo", n, k, q)
-    tester = _FastSplitTester(n, q)
-    successes = 0
-    for i in range(lo, hi):
-        st = root.child(i)
-        coeffs = [st.below(q) for _ in range(n)] + [1]
-        if tester.splits(coeffs, k):
-            successes += 1
-    return successes
+    return sum(
+        splits_with_degree_factor(unipoly.random_monic(n, q, root.child(i)), k)
+        for i in range(lo, hi)
+    )
 
 
 def _montecarlo_parallel(n, k, q, trials, seed, workers):
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = (trials + workers - 1) // workers
-    jobs = [
-        (n, k, q, seed, lo, min(lo + chunk, trials))
-        for lo in range(0, trials, chunk)
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_montecarlo_chunk, jobs))
+        futures = [
+            pool.submit(_montecarlo_chunk, n, k, q, seed, lo, min(lo + chunk, trials))
+            for lo in range(0, trials, chunk)
+        ]
+        return sum(f.result() for f in futures)

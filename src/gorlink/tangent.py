@@ -23,8 +23,8 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import check_modulus, kernel_basis_array, rref, solve_in_rowspace
-from .mpoly import MultiPoly, monomials_of_degree
+from .gf import _safe_matmul, check_modulus, kernel_basis_array, rref, solve_in_rowspace
+from .mpoly import MultiPoly
 from .groebner import groebner, h_vector
 from .gorenstein import (
     ExtractionError,
@@ -69,7 +69,7 @@ class QuotientRingTarget:
 
 
 class SubquotientTarget:
-    """The module I_num/I_den inside S/I_den, in echelon coordinates."""
+    """The module I_num/I_den inside S/I_den, in standard-monomial coordinates."""
 
     def __init__(self, den, num):
         if not all(num.contains(g) for g in den.gens):
@@ -80,12 +80,9 @@ class SubquotientTarget:
         self._frames = {}
 
     def _frame(self, t):
-        """(B, pivots): echelonized monomial-coordinate rows spanning the piece."""
+        """(B, pivots): echelonized rows spanning the piece in (S/I_den)_t."""
         if t not in self._frames:
-            num_R = self.num.piece(t)[0]
-            reduced = self.den.nf_rows(num_R, t) if num_R.shape[0] else num_R
-            B, pivots = rref(reduced, self.p)
-            self._frames[t] = (B, pivots)
+            self._frames[t] = rref(self.den.coords(self.num.piece(t)[0], t), self.p)
         return self._frames[t]
 
     def dim(self, t):
@@ -93,7 +90,7 @@ class SubquotientTarget:
 
     def basis_polys(self, t):
         B, _ = self._frame(t)
-        monos = monomials_of_degree(t)
+        monos = self.den.std_monomials(t)
         out = []
         for row in B:
             out.append(
@@ -105,19 +102,8 @@ class SubquotientTarget:
         """Multiplication by f in subquotient coordinates."""
         B, _ = self._frame(t)
         target_B, target_piv = self._frame(t + f.degree)
-        monos_hi = monomials_of_degree(t + f.degree)
-        index = {m: i for i, m in enumerate(monos_hi)}
-        rows = np.zeros((B.shape[0], len(monos_hi)), dtype=np.int64)
-        monos_lo = monomials_of_degree(t)
-        for r in range(B.shape[0]):
-            for i in np.nonzero(B[r])[0]:
-                m = monos_lo[i]
-                c = int(B[r, i])
-                for fm, fc in f.terms.items():
-                    key = (fm[0] + m[0], fm[1] + m[1], fm[2] + m[2], fm[3] + m[3])
-                    rows[r, index[key]] = (rows[r, index[key]] + c * fc) % self.p
-        reduced = self.den.nf_rows(rows, t + f.degree)
-        return solve_in_rowspace(target_B, target_piv, reduced, self.p)
+        images = _safe_matmul(B, self.den.mult_matrix(f, t), self.p)
+        return solve_in_rowspace(target_B, target_piv, images, self.p)
 
 
 def hom_dim_zero(M, target, check_presentation=False):

@@ -8,13 +8,21 @@ GF(2) and GF(3).
 Factorization is square-free decomposition, then distinct-degree
 splitting, then randomized equal-degree (Cantor-Zassenhaus) splitting;
 the char-2 case uses the trace map instead of an exponentiation by
-(q^d - 1)/2.  Factor lists are returned in a canonical order (degree,
+(q^d - 1)/2.  Distinct-degree splitting applies the Frobenius map
+h -> h^p mod c as a matrix (von zur Gathen-Shoup 1992): its rows
+x^(j*p) mod c are read off a power of the companion matrix of c once per
+input, so each round is one vector-matrix product, a reduction and a gcd.
+The products go through gf._safe_matmul, so the splitting is exact for
+p = 2 and every odd p < 2^31; it serves both factor() and the split
+statistics' Monte Carlo.  Factor lists are returned in a canonical order (degree,
 then the ascending-degree coefficient tuple, lexicographically) so the
 output is deterministic even though the splitting is randomized.
 """
 
+import numpy as np
+
 from ._frozen import Frozen
-from .gf import inv_mod
+from .gf import _safe_matmul, inv_mod
 from .rng import SplitStream
 
 __all__ = [
@@ -265,14 +273,9 @@ def is_squarefree(f):
         raise ValueError("zero polynomial has no square-free test")
     if f.degree == 0:
         return True
-    return _squarefree_raw(list(f.coeffs), f.p)
-
-
-def _squarefree_raw(c, p):
-    d = _deriv(c, p)
-    if not d:
-        return len(c) == 1
-    return len(_gcd(c, d, p)) == 1
+    c = list(f.coeffs)
+    d = _deriv(c, f.p)
+    return bool(d) and len(_gcd(c, d, f.p)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +316,49 @@ def _squarefree_decomposition(c, p):
     return out
 
 
+def _frobenius_rows(c, p):
+    """Q with row j = x^(j*p) mod c, so h(x)^p mod c = h @ Q for h mod c.
+
+    Row i of the companion matrix C is x^(i+1) mod c, so row i of C^p is
+    x^(i+p) mod c; its row 0 is x^p and row j of Q is row j-1 times C^p.
+    """
+    n = len(c) - 1
+    C = np.eye(n, k=1, dtype=np.int64)
+    C[-1] = [-v % p for v in c[:n]]
+    Cp = C
+    for bit in bin(p)[3:]:  # square and multiply, leading bit first
+        Cp = _safe_matmul(Cp, Cp, p)
+        if bit == "1":
+            Cp = _safe_matmul(Cp, C, p)
+    Q = np.eye(n, dtype=np.int64)
+    for j in range(1, n):
+        Q[j] = _safe_matmul(Q[j - 1 : j], Cp, p)
+    return Q
+
+
 def _distinct_degree(c, p):
-    """Split squarefree monic c into (product-of-degree-d factors, d) parts."""
+    """Split squarefree monic c into (product-of-degree-d factors, d) parts.
+
+    Round d reads x^(p^d) mod c off the previous round as h @ Q, reduces it
+    mod the part r of c whose factors all have degree >= d, and splits off
+    gcd(r, x^(p^d) - x), the product of the degree-d factors of r.
+    """
+    n = len(c) - 1
+    if n < 2:
+        return [(list(c), n)] if n else []
+    Q = _frobenius_rows(c, p)
+    h = np.eye(1, n, 1, dtype=np.int64)  # x mod c
     out = []
     r = list(c)
-    h = [0, 1]  # x^(p^i) mod r, updated as r shrinks
     d = 0
     while len(r) - 1 > 2 * d + 1:
         d += 1
-        h = _powmod(h, p, r, p)
-        g = _gcd(r, _sub(h, [0, 1], p), p)
+        h = _safe_matmul(h, Q, p)
+        hm = _mod(_trim(h[0].tolist()), r, p)
+        g = _gcd(r, _sub(hm, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
             r = _divmod(r, g, p)[0]
-            h = _mod(h, r, p)
     if len(r) > 1:
         out.append((r, len(r) - 1))
     return out

@@ -29,14 +29,55 @@ from gorlink.mpoly import (
     MultiPoly,
     grevlex_key,
     monomial_degree,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
     monomial_mul,
     monomials_of_degree,
 )
 
 MAX_HF_PROBE = 80
+
+
+# ---------------------------------------------------------------------------
+# monomial and substitution helpers only this oracle needs
+
+
+def monomial_divides(a, b):
+    """True iff a | b."""
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2] and a[3] <= b[3]
+
+
+def monomial_div(b, a):
+    return (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
+
+
+def monomial_lcm(a, b):
+    return (
+        max(a[0], b[0]),
+        max(a[1], b[1]),
+        max(a[2], b[2]),
+        max(a[3], b[3]),
+    )
+
+
+def substitute_linear(poly, images):
+    """Apply xi -> images[i] (a linear change of coordinates)."""
+    out = MultiPoly.zero(poly.p)
+    one = MultiPoly.constant(1, poly.p)
+    power_cache = [{0: one} for _ in range(NVARS)]
+    for m, c in poly.terms.items():
+        piece = MultiPoly.constant(c, poly.p)
+        for i in range(NVARS):
+            e = m[i]
+            cache = power_cache[i]
+            if e not in cache:
+                top = max(cache)
+                cur = cache[top]
+                for k in range(top + 1, e + 1):
+                    cur = cur * images[i]
+                    cache[k] = cur
+            if e:
+                piece = piece * cache[e]
+        out = out + piece
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +521,7 @@ def _saturate_by_linear(gb, f):
     Ainv = _matrix_inverse(A, p)
     # x_i = sum_j Ainv[i][j] y_j ; writing gens in y-coordinates substitutes that
     to_y = [MultiPoly.linear_form(Ainv[i].tolist(), p) for i in range(NVARS)]
-    moved = [g.substitute_linear(to_y) for g in gb.gens]
+    moved = [substitute_linear(g, to_y) for g in gb.gens]
     gby = groebner(moved, p)
     divided = []
     for g in gby.gens:
@@ -492,7 +533,7 @@ def _saturate_by_linear(gb, f):
         else:
             divided.append(g)
     back = [MultiPoly.linear_form(A[i].tolist(), p) for i in range(NVARS)]
-    restored = [g.substitute_linear(back) for g in divided]
+    restored = [substitute_linear(g, back) for g in divided]
     return groebner(restored, p)
 
 

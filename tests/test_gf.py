@@ -173,3 +173,14 @@ def test_matmul_large_modulus_no_overflow():
     exact = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(40)) % p for j in range(2)]
              for i in range(3)]
     assert _safe_matmul(a, b, p).tolist() == exact
+    # random shapes, inner dimension up to 200, which needs the limb split
+    for trial in range(12):
+        rows, inner, cols = 1 + st.below(6), 1 + st.below(200), 1 + st.below(6)
+        a = np.array([[st.below(p) for _ in range(inner)] for _ in range(rows)], dtype=np.int64)
+        b = np.array([[st.below(p) for _ in range(cols)] for _ in range(inner)], dtype=np.int64)
+        exact = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(inner)) % p
+                  for j in range(cols)] for i in range(rows)]
+        assert _safe_matmul(a, b, p).tolist() == exact, (rows, inner, cols)
+    # the split is exact only for inner dimension below 2^16
+    with pytest.raises(ValueError):
+        _safe_matmul(np.ones((1, 1 << 16), np.int64), np.ones((1 << 16, 1), np.int64), p)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import sympy_ddf
 from gorlink.rng import SplitStream
 from gorlink.splitstats import (
     Partition,
@@ -167,3 +168,19 @@ def test_montecarlo_deterministic_and_worker_independent():
     # scheduling across workers must not change the count
     parallel = montecarlo_split_fraction(8, 4, 101, 60, seed=5, workers=2)
     assert parallel == a
+
+
+def test_montecarlo_exact_near_2_31():
+    # every draw of a batch at q = 2^31 - 1 agrees with sympy's distinct-degree
+    # factorization; an int64 Frobenius product without a limb split overflows
+    n, k, q, trials, seed = 30, 20, 2**31 - 1, 20, 2024
+    root = SplitStream(seed).child("montecarlo", n, k, q)
+    expected = 0
+    for i in range(trials):
+        st = root.child(i)
+        expected += sympy_ddf.splits([st.below(q) for _ in range(n)] + [1], q, k)
+    assert montecarlo_split_fraction(n, k, q, trials, seed) == (
+        expected,
+        Fraction(expected, trials),
+    )
+    assert expected > 0

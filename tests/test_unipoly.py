@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import sympy_ddf
 from gorlink.rng import SplitStream
 from gorlink.splitstats import count_irreducible
 from gorlink.unipoly import (
@@ -118,6 +120,23 @@ def test_degree_profile_matches_factorization():
         for g, _ in factor(f):
             expected[g.degree] = expected.get(g.degree, 0) + 1
         assert factor_degree_profile(f) == sorted(expected.items())
+
+
+@st.composite
+def _monic_polys(draw):
+    p = draw(st.sampled_from([2, 3, 101, 10007, 2**31 - 1]))
+    n = draw(st.integers(1, 40))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return tail + [1], p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monic_polys())
+def test_degree_profile_matches_sympy(poly):
+    coeffs, p = poly
+    expected = sympy_ddf.degree_profile(coeffs, p)
+    assume(expected is not None)
+    assert factor_degree_profile(UniPoly(coeffs, p)) == expected
 
 
 def test_find_factor_of_degree():
