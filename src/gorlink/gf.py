@@ -2,10 +2,26 @@
 
 Elements are canonical residues in [0, p) for an odd prime p < 2**31.
 Matrices are numpy int64 arrays; with p below 2**31, a product of two
-residues fits in an int64, so Gaussian elimination can reduce mod p
-after each row operation without overflow.  Pivoting takes the first
-nonzero entry in a column (arithmetic is exact, no magnitude concerns),
-which also makes every echelon form canonical and deterministic.
+residues fits in an int64, and products with a long inner dimension go
+through _safe_matmul, which splits into 16-bit limbs when one int64 sum
+could overflow.  Residues are reduced with a floor division by p, which
+numpy does several times faster than its remainder.
+
+Pivoting takes the first nonzero entry in a column (arithmetic is exact,
+no magnitude concerns), and the reduced row echelon form of a row space
+is unique, so every echelon form here is canonical, whatever the order of
+the steps that computed it.  rref eliminates inputs no wider or taller
+than one panel a column at a time; larger ones go by panels of _PANEL
+columns, with matrix products doing most of the work (Dumas, Giorgi and
+Pernet, FFLAS-FFPACK, 2008): Gauss-Jordan on the narrow panel finds its
+pivots and the transform that reduces the rows carrying them, one product
+applies that transform across the rest of those rows, and one more clears
+their pivot columns from every other row.
+
+reduce_rows needs its (R, pivots) in reduced echelon form: then
+R[:, pivots] is the identity, the coefficient of row i in the reduction of
+v is v[pivots[i]], untouched by the other rows, and the reduction of the
+rows of V is the single product V - V[:, pivots] @ R.
 """
 
 import numpy as np
@@ -20,7 +36,6 @@ __all__ = [
     "rank",
     "solve_in_rowspace",
     "charpoly_mod_p",
-    "det_mod_p",
 ]
 
 _P_LIMIT = 1 << 31
@@ -67,49 +82,136 @@ def inv_mod(a, p):
 # ---------------------------------------------------------------------------
 # dense linear algebra on int64 arrays, entries in [0, p)
 
+# Column-panel width of the blocked elimination in rref.
+_PANEL = 32
+
+
+def _reduce(a, p):
+    """a mod p, in place on the int64 array a; returns a.
+
+    numpy divides by a scalar far faster than it takes a remainder, and the
+    in-place steps allocate one temporary instead of several.
+    """
+    q = a // p
+    q *= p
+    a -= q
+    return a
+
+
+def _gauss_jordan(R, p, width=None):
+    """Gauss-Jordan elimination in place, one pivot column at a time.
+
+    Returns (pivots, order): the pivot columns, and the input row that each
+    row of R now holds; pivot rows are swapped to the top in pivot order.
+    With `width` given, only the first `width` columns are eliminated and
+    the rest of R is zero on entry, one column per possible pivot: the row
+    taking the j-th pivot gets a 1 in column width + j before it is
+    scaled, so that on return R[:k, width : width + k] is the matrix T with
+    T @ (the chosen input rows, in pivot order) = R[:k, :width].
+    """
+    nrows = R.shape[0]
+    order = np.arange(nrows)
+    pivots = []
+    row = 0
+    for col in range(R.shape[1] if width is None else width):
+        if row >= nrows:
+            break
+        nz = R[row:, col].nonzero()[0]
+        if not nz.size:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            R[[row, pr]] = R[[pr, row]]
+            order[[row, pr]] = order[[pr, row]]
+        if width is not None:
+            R[row, width + row] = 1
+        pivot_row = R[row] * inv_mod(int(R[row, col]), p) % p
+        # every row nonzero in this column, the pivot row too, which the
+        # update zeroes and the next line restores
+        others = R[:, col].nonzero()[0]
+        block = R[others]
+        block -= block[:, col, None] * pivot_row
+        R[others] = _reduce(block, p)
+        R[row] = pivot_row
+        pivots.append(col)
+        row += 1
+    return pivots, order
+
+
+def _eliminate_panel(W, rest, c0, c1, p):
+    """Eliminate the columns [c0, c1) of W in place; returns the pivot rows
+    and pivot columns found there.
+
+    On entry the rows `rest` (those not yet pivot rows) are zero before
+    column c0.  Gauss-Jordan on the narrow panel W[rest, c0:c1] finds the k
+    pivots, the rows that carry them and the transform T that reduces those
+    rows; S = T @ (those rows from column c0 on) are the new pivot rows, and
+    subtracting W[:, cols] @ S clears their pivot columns from every other
+    row.  Both products skip the columns where the chosen rows vanish and
+    the rows already zero on the pivot columns, which keeps sparse inputs
+    cheap.  The rows of `rest` not chosen end up zero on the panel.
+    """
+    width = c1 - c0
+    M = np.zeros((len(rest), width + min(len(rest), width)), dtype=np.int64)
+    M[:, :width] = W[rest, c0:c1]
+    cols, order = _gauss_jordan(M, p, width)
+    if not cols:
+        return [], []
+    k = len(cols)
+    chosen = rest[order[:k]]
+    cols = [c0 + c for c in cols]
+    # the chosen rows, and so the new pivot rows, vanish outside `span`
+    span = c0 + W[chosen, c0:].any(axis=0).nonzero()[0]
+    S = _safe_matmul(M[:k, width : width + k], W[np.ix_(chosen, span)], p)
+    coef = W[:, cols]
+    coef[chosen] = 0
+    hit = coef.any(axis=1).nonzero()[0]
+    if hit.size:
+        block = W[np.ix_(hit, span)]
+        block -= _safe_matmul(coef[hit], S, p)
+        W[np.ix_(hit, span)] = _reduce(block, p)
+    W[np.ix_(chosen, span)] = S
+    return list(chosen), cols
+
 
 def rref(A, p):
     """Reduced row echelon form mod p.
 
     Returns (R, pivots) where pivots is the list of pivot column indices,
     one per nonzero row of R, in increasing order.  Column order is the
-    caller's; first-nonzero pivoting makes the result canonical.
+    caller's.  The reduced echelon form of a row space is unique, so the
+    result does not depend on how it is computed: inputs no wider or taller
+    than one panel are eliminated a column at a time, larger ones a panel
+    of _PANEL columns at a time with matrix products doing the work.
     """
-    R = np.array(A, dtype=np.int64) % p
-    if R.ndim != 2:
+    W = _reduce(np.array(A, dtype=np.int64), p)
+    if W.ndim != 2:
         raise ValueError("matrix expected")
-    nrows, ncols = R.shape
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
+    nrows, ncols = W.shape
+    if nrows <= _PANEL or ncols <= _PANEL:
+        pivots, _ = _gauss_jordan(W, p)
+        return W[: len(pivots)], pivots
+    pivot_rows, pivots = [], []
+    rest = np.arange(nrows)
+    for c0 in range(0, ncols, _PANEL):
+        if not rest.size:
             break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            R[[row, pr]] = R[[pr, row]]
-        inv = inv_mod(int(R[row, col]), p)
-        R[row] = R[row] * inv % p
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            R[others] = (R[others] - np.outer(R[others, col], R[row])) % p
-        pivots.append(col)
-        row += 1
-    return R[: len(pivots)], pivots
+        rows, cols = _eliminate_panel(W, rest, c0, min(c0 + _PANEL, ncols), p)
+        pivot_rows += rows
+        pivots += cols
+        rest = np.setdiff1d(rest, rows, assume_unique=True)
+    return W[pivot_rows], pivots
 
 
 def reduce_rows(V, R, pivots, p):
-    """Reduce the rows of V against an RREF (R, pivots); returns new array."""
-    W = np.array(V, dtype=np.int64) % p
-    for i, col in enumerate(pivots):
-        coef = W[:, col]
-        nz = np.nonzero(coef)[0]
-        if nz.size:
-            W[nz] = (W[nz] - np.outer(coef[nz], R[i])) % p
-    return W
+    """Reduce the rows of V against an RREF (R, pivots); returns a new array.
+
+    R must be in reduced echelon form (see the module docstring): the
+    reduction is then V - V[:, pivots] @ R, one product.
+    """
+    V = _reduce(np.array(V, dtype=np.int64), p)
+    V -= _safe_matmul(V[:, pivots], R, p)
+    return _reduce(V, p)
 
 
 def rank(A, p):
@@ -126,13 +228,12 @@ def kernel_basis_array(A, p):
     A = np.asarray(A, dtype=np.int64)
     ncols = A.shape[1]
     R, pivots = rref(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-int(R[r, fc])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % p
     return basis
 
 
@@ -141,39 +242,12 @@ def solve_in_rowspace(R, pivots, V, p):
 
     Requires every row of V to lie in the row space (raises otherwise).
     Since R is in reduced echelon form the coordinates are just the pivot
-    columns of V read off during reduction.
+    columns of V.
     """
-    V = np.asarray(V, dtype=np.int64) % p
-    coords = V[:, pivots].copy() if len(pivots) else np.zeros((V.shape[0], 0), np.int64)
-    W = reduce_rows(V, R, pivots, p)
-    if W.any():
+    V = _reduce(np.array(V, dtype=np.int64), p)
+    if reduce_rows(V, R, pivots, p).any():
         raise ValueError("vector not in row space")
-    return coords
-
-
-def det_mod_p(A, p):
-    """Determinant mod p by fraction-free forward elimination."""
-    M = np.array(A, dtype=np.int64) % p
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("square matrix expected")
-    det = 1
-    for col in range(n):
-        nz = np.nonzero(M[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        pr = col + int(nz[0])
-        if pr != col:
-            M[[col, pr]] = M[[pr, col]]
-            det = -det
-        piv = int(M[col, col])
-        det = det * piv % p
-        inv = inv_mod(piv, p)
-        rows = np.nonzero(M[col + 1 :, col])[0] + col + 1
-        if rows.size:
-            factors = M[rows, col] * inv % p
-            M[rows] = (M[rows] - factors[:, None] * M[col]) % p
-    return det % p
+    return V[:, pivots]
 
 
 def charpoly_mod_p(A, p):
@@ -234,7 +308,10 @@ def _safe_matmul(A, B, p):
     """
     K = A.shape[1]
     if K * (p - 1) * (p - 1) < 1 << 63:
-        return (A @ B) % p
+        return _reduce(A @ B, p)
     if K >= 1 << 16 or p > _P_LIMIT:
         raise ValueError("no exact int64 product for inner dimension %d mod %d" % (K, p))
-    return (((A >> 16) @ B % p << 16) + (A & 0xFFFF) @ B) % p
+    hi = _reduce((A >> 16) @ B, p)
+    hi <<= 16
+    hi += (A & 0xFFFF) @ B
+    return _reduce(hi, p)

@@ -41,7 +41,7 @@ from .gf import (
     reduce_rows,
     _safe_matmul,
 )
-from .mpoly import MultiPoly, monomials_of_degree
+from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
 from .groebner import GradedSpaces, echelon_piece, groebner, h_vector
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import UniPoly, is_squarefree, find_factor_of_degree
@@ -487,7 +487,7 @@ class _PieceCollector:
     def __init__(self, base):
         self.base = base
         self.p = base.p
-        self.prev_polys = []  # MultiPoly pieces at the previous degree
+        self.prev_rows = np.zeros((0, 1), dtype=np.int64)  # dense rows fed at t - 1
         self.generators = []
         self.pieces = {}
 
@@ -499,29 +499,24 @@ class _PieceCollector:
     def add_degree(self, t, coord_rows):
         p = self.p
         monos = monomials_of_degree(t)
-        index = {m: i for i, m in enumerate(monos)}
         base_R, base_piv, std = self.base.piece(t)
 
         def poly(row):
             return MultiPoly({monos[i]: int(c) for i, c in enumerate(row) if c}, p)
 
-        rows = []
-        var_monos = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for q in self.prev_polys:
-            for vm in var_monos:
-                xq = q.term_mul(vm, 1)
-                row = np.zeros(len(monos), dtype=np.int64)
-                for m, c in xq.terms.items():
-                    row[index[m]] = c
-                rows.append(row)
-        rows = np.array(rows, dtype=np.int64).reshape(-1, len(monos))
+        # the previous piece times each variable
+        prev = self.prev_rows
+        table = product_positions(t - 1, 1)
+        rows = np.zeros((NVARS * len(prev), len(monos)), dtype=np.int64)
+        for v in range(NVARS):
+            rows[v * len(prev) : (v + 1) * len(prev)][:, table[:, v]] = prev
         span, span_piv = rref(reduce_rows(rows, base_R, base_piv, p), p)
         dense = np.zeros((len(coord_rows), len(monos)), dtype=np.int64)
         dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
         self.pieces[t] = echelon_piece(np.concatenate([base_R, dense]), p)
         keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
         self.generators.extend(poly(row) for row in keep)
-        self.prev_polys = [poly(row) for row in dense]
+        self.prev_rows = dense
 
 
 def _matrix_poly(coeffs, A, p):

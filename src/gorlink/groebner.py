@@ -20,7 +20,13 @@ from itertools import combinations
 import numpy as np
 
 from .gf import rref, reduce_rows
-from .mpoly import NVARS, monomial_mul, monomials_of_degree
+from .mpoly import (
+    NVARS,
+    monomial_count,
+    monomial_position,
+    monomials_of_degree,
+    product_positions,
+)
 
 __all__ = ["groebner", "h_vector", "echelon_piece", "GradedSpaces"]
 
@@ -30,6 +36,19 @@ __all__ = ["groebner", "h_vector", "echelon_piece", "GradedSpaces"]
 MAX_HF_PROBE = 20
 
 _PAIRS = frozenset(frozenset(pair) for pair in combinations(range(NVARS), 2))
+
+
+def fill_multiples(out, f, a, shifts=slice(None)):
+    """Write the coefficient rows of m * f into out, one row per degree-a
+    monomial m at the positions `shifts` of monomials_of_degree(a).
+
+    out is zero on entry, with one column per degree-(a + deg f) monomial.
+    Each product's column is read off the cached product_positions table,
+    so the whole block is one fancy-index assignment.
+    """
+    cols = [monomial_position(m) for m in f.terms]
+    pos = product_positions(a, f.degree)[shifts][:, cols]
+    out[np.arange(len(pos))[:, None], pos] = list(f.terms.values())
 
 
 def echelon_piece(rows, p):
@@ -57,25 +76,16 @@ class GradedSpaces:
         self._mult_cache = {}
         self._stable = None
 
-    def _index(self, t):
-        monos = monomials_of_degree(t)
-        return monos, {m: i for i, m in enumerate(monos)}
-
     def piece(self, t):
         """(R, pivots, std_positions) for degree t."""
         if t not in self._pieces:
-            monos, index = self._index(t)
-            rows = []
-            for g in self.gens:
-                d = g.degree
-                if d > t:
-                    continue
-                for shift in monomials_of_degree(t - d):
-                    row = np.zeros(len(monos), dtype=np.int64)
-                    for m, c in g.terms.items():
-                        row[index[monomial_mul(m, shift)]] = c
-                    rows.append(row)
-            rows = np.array(rows, dtype=np.int64).reshape(-1, len(monos))
+            gens = [g for g in self.gens if g.degree <= t]
+            counts = [monomial_count(t - g.degree) for g in gens]
+            rows = np.zeros((sum(counts), monomial_count(t)), dtype=np.int64)
+            start = 0
+            for g, n in zip(gens, counts):
+                fill_multiples(rows[start : start + n], g, t - g.degree)
+                start += n
             self._pieces[t] = echelon_piece(rows, self.p)
         return self._pieces[t]
 
@@ -132,10 +142,9 @@ class GradedSpaces:
         for m, c in f.terms.items():
             parts.setdefault(sum(m), {})[m] = c
         for t, terms in parts.items():
-            monos, index = self._index(t)
-            row = np.zeros((1, len(monos)), dtype=np.int64)
+            row = np.zeros((1, monomial_count(t)), dtype=np.int64)
             for m, c in terms.items():
-                row[0, index[m]] = c
+                row[0, monomial_position(m)] = c
             if self.nf_rows(row, t).any():
                 return False
         return True
@@ -184,14 +193,10 @@ class GradedSpaces:
         """
         key = (f, t)
         if key not in self._mult_cache:
-            d = f.degree
-            src = self.std_monomials(t)
-            monos, index = self._index(t + d)
-            rows = np.zeros((len(src), len(monos)), dtype=np.int64)
-            for j, m in enumerate(src):
-                for fm, fc in f.terms.items():
-                    rows[j, index[monomial_mul(fm, m)]] = fc
-            self._mult_cache[key] = self.coords(rows, t + d)
+            std = self.piece(t)[2]
+            rows = np.zeros((len(std), monomial_count(t + f.degree)), dtype=np.int64)
+            fill_multiples(rows, f, t, std)
+            self._mult_cache[key] = self.coords(rows, t + f.degree)
         return self._mult_cache[key]
 
 

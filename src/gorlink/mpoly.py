@@ -10,6 +10,8 @@ as integers in [0, p), '*' products and '^' powers) is used bit-exactly
 in certificate files, so the renderer and parser here are strict.
 """
 
+import numpy as np
+
 from ._frozen import Frozen
 
 __all__ = [
@@ -17,6 +19,8 @@ __all__ = [
     "grevlex_key",
     "monomials_of_degree",
     "monomial_count",
+    "monomial_position",
+    "product_positions",
     "MultiPoly",
 ]
 
@@ -60,10 +64,52 @@ def monomial_count(t):
     return (t + 1) * (t + 2) * (t + 3) // 6 if t >= 0 else 0
 
 
+def monomial_position(m):
+    """Position of the monomial m in monomials_of_degree(its degree).
+
+    Descending grevlex lists the monomials of degree t by ascending x3
+    exponent, then x2, then x1: C(t+3, 3) - C(s+3, 3) of them have a
+    smaller x3 exponent (s = t - m[3]), and C(s+2, 2) - C(s-m[2]+2, 2)
+    of those left a smaller x2 exponent.
+    """
+    t = m[0] + m[1] + m[2] + m[3]
+    s = t - m[3]
+    return monomial_count(t) - monomial_count(s) + _pairs(s) - _pairs(s - m[2]) + m[1]
+
+
+def _pairs(s):
+    """Number of monomials of degree s in three variables."""
+    return (s + 1) * (s + 2) // 2
+
+
+_product_cache = {}
+
+
+def product_positions(a, b):
+    """Positions of the products of degree-a and degree-b monomials.
+
+    A read-only integer array P of shape (monomial_count(a),
+    monomial_count(b)): P[i, j] is the position of the product of
+    monomials_of_degree(a)[i] and monomials_of_degree(b)[j] in
+    monomials_of_degree(a + b).  Cached per (a, b).
+    """
+    key = (a, b)
+    if key not in _product_cache:
+        right = monomials_of_degree(b)
+        table = np.array(
+            [[monomial_position(monomial_mul(x, y)) for y in right]
+             for x in monomials_of_degree(a)],
+            dtype=np.intp,
+        ).reshape(monomial_count(a), len(right))
+        table.flags.writeable = False
+        _product_cache[key] = table
+    return _product_cache[key]
+
+
 class MultiPoly(Frozen):
     """Polynomial in x0..x3 over GF(p); terms is a monomial -> coeff dict."""
 
-    __slots__ = ("terms", "p")
+    __slots__ = ("terms", "p", "degree")
 
     def __init__(self, terms, p):
         clean = {}
@@ -73,6 +119,8 @@ class MultiPoly(Frozen):
                 clean[tuple(m)] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "p", p)
+        # total degree, -1 for the zero polynomial
+        object.__setattr__(self, "degree", max(map(monomial_degree, clean), default=-1))
 
     @classmethod
     def zero(cls, p):
@@ -104,12 +152,6 @@ class MultiPoly(Frozen):
     def is_homogeneous(self):
         degs = {monomial_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
 
     def leading_monomial(self):
         if not self.terms:
@@ -169,14 +211,6 @@ class MultiPoly(Frozen):
         return MultiPoly(out, p)
 
     __rmul__ = __mul__
-
-    def term_mul(self, mono, coeff):
-        """Multiply by coeff * x^mono."""
-        p = self.p
-        coeff %= p
-        return MultiPoly(
-            {monomial_mul(m, mono): c * coeff % p for m, c in self.terms.items()}, p
-        )
 
     def __eq__(self, other):
         return (

@@ -23,7 +23,7 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import _safe_matmul, check_modulus, kernel_basis_array, rref, solve_in_rowspace
+from .gf import _safe_matmul, check_modulus, rank, rref, solve_in_rowspace
 from .mpoly import MultiPoly
 from .groebner import groebner, h_vector
 from .gorenstein import (
@@ -137,7 +137,8 @@ def hom_dim_zero(M, target, check_presentation=False):
                 continue
             block = target.mult_map(f, gens[j])
             A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = block
-    return len(kernel_basis_array(A.T, p))
+    # the solutions are the left kernel of A: unknowns minus rank
+    return total_unknowns - rank(A.T, p)
 
 
 def generic_hilbert_function_test(ideal, d):

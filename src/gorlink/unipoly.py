@@ -13,10 +13,12 @@ h -> h^p mod c as a matrix (von zur Gathen-Shoup 1992): its rows
 x^(j*p) mod c are read off a power of the companion matrix of c once per
 input, so each round is one vector-matrix product, a reduction and a gcd.
 The products go through gf._safe_matmul, so the splitting is exact for
-p = 2 and every odd p < 2^31; it serves both factor() and the split
-statistics' Monte Carlo.  Factor lists are returned in a canonical order (degree,
-then the ascending-degree coefficient tuple, lexicographically) so the
-output is deterministic even though the splitting is randomized.
+p = 2 and every odd p < 2^31; it serves factor(), the split statistics'
+Monte Carlo and the search for a degree-d factor, which splits only the
+degree classes it takes in part.  Factor lists are returned in a
+canonical order (degree, then the ascending-degree coefficient tuple,
+lexicographically) so the output is deterministic even though the
+splitting is randomized.
 """
 
 import numpy as np
@@ -444,6 +446,11 @@ def find_factor_of_degree(f, d, stream=None):
     canonical factor list whose degrees sum to d, the lexicographically
     least (prefer the earliest factor at each step) is chosen, so the
     result is deterministic.  Returns None when no sub-multiset works.
+
+    Reachability and how many factors each degree class gives are read off
+    the distinct-degree profile alone; a class taken whole contributes its
+    distinct-degree product, and only a class taken in part is split into
+    its irreducible factors.
     """
     if d < 0:
         raise ValueError("factor degree must be >= 0")
@@ -455,26 +462,36 @@ def find_factor_of_degree(f, d, stream=None):
         return UniPoly.one(f.p)
     if d > f.degree:
         return None
-    factors = [g for g, _ in factor(f, stream)]
-    degrees = [g.degree for g in factors]
-    k = len(factors)
-    # reachable[i] = set of sums formable from factors[i:], as a bitmask
-    reachable = [0] * (k + 1)
-    reachable[k] = 1
-    for i in range(k - 1, -1, -1):
-        reachable[i] = reachable[i + 1] | (reachable[i + 1] << degrees[i])
-    if not (reachable[0] >> d) & 1:
+    p = f.p
+    classes = _distinct_degree(list(f.coeffs), p)
+    # the canonical factor list runs through these classes by ascending
+    # degree; reach[i] = set of degree sums from classes[i:], as a bitmask
+    reach = [1] * (len(classes) + 1)
+    for i in range(len(classes) - 1, -1, -1):
+        prod, deg = classes[i]
+        acc = reach[i + 1]
+        for _ in range((len(prod) - 1) // deg):
+            acc |= acc << deg
+        reach[i] = acc
+    if not (reach[0] >> d) & 1:
         return None
-    chosen = []
+    if stream is None:
+        stream = SplitStream(0x5EED).child("unipoly-factor")
+    # Taking the earliest factor whenever the rest can still complete the
+    # sum takes, from each class, its first c factors for the largest
+    # feasible c; only a class taken in part needs equal-degree splitting.
+    out = [1]
     need = d
-    for i in range(k):
-        if need == 0:
-            break
-        di = degrees[i]
-        if di <= need and (reachable[i + 1] >> (need - di)) & 1:
-            chosen.append(factors[i])
-            need -= di
-    out = UniPoly.one(f.p)
-    for g in chosen:
-        out = out * g
-    return out
+    for i, (prod, deg) in enumerate(classes):
+        count = (len(prod) - 1) // deg
+        c = max(
+            k for k in range(min(count, need // deg) + 1)
+            if (reach[i + 1] >> (need - k * deg)) & 1
+        )
+        if c == count:
+            out = _mul(out, prod, p)
+        elif c:
+            for g in sorted(_equal_degree_factor(prod, deg, p, stream), key=tuple)[:c]:
+                out = _mul(out, g, p)
+        need -= c * deg
+    return UniPoly(out, p)

@@ -58,6 +58,13 @@ def monomial_lcm(a, b):
     )
 
 
+def term_mul(poly, mono, coeff):
+    """poly times coeff * x^mono."""
+    p = poly.p
+    coeff %= p
+    return MultiPoly({monomial_mul(m, mono): c * coeff % p for m, c in poly.terms.items()}, p)
+
+
 def substitute_linear(poly, images):
     """Apply xi -> images[i] (a linear change of coordinates)."""
     out = MultiPoly.zero(poly.p)

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from gorlink.gf import (
+    _PANEL,
     _safe_matmul,
     charpoly_mod_p,
-    det_mod_p,
     inv_mod,
     is_odd_prime,
     kernel_basis_array,
     rank,
+    reduce_rows,
     rref,
+    solve_in_rowspace,
 )
 from gorlink.rng import SplitStream
+from gf_reference import det_mod_p
 
 
 def test_is_odd_prime():
@@ -184,3 +190,117 @@ def test_matmul_large_modulus_no_overflow():
     # the split is exact only for inner dimension below 2^16
     with pytest.raises(ValueError):
         _safe_matmul(np.ones((1, 1 << 16), np.int64), np.ones((1 << 16, 1), np.int64), p)
+
+
+# ---------------------------------------------------------------------------
+# properties against sympy's DomainMatrix over GF(p)
+
+PRIMES = [3, 10007, (1 << 31) - 1]
+
+
+@st.composite
+def _matrices(draw, max_side=3 * _PANEL):
+    """(A, p, rng): a matrix up to three panels wide and tall, of drawn rank,
+    with some columns zeroed and some rows repeated."""
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    r = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, p, (m, r)).astype(object)
+    right = rng.integers(0, p, (r, n)).astype(object)
+    A = np.array(left.dot(right) % p if r else np.zeros((m, n)), dtype=np.int64)
+    if n and draw(st.booleans()):
+        A[:, rng.integers(0, n, 1 + n // 4)] = 0
+    if m > 1 and draw(st.booleans()):
+        A[rng.integers(0, m, 1 + m // 4)] = A[rng.integers(0, m)]
+    return A, p, rng
+
+
+def _domain_matrix(A, p):
+    K = GF(p)
+    return DomainMatrix([[K(int(x)) for x in row] for row in A.tolist()], A.shape, K)
+
+
+def _sympy_rref(A, p):
+    R, pivots = _domain_matrix(A, p).rref()
+    return [[int(x) % p for x in row] for row in R.to_list()[: len(pivots)]], list(pivots)
+
+
+@settings(max_examples=40)
+@given(_matrices())
+def test_elimination_matches_sympy(case):
+    A, p, rng = case
+    m, n = A.shape
+    R_exp, piv_exp = _sympy_rref(A, p)
+    R, pivots = rref(A, p)
+    assert pivots == piv_exp
+    assert R.tolist() == R_exp
+    assert rank(A, p) == len(piv_exp)
+
+    # reduction: v minus v[pivot i] times row i of sympy's RREF, for each i
+    V = rng.integers(0, p, (1 + m // 8, n))
+    expected = []
+    for v in V.tolist():
+        w = list(v)
+        for i, col in enumerate(piv_exp):
+            c = v[col]
+            w = [(x - c * y) % p for x, y in zip(w, R_exp[i])]
+        expected.append(w)
+    assert reduce_rows(V, R, pivots, p).tolist() == expected
+
+    # rows in the row space: their coordinates recombine to them
+    coef = rng.integers(0, p, (3, len(pivots))).astype(object)
+    inside = np.array(coef.dot(np.array(R_exp, dtype=object).reshape(-1, n)) % p
+                      if len(pivots) else np.zeros((3, n)), dtype=np.int64)
+    coords = solve_in_rowspace(R, pivots, inside, p)
+    assert coords.tolist() == coef.tolist()
+    if len(pivots) < n:
+        free = next(c for c in range(n) if c not in piv_exp)
+        outside = np.zeros((1, n), dtype=np.int64)
+        outside[0, free] = 1
+        with pytest.raises(ValueError):
+            solve_in_rowspace(R, pivots, outside, p)
+
+    # kernel: the basis sympy's RREF gives, and A times it is zero
+    free = [c for c in range(n) if c not in piv_exp]
+    basis = kernel_basis_array(A, p)
+    exp_basis = [[0] * n for _ in free]
+    for i, fc in enumerate(free):
+        exp_basis[i][fc] = 1
+        for r, pc in enumerate(piv_exp):
+            exp_basis[i][pc] = -R_exp[r][fc] % p
+    assert basis.reshape(len(free), n).tolist() == exp_basis
+    product = A.astype(object).dot(basis.T.astype(object)) % p
+    assert not product.any()
+
+
+@settings(max_examples=30)
+@given(_matrices(max_side=24))
+def test_charpoly_matches_sympy(case):
+    A, p, _ = case
+    n = min(A.shape)
+    A = A[:n, :n]
+    if n == 0:
+        assert charpoly_mod_p(A, p) == [1]
+        return
+    expected = [int(c) % p for c in reversed(_domain_matrix(A, p).charpoly())]
+    assert charpoly_mod_p(A, p) == expected
+
+
+def test_rref_matches_reference_on_macaulay_shapes():
+    """Tall and wide sparse inputs, several panels each, against the
+    one-pivot-per-step reference (gf_reference)."""
+    from gf_reference import reduce_rows as ref_reduce, rref as ref_rref
+
+    st_ = SplitStream(12).child("panels")
+    rng = np.random.default_rng(12)
+    for p in PRIMES:
+        for m, n in ((260, 230), (120, 40), (33, 33), (40, 200)):
+            A = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.15)
+            A[st_.below(m)] = A[st_.below(m)]
+            R, pivots = rref(A, p)
+            R_ref, piv_ref = ref_rref(A, p)
+            assert pivots == piv_ref and np.array_equal(R, R_ref)
+            V = rng.integers(0, p, (7, n))
+            assert np.array_equal(reduce_rows(V, R, pivots, p), ref_reduce(V, R_ref, piv_ref, p))

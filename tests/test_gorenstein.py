@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gorlink.gf import det_mod_p
 from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import groebner, h_vector
 from gorlink.gorenstein import (
@@ -26,6 +25,7 @@ from gorlink.rng import SplitStream
 from gorlink.unipoly import UniPoly
 
 import groebner_oracle as oracle
+from gf_reference import det_mod_p
 
 
 def P(s, p):

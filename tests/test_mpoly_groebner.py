@@ -1,7 +1,14 @@
+import numpy as np
 import pytest
 
-from gorlink.mpoly import MultiPoly, grevlex_key, monomials_of_degree
-from gorlink.groebner import groebner, h_vector
+from gorlink.mpoly import (
+    MultiPoly,
+    grevlex_key,
+    monomial_count,
+    monomials_of_degree,
+    product_positions,
+)
+from gorlink.groebner import fill_multiples, groebner, h_vector
 from gorlink.rng import SplitStream
 
 # the slow Buchberger engine the degreewise ideals are checked against
@@ -41,6 +48,26 @@ def test_render_parse_roundtrip():
             assert MultiPoly.parse(f.render(), p) == f
     assert MultiPoly.zero(p).render() == "0"
     assert MultiPoly.parse("0", p) == MultiPoly.zero(p)
+
+
+def test_product_positions_and_multiples():
+    for a in range(4):
+        for b in range(4):
+            table = product_positions(a, b)
+            prod = monomials_of_degree(a + b)
+            assert table.shape == (monomial_count(a), monomial_count(b))
+            for i, x in enumerate(monomials_of_degree(a)):
+                for j, y in enumerate(monomials_of_degree(b)):
+                    assert prod[table[i, j]] == tuple(u + v for u, v in zip(x, y))
+    st = SplitStream(13).child("multiples")
+    p = 101
+    f = random_form(2, p, st)
+    shifts = [0, 3, 7]
+    rows = np.zeros((len(shifts), monomial_count(5)), dtype=np.int64)
+    fill_multiples(rows, f, 3, shifts)
+    for row, k in zip(rows, shifts):
+        g = f * MultiPoly({monomials_of_degree(3)[k]: 1}, p)
+        assert row.tolist() == [g.terms.get(m, 0) for m in monomials_of_degree(5)]
 
 
 def test_groebner_monomial_ideal_is_itself():
@@ -93,8 +120,8 @@ def test_groebner_reduced_basis_property():
         for i in range(len(lts)):
             for j in range(i + 1, len(lts)):
                 lcm = monomial_lcm(lts[i], lts[j])
-                fi = G.gens[i].term_mul(monomial_div(lcm, lts[i]), 1)
-                fj = G.gens[j].term_mul(monomial_div(lcm, lts[j]), 1)
+                fi = oracle.term_mul(G.gens[i], monomial_div(lcm, lts[i]), 1)
+                fj = oracle.term_mul(G.gens[j], monomial_div(lcm, lts[j]), 1)
                 assert normal_form(fi - fj, G).is_zero()
 
 
@@ -279,7 +306,7 @@ def test_graded_spaces_mult_matrix_matches_normal_form():
     std = spaces.std_monomials(t)
     index = {m: i for i, m in enumerate(monomials_of_degree(t + 1))}
     for j, m in enumerate(std):
-        prod = f.term_mul(m, 1)
+        prod = oracle.term_mul(f, m, 1)
         nf = normal_form(prod, G)
         row = [0] * len(index)
         for mono, c in nf.terms.items():

@@ -130,7 +130,7 @@ def _monic_polys(draw):
     return tail + [1], p
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_monic_polys())
 def test_degree_profile_matches_sympy(poly):
     coeffs, p = poly
@@ -177,3 +177,30 @@ def test_find_factor_product_divides():
             continue
         found += 1
         assert g.degree == 3 and (f % g).is_zero()
+
+
+def _least_factor_of_degree(f, d):
+    """The lexicographically least sub-multiset of the canonical factor list
+    with degree sum d, by the greedy over the full factorization."""
+    factors = [g for g, _ in factor(f)]
+    reach = [1] * (len(factors) + 1)
+    for i in range(len(factors) - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << factors[i].degree
+    if not reach[0] >> d & 1:
+        return None
+    out = UniPoly.one(f.p)
+    for i, g in enumerate(factors):
+        if g.degree <= d and reach[i + 1] >> (d - g.degree) & 1:
+            out = out * g
+            d -= g.degree
+    return out
+
+
+@settings(max_examples=60)
+@given(_monic_polys(), st.integers(1, 40))
+def test_find_factor_of_degree_matches_full_factorization(poly, d):
+    coeffs, p = poly
+    assume(p < 2**31 - 1)  # the reference factors completely; keep it quick
+    f = UniPoly(coeffs, p)
+    assume(is_squarefree(f) and d <= f.degree)
+    assert find_factor_of_degree(f, d) == _least_factor_of_degree(f, d)
