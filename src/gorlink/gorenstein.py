@@ -45,7 +45,6 @@ from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
 from .groebner import GradedSpaces, echelon_piece, groebner, h_vector
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import UniPoly, is_squarefree, find_factor_of_degree
-from .rng import SplitStream
 
 __all__ = [
     "numerator_polynomial",
@@ -287,7 +286,7 @@ def submaximal_pfaffians(M):
     return out
 
 
-def random_gorenstein(h, p, seed_or_stream):
+def random_gorenstein(h, p, stream):
     """Random skew matrix with the generic degree layout, plus its ideal.
 
     Draws uniformly random homogeneous entries (degree-zero slots stay
@@ -297,11 +296,6 @@ def random_gorenstein(h, p, seed_or_stream):
     """
     dm = generic_degree_matrix(h)
     target = _entries(h)
-    stream = (
-        seed_or_stream
-        if isinstance(seed_or_stream, SplitStream)
-        else SplitStream(seed_or_stream).child("gorenstein")
-    )
     for attempt in range(MATRIX_RETRIES):
         st = stream.child("draw", attempt)
         upper = {}
@@ -390,7 +384,7 @@ def _projection_char_poly(ideal, ell, xh):
     return UniPoly(charpoly_mod_p(T, ideal.p), ideal.p)
 
 
-def char_poly_of_projection(ideal, seed_or_stream):
+def char_poly_of_projection(ideal, stream):
     """Random projection of the scheme to a line.
 
     Picks a dehomogenizer x_h that misses the scheme (retrying, up to
@@ -399,11 +393,6 @@ def char_poly_of_projection(ideal, seed_or_stream):
     (ell, x_h, characteristic polynomial of ell/x_h).
     """
     hvec = h_vector(ideal)
-    stream = (
-        seed_or_stream
-        if isinstance(seed_or_stream, SplitStream)
-        else SplitStream(seed_or_stream).child("projection")
-    )
     for attempt in range(DEHOMOGENIZER_RETRIES):
         st = stream.child("proj", attempt)
         xh = _random_linear(st, ideal.p)
@@ -416,7 +405,7 @@ def char_poly_of_projection(ideal, seed_or_stream):
     )
 
 
-def is_reduced_and_split(ideal, d, seed_or_stream):
+def is_reduced_and_split(ideal, d, stream):
     """Search for a projection certifying reducedness and a degree-d split.
 
     Tries random projections; succeeds when the characteristic polynomial
@@ -424,11 +413,6 @@ def is_reduced_and_split(ideal, d, seed_or_stream):
     points) and a factor of degree d exists.  Returns a ProjectionWitness
     or None; None only means this search failed, not a refutation.
     """
-    stream = (
-        seed_or_stream
-        if isinstance(seed_or_stream, SplitStream)
-        else SplitStream(seed_or_stream).child("split-search")
-    )
     for attempt in range(PROJECTION_RETRIES):
         try:
             ell, xh, f = char_poly_of_projection(ideal, stream.child(attempt))

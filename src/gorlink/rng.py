@@ -44,12 +44,3 @@ class SplitStream:
             x = self.u64()
             if x <= limit:
                 return x % n
-
-    def field_element(self, p):
-        return self.below(p)
-
-    def nonzero_field_element(self, p):
-        return 1 + self.below(p - 1)
-
-    def integers(self, n, count):
-        return [self.below(n) for _ in range(count)]

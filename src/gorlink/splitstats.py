@@ -5,22 +5,28 @@ square-free monic polynomials of degree n over GF(q) admitting a factor
 of degree k:
 
     A(n, k, q) = sum over partitions L of n that contain a sub-multiset
-                 summing to k of  prod_i  C(N(L_i, q), t_i)
+                 summing to k of  prod_i  C(N(l_i, q), t_i)
 
 where N(l, q) = (1/l) sum_{d | l} mu(l/d) q^d counts monic irreducibles
-of degree l (Gauss) and t_i is the multiplicity of the part L_i.  The
-binomial of a polynomial argument is expanded exactly, so A(n, k, q) is
-a polynomial in q with rational coefficients.  As q grows, the
-contribution of a partition tends to 1 / prod(t_i! * L_i^t_i), the
-relative size of the corresponding conjugacy class in the symmetric
-group, giving the q -> infinity limit p(n, k).
+of degree l (Gauss) and L has t_i parts equal to l_i.  Written in runs
+[(l_i, t_i)], a partition is a factor-degree profile, so whether it
+reaches k is unipoly.degree_sums, the mask the factor search uses.
+
+The binomial C(N(l, q), t) is a polynomial in q with integer numerator
+and denominator t! * l^t.  Since prod_i t_i! * l_i^t_i = n!/|C_L|, where
+|C_L| is the size of the conjugacy class of cycle type L in the
+symmetric group, each term is (integer numerator) * |C_L| / n!: A(n, k, q)
+is summed in integers over the partition classes and divided by n! once.
+As q grows, a class contributes |C_L|/n! to A(n, k, q)/q^n, giving the
+q -> infinity limit p(n, k) = sum of |C_L|/n! over the classes reaching k.
 
 A seeded Monte Carlo harness measures the same fraction empirically; each
-trial reads the factor degrees of its draw from the distinct-degree
-factorization in gorlink.unipoly.
+trial reads the factor-degree profile of its draw from the
+distinct-degree factorization in gorlink.unipoly.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
 from ._frozen import Frozen
@@ -29,12 +35,9 @@ from .rng import SplitStream
 from . import unipoly
 
 __all__ = [
-    "Partition",
     "RationalPolynomial",
     "count_irreducible",
-    "enumerate_partitions",
     "iter_partitions",
-    "has_subpartition_of_size",
     "count_squarefree_with_factor",
     "conjugacy_fraction",
     "limit_fraction",
@@ -44,43 +47,6 @@ __all__ = [
 
 PARTITION_CAP = 60
 EXACT_CAP = 40
-
-
-class Partition(Frozen):
-    """A partition of n: weakly decreasing positive parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(x) for x in parts)
-        if any(x <= 0 for x in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n(self):
-        return sum(self.parts)
-
-    def multiplicity_form(self):
-        """[(part, multiplicity)] with parts decreasing."""
-        out = []
-        for x in self.parts:
-            if out and out[-1][0] == x:
-                out[-1][1] += 1
-            else:
-                out.append([x, 1])
-        return [(a, b) for a, b in out]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition%r" % (self.parts,)
 
 
 def iter_partitions(n):
@@ -100,27 +66,25 @@ def iter_partitions(n):
     yield from rec(n, n, ())
 
 
-def enumerate_partitions(n):
-    """All partitions of n, each once, in canonical (reverse-lex) order."""
-    return [Partition(t) for t in iter_partitions(n)]
+def _runs(parts):
+    """[(part, multiplicity)] of a decreasing tuple of parts."""
+    return [(ell, len(list(group))) for ell, group in groupby(parts)]
 
 
-def has_subpartition_of_size(partition, k):
-    """True iff some sub-multiset of the parts sums to k (subset-sum)."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(partition)
-    total = sum(parts)
-    if k < 0 or k > total:
-        raise ValueError("k must satisfy 0 <= k <= sum(parts)")
-    return _subset_sum_hits(parts, k)
+def _classes(n, k):
+    """Run form of each partition of n with a sub-multiset summing to k."""
+    for parts in iter_partitions(n):
+        runs = _runs(parts)
+        if (unipoly.degree_sums(runs) >> k) & 1:
+            yield runs
 
 
-def _subset_sum_hits(parts, k):
-    mask = 1
-    for x in parts:
-        mask |= mask << x
-        if (mask >> k) & 1:
-            return True
-    return (mask >> k) & 1 == 1
+def _class_size(runs, n_factorial):
+    """|C_L| = n!/prod(t! * l^t) for the cycle type L with runs [(l, t)]."""
+    z = 1
+    for ell, t in runs:
+        z *= factorial(t) * ell**t
+    return n_factorial // z
 
 
 # ---------------------------------------------------------------------------
@@ -128,62 +92,20 @@ def _subset_sum_hits(parts, k):
 
 
 class RationalPolynomial(Frozen):
-    """Polynomial in q with exact rational coefficients."""
+    """Polynomial in q with exact rational coefficients, from {exponent: c}."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        d = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for e, c in items:
-            c = Fraction(c)
-            if c:
-                d[int(e)] = d.get(int(e), Fraction(0)) + c
+    def __init__(self, coeffs):
         object.__setattr__(
-            self, "coeffs", {e: c for e, c in d.items() if c}
+            self, "coeffs", {int(e): Fraction(c) for e, c in coeffs.items() if c}
         )
-
-    @classmethod
-    def constant(cls, c):
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def q_power(cls, e, c=1):
-        return cls({e: Fraction(c)})
 
     def degree(self):
         return max(self.coeffs) if self.coeffs else -1
 
-    def coefficient(self, e):
-        return self.coeffs.get(e, Fraction(0))
-
     def leading_coefficient(self):
         return self.coeffs[self.degree()] if self.coeffs else Fraction(0)
-
-    def __add__(self, other):
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            d[e] = d.get(e, Fraction(0)) + c
-        return RationalPolynomial(d)
-
-    def __sub__(self, other):
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            d[e] = d.get(e, Fraction(0)) - c
-        return RationalPolynomial(d)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(
-                {e: c * other for e, c in self.coeffs.items()}
-            )
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                d[e1 + e2] = d.get(e1 + e2, Fraction(0)) + c1 * c2
-        return RationalPolynomial(d)
-
-    __rmul__ = __mul__
 
     def evaluate(self, q):
         q = Fraction(q)
@@ -191,9 +113,6 @@ class RationalPolynomial(Frozen):
 
     def __eq__(self, other):
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def format(self, var="q"):
         """Canonical text: terms by descending exponent, 'num/den' coefficients."""
@@ -240,21 +159,22 @@ def _mobius(n):
     return result
 
 
+def _scaled_irreducible_coeffs(ell):
+    # ell * N(ell, q) as integer coefficients, ascending in q
+    out = [0] * (ell + 1)
+    for d in range(1, ell + 1):
+        if ell % d == 0:
+            out[d] += _mobius(ell // d)
+    return out
+
+
 def count_irreducible(ell):
     """N(ell, q): monic irreducibles of degree ell over GF(q), as a polynomial."""
     if ell < 1:
         raise ValueError("degree must be >= 1")
-    coeffs = {}
-    for d in range(1, ell + 1):
-        if ell % d == 0:
-            mu = _mobius(ell // d)
-            if mu:
-                coeffs[d] = coeffs.get(d, Fraction(0)) + Fraction(mu, ell)
-    return RationalPolynomial(coeffs)
-
-
-# integer-coefficient convolution helpers: products of binomial numerators are
-# done in int arithmetic and only scaled to Fractions once per partition
+    return RationalPolynomial(
+        {e: Fraction(c, ell) for e, c in enumerate(_scaled_irreducible_coeffs(ell))}
+    )
 
 
 def _int_conv(a, b):
@@ -263,15 +183,6 @@ def _int_conv(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
-
-
-def _scaled_irreducible_coeffs(ell):
-    # ell * N(ell, q) as integer coefficients, ascending in q
-    out = [0] * (ell + 1)
-    for d in range(1, ell + 1):
-        if ell % d == 0:
-            out[d] += _mobius(ell // d)
     return out
 
 
@@ -300,39 +211,22 @@ def count_squarefree_with_factor(n, k):
         raise ValueError("n must be >= 1")
     if n > EXACT_CAP:
         raise ValueError("exact evaluation capped at n = %d" % EXACT_CAP)
-    acc = [Fraction(0)] * (n + 1)
-    for parts in iter_partitions(n):
-        if not _subset_sum_hits(parts, k):
-            continue
+    n_factorial = factorial(n)
+    acc = [0] * (n + 1)
+    for runs in _classes(n, k):
+        size = _class_size(runs, n_factorial)
         num = [1]
-        den = 1
-        i = 0
-        while i < len(parts):
-            j = i
-            while j < len(parts) and parts[j] == parts[i]:
-                j += 1
-            ell, t = parts[i], j - i
+        for ell, t in runs:
             num = _int_conv(num, _binomial_numerator(ell, t))
-            den *= factorial(t) * ell**t
-            i = j
         for e, c in enumerate(num):
-            if c:
-                acc[e] += Fraction(c, den)
-    return RationalPolynomial({e: c for e, c in enumerate(acc) if c})
+            acc[e] += c * size
+    return RationalPolynomial({e: Fraction(c, n_factorial) for e, c in enumerate(acc)})
 
 
-def conjugacy_fraction(partition):
-    """|C_lambda| / n!: relative size of the conjugacy class with this cycle type."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(partition)
-    den = 1
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        den *= factorial(j - i) * parts[i] ** (j - i)
-        i = j
-    return Fraction(1, den)
+def conjugacy_fraction(parts):
+    """|C_L| / n!: relative size of the conjugacy class of cycle type parts."""
+    n_factorial = factorial(sum(parts))
+    return Fraction(_class_size(_runs(parts), n_factorial), n_factorial)
 
 
 def limit_fraction(n, k):
@@ -341,11 +235,10 @@ def limit_fraction(n, k):
         raise ValueError("need 0 <= k <= n")
     if n > PARTITION_CAP:
         raise ValueError("capped at n = %d" % PARTITION_CAP)
-    total = Fraction(0)
-    for parts in iter_partitions(n):
-        if _subset_sum_hits(parts, k):
-            total += conjugacy_fraction(parts)
-    return total
+    n_factorial = factorial(n)
+    return Fraction(
+        sum(_class_size(runs, n_factorial) for runs in _classes(n, k)), n_factorial
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +246,12 @@ def limit_fraction(n, k):
 
 
 def splits_with_degree_factor(f, k):
-    """True iff monic f is square-free and has a factor of degree k."""
-    if not unipoly.is_squarefree(f):
+    """True iff f, monic of degree >= 1, is square-free with a degree-k factor."""
+    try:
+        profile = unipoly.factor_degree_profile(f)
+    except ValueError:  # not square-free
         return False
-    if k == 0 or k == f.degree:
-        return True
-    degrees = []
-    for prod, d in unipoly._distinct_degree(list(f.coeffs), f.p):
-        degrees.extend([d] * ((len(prod) - 1) // d))
-    return _subset_sum_hits(tuple(degrees), k)
+    return (unipoly.degree_sums(profile) >> k) & 1 == 1
 
 
 def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
@@ -376,8 +266,8 @@ def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
         raise ValueError("need 0 <= k <= n")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n == 1:
-        # a monic linear polynomial is square-free and is its own factor
+    if n <= 1:
+        # a monic polynomial of degree <= 1 is square-free and its own factor
         return trials, Fraction(1)
     if workers and workers > 1:
         successes = _montecarlo_parallel(n, k, q, trials, seed, workers)

@@ -106,7 +106,7 @@ class SubquotientTarget:
         return solve_in_rowspace(target_B, target_piv, images, self.p)
 
 
-def hom_dim_zero(M, target, check_presentation=False):
+def hom_dim_zero(M, target):
     """dim of degree-zero homomorphisms from the Pfaffian ideal into target.
 
     Unknowns are the generator images, one target element per generator
@@ -116,14 +116,6 @@ def hom_dim_zero(M, target, check_presentation=False):
     gens = dm.gen_degrees
     sigma = dm.socle_degree
     p = M.p
-    if check_presentation:
-        pf = submaximal_pfaffians(M)
-        for k in range(M.size):
-            acc = MultiPoly.zero(p)
-            for j in range(M.size):
-                acc = acc + M.entry(k, j) * pf[j]
-            if not acc.is_zero():
-                raise ValueError("matrix does not annihilate its Pfaffians")
     dims = [target.dim(g) for g in gens]
     offsets = np.cumsum([0] + dims)
     total_unknowns = int(offsets[-1])
@@ -178,9 +170,6 @@ class EdgeCertificate(Frozen):
     def __init__(self, **kw):
         for name in self.__slots__:
             object.__setattr__(self, name, kw.get(name))
-
-    def is_verified(self):
-        return self.verdict == "verified"
 
 
 def _run_attempt(h, d, matrix, ideal_g, witness, gdim):

@@ -15,10 +15,17 @@ input, so each round is one vector-matrix product, a reduction and a gcd.
 The products go through gf._safe_matmul, so the splitting is exact for
 p = 2 and every odd p < 2^31; it serves factor(), the split statistics'
 Monte Carlo and the search for a degree-d factor, which splits only the
-degree classes it takes in part.  Factor lists are returned in a
-canonical order (degree, then the ascending-degree coefficient tuple,
-lexicographically) so the output is deterministic even though the
-splitting is randomized.
+degree classes it takes in part.
+
+Which degrees a factor can have is read off the factor-degree profile
+[(degree, count)] by degree_sums(), a bitmask of the reachable degree
+sums.  A partition of n in run form [(part, multiplicity)] is the same
+thing, so gorlink.splitstats selects its partition classes with the same
+mask that find_factor_of_degree() and the Monte Carlo use.
+
+Factor lists are returned in a canonical order (degree, then the
+ascending-degree coefficient tuple, lexicographically) so the output is
+deterministic even though the splitting is randomized.
 """
 
 import numpy as np
@@ -32,6 +39,7 @@ __all__ = [
     "is_squarefree",
     "factor",
     "factor_degree_profile",
+    "degree_sums",
     "find_factor_of_degree",
     "random_monic",
 ]
@@ -439,6 +447,19 @@ def factor_degree_profile(f):
     ]
 
 
+def degree_sums(profile):
+    """Bitmask of the degree sums reachable from a [(degree, count)] profile.
+
+    Bit s is set iff some sub-multiset of the factors, taking up to count
+    factors of each degree, has degrees summing to s.
+    """
+    mask = 1
+    for deg, count in profile:
+        for _ in range(count):
+            mask |= mask << deg
+    return mask
+
+
 def find_factor_of_degree(f, d, stream=None):
     """Product of irreducible factors of f with degrees summing to d.
 
@@ -464,15 +485,10 @@ def find_factor_of_degree(f, d, stream=None):
         return None
     p = f.p
     classes = _distinct_degree(list(f.coeffs), p)
+    profile = [(deg, (len(prod) - 1) // deg) for prod, deg in classes]
     # the canonical factor list runs through these classes by ascending
-    # degree; reach[i] = set of degree sums from classes[i:], as a bitmask
-    reach = [1] * (len(classes) + 1)
-    for i in range(len(classes) - 1, -1, -1):
-        prod, deg = classes[i]
-        acc = reach[i + 1]
-        for _ in range((len(prod) - 1) // deg):
-            acc |= acc << deg
-        reach[i] = acc
+    # degree; reach[i] = degree sums from classes[i:]
+    reach = [degree_sums(profile[i:]) for i in range(len(profile) + 1)]
     if not (reach[0] >> d) & 1:
         return None
     if stream is None:
@@ -483,7 +499,7 @@ def find_factor_of_degree(f, d, stream=None):
     out = [1]
     need = d
     for i, (prod, deg) in enumerate(classes):
-        count = (len(prod) - 1) // deg
+        count = profile[i][1]
         c = max(
             k for k in range(min(count, need // deg) + 1)
             if (reach[i + 1] >> (need - k * deg)) & 1

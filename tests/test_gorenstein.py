@@ -159,7 +159,7 @@ def test_random_gorenstein_hits_target_hvector():
 
 
 def test_random_gorenstein_single_point():
-    _, gb = random_gorenstein((1,), 101, 5)
+    _, gb = random_gorenstein((1,), 101, SplitStream(5).child("gorenstein"))
     assert h_vector(gb) == (1,)
     assert gb.scheme_degree() == 1
 
@@ -189,8 +189,8 @@ def test_char_poly_two_points():
 
 
 def test_char_poly_of_projection_degree():
-    _, gb = random_gorenstein((1, 3, 3, 1), 101, 6)
-    ell, xh, f = char_poly_of_projection(gb, 6)
+    _, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(6).child("gorenstein"))
+    ell, xh, f = char_poly_of_projection(gb, SplitStream(6).child("projection"))
     assert f.degree == 8
     assert f.is_monic()
 
@@ -204,7 +204,7 @@ def test_is_reduced_and_split_rejects_nonreduced():
 
 def test_witness_splits_checks_char_poly():
     p = 101
-    _, gb = random_gorenstein((1, 3, 3, 1), p, 8)
+    _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
     assert w is not None and witness_splits(gb, w, 5)
     cofactor = w.char_poly // w.factor
@@ -223,7 +223,7 @@ def test_witness_splits_checks_char_poly():
 
 def test_extraction_trivial_cases():
     p = 101
-    _, gb = random_gorenstein((1, 3, 3, 1), p, 8)
+    _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 8, SplitStream(8).child("full"))
     assert w is not None and w.factor.degree == 8
     assert extract_subscheme(gb, w.ell, w.xh, w.factor) == gb
@@ -235,7 +235,7 @@ def test_extraction_matches_saturation_formula():
     # the degreewise construction equals saturate(I_G + (F_d), x_h)
     checked = 0
     for seed in range(6, 14):
-        _, gb = random_gorenstein((1, 3, 3, 1), 101, seed)
+        _, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(seed).child("gorenstein"))
         for d in (5, 6, 7):
             w = is_reduced_and_split(gb, d, SplitStream(seed).child("x", d))
             if w is None:
@@ -289,7 +289,7 @@ def test_residual_agrees_with_elimination_quotient():
     checked = 0
     for h, d, seeds in (((1, 1, 1), 2, range(1, 6)), ((1, 3, 3, 1), 6, range(6, 12))):
         for seed in seeds:
-            _, gb = random_gorenstein(h, 101, seed)
+            _, gb = random_gorenstein(h, 101, SplitStream(seed).child("gorenstein"))
             w = is_reduced_and_split(gb, d, SplitStream(seed).child("dual", d))
             if w is None:
                 continue
@@ -305,7 +305,7 @@ def test_residual_agrees_with_elimination_quotient():
 
 
 def test_residual_of_whole_scheme_is_unit():
-    _, gb = random_gorenstein((1, 3, 3, 1), 101, 9)
+    _, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(9).child("gorenstein"))
     assert residual(gb, gb).is_unit()
 
 

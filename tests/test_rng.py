@@ -30,8 +30,3 @@ def test_below_range_and_coverage():
         assert 0 <= v < 7
         seen.add(v)
     assert seen == set(range(7))
-
-
-def test_nonzero_field_element():
-    s = SplitStream(5).child("nz")
-    assert all(1 <= s.nonzero_field_element(3) <= 2 for _ in range(50))

@@ -6,18 +6,24 @@ import pytest
 import sympy_ddf
 from gorlink.rng import SplitStream
 from gorlink.splitstats import (
-    Partition,
     RationalPolynomial,
+    _runs,
     conjugacy_fraction,
     count_irreducible,
     count_squarefree_with_factor,
-    enumerate_partitions,
-    has_subpartition_of_size,
+    iter_partitions,
     limit_fraction,
     montecarlo_split_fraction,
     splits_with_degree_factor,
 )
-from gorlink.unipoly import UniPoly, factor, is_squarefree
+from gorlink.unipoly import (
+    UniPoly,
+    degree_sums,
+    factor,
+    find_factor_of_degree,
+    is_squarefree,
+    random_monic,
+)
 
 
 def test_count_irreducible_examples():
@@ -37,25 +43,32 @@ def test_count_irreducible_integrality():
 
 
 def test_partition_enumeration():
-    assert [p.parts for p in enumerate_partitions(1)] == [(1,)]
-    assert len(enumerate_partitions(5)) == 7
-    assert len(enumerate_partitions(30)) == 5604
-    parts = enumerate_partitions(6)
+    assert list(iter_partitions(1)) == [(1,)]
+    assert len(list(iter_partitions(5))) == 7
+    assert len(list(iter_partitions(30))) == 5604
+    parts = list(iter_partitions(6))
     assert len(set(parts)) == len(parts)
     for p in parts:
-        assert sum(p.parts) == 6
-        assert all(p.parts[i] >= p.parts[i + 1] for i in range(len(p.parts) - 1))
+        assert sum(p) == 6
+        assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
 def test_multiplicity_form():
-    assert Partition((3, 2, 2, 1)).multiplicity_form() == [(3, 1), (2, 2), (1, 1)]
+    # the run form of a partition is its factor-degree profile
+    assert _runs((3, 2, 2, 1)) == [(3, 1), (2, 2), (1, 1)]
+    assert _runs((4,)) == [(4, 1)]
+    assert conjugacy_fraction((3, 2, 2, 1)) == Fraction(1, 3 * 2 * 2**2)
+
+
+def _reaches(parts, k):
+    return (degree_sums(_runs(parts)) >> k) & 1 == 1
 
 
 def test_has_subpartition():
-    assert has_subpartition_of_size(Partition((3, 2, 1)), 3)
-    assert not has_subpartition_of_size(Partition((2, 2, 2)), 3)
-    assert has_subpartition_of_size(Partition((2, 2, 2)), 4)
-    assert has_subpartition_of_size(Partition((5,)), 0)
+    assert _reaches((3, 2, 1), 3)
+    assert not _reaches((2, 2, 2), 3)
+    assert _reaches((2, 2, 2), 4)
+    assert _reaches((5,), 0)
 
 
 def test_exact_a63_coefficients():
@@ -110,10 +123,10 @@ def test_a21_at_q2():
 
 
 def test_conjugacy_fractions():
-    assert conjugacy_fraction(Partition((5,))) == Fraction(1, 5)
-    assert conjugacy_fraction(Partition((1, 1))) == Fraction(1, 2)
+    assert conjugacy_fraction((5,)) == Fraction(1, 5)
+    assert conjugacy_fraction((1, 1)) == Fraction(1, 2)
     for n in (5, 12, 30):
-        total = sum(conjugacy_fraction(p) for p in enumerate_partitions(n))
+        total = sum(conjugacy_fraction(p) for p in iter_partitions(n))
         assert total == 1
 
 
@@ -133,6 +146,27 @@ def test_leading_coefficient_is_limit():
             poly = count_squarefree_with_factor(n, k)
             assert poly.degree() == n
             assert poly.leading_coefficient() == limit_fraction(n, k), (n, k)
+
+
+def test_complement_symmetry():
+    # a degree-k factor leaves a degree-(n - k) cofactor, so every partition
+    # class that reaches k reaches n - k
+    for n in range(1, 15):
+        for k in range(0, n + 1):
+            assert count_squarefree_with_factor(n, k) == count_squarefree_with_factor(n, n - k), (n, k)
+            assert limit_fraction(n, k) == limit_fraction(n, n - k), (n, k)
+
+
+def test_splits_agrees_with_factor_search():
+    st = SplitStream(31).child("splits-vs-search")
+    for p in (3, 101, 10007):
+        for i in range(40):
+            f = random_monic(2 + st.below(20), p, st.child(p, i))
+            if not is_squarefree(f):
+                assert not any(splits_with_degree_factor(f, k) for k in range(f.degree + 1))
+                continue
+            for k in range(f.degree + 1):
+                assert splits_with_degree_factor(f, k) == (find_factor_of_degree(f, k) is not None), (p, i, k)
 
 
 def test_rational_polynomial_format():

@@ -54,7 +54,7 @@ def test_graded_piece_twenty_in_thirty():
 def test_hom_into_quotient_of_complete_intersection():
     # CI of three quadrics: the matrix entries lie in the ideal, so all
     # 3 * dim (S/I)_2 = 21 unknowns are free
-    M, gb = random_gorenstein((1, 3, 3, 1), 101, 3)
+    M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
     assert hom_dim_zero(M, QuotientRingTarget(gb)) == 21
     assert family_dim_of((1, 3, 3, 1)) == 21
 
@@ -65,15 +65,16 @@ def test_hom_family_dimension_independent_of_draw():
         g = family_dim_of(h)
         p = 10007 if sum(h) > 10 else 101
         for seed in range(5):
-            M, gb = random_gorenstein(h, p, seed)
+            M, gb = random_gorenstein(h, p, SplitStream(seed).child("gorenstein"))
             val = hom_dim_zero(M, QuotientRingTarget(gb))
             assert val == g, (h, seed)
 
 
 def test_hom_presentation_check():
-    M, gb = random_gorenstein((1, 3, 3, 1), 101, 3)
-    # with a valid Pfaffian presentation the flag changes nothing
-    a = hom_dim_zero(M, QuotientRingTarget(gb), check_presentation=True)
+    M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
+    # a valid Pfaffian presentation (test_gorenstein checks M annihilates its
+    # Pfaffians) gives the tangent dimension of the (1,3,3,1) family
+    a = hom_dim_zero(M, QuotientRingTarget(gb))
     assert a == 21
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from gorlink.rng import SplitStream
 from gorlink.splitstats import count_irreducible
 from gorlink.unipoly import (
     UniPoly,
+    degree_sums,
     factor,
     factor_degree_profile,
     find_factor_of_degree,
@@ -137,6 +140,18 @@ def test_degree_profile_matches_sympy(poly):
     expected = sympy_ddf.degree_profile(coeffs, p)
     assume(expected is not None)
     assert factor_degree_profile(UniPoly(coeffs, p)) == expected
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(0, 3)), max_size=5))
+def test_degree_sums_matches_subset_sums(profile):
+    # every choice of how many factors to take from each (degree, count) class
+    sums = {
+        sum(deg * c for (deg, _), c in zip(profile, choice))
+        for choice in product(*(range(count + 1) for _, count in profile))
+    }
+    mask = degree_sums(profile)
+    assert {s for s in range(mask.bit_length()) if (mask >> s) & 1} == sums
 
 
 def test_find_factor_of_degree():
