@@ -2,9 +2,14 @@
 
 Elements are canonical residues in [0, p) for an odd prime p < 2**31.
 Matrices are numpy int64 arrays; with p below 2**31, a product of two
-residues fits in an int64, and products with a long inner dimension go
-through _safe_matmul, which splits into 16-bit limbs when one int64 sum
-could overflow.  Residues are reduced with a floor division by p, which
+residues fits in an int64.  Matrix products go through _safe_matmul,
+which has two regimes (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008).
+When K * (p - 1)**2 < 2**53, K the inner dimension, it multiplies in
+float64 through BLAS: every partial sum is then an integer a double
+holds exactly, so the product is exact in any summation order; at
+p = 10007 that covers every K below about 9 * 10**7.  Above that bound
+it splits into 16-bit limbs and multiplies in int64, exact while
+K < 2**16.  Residues are reduced with a floor division by p, which
 numpy does several times faster than its remainder.
 
 Pivoting takes the first nonzero entry in a column (arithmetic is exact,
@@ -256,13 +261,14 @@ def charpoly_mod_p(A, p):
     Returns ascending coefficients [c0, ..., c_{n-1}, 1].  Uses Hessenberg
     reduction followed by the standard leading-minor recurrence; O(n^3).
     """
-    H = np.array(A, dtype=np.int64) % p
+    H = _reduce(np.array(A, dtype=np.int64), p)
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("square matrix expected")
     if n == 0:
         return [1]
-    # similarity reduction to upper Hessenberg form
+    # similarity reduction to upper Hessenberg form: for each column, one
+    # H -> L H L^-1 with L = I - f e_{col+1}^T clears H[col+2:, col]
     for col in range(n - 2):
         nz = np.nonzero(H[col + 1 :, col])[0]
         if nz.size == 0:
@@ -271,46 +277,46 @@ def charpoly_mod_p(A, p):
         if piv != col + 1:
             H[[col + 1, piv]] = H[[piv, col + 1]]
             H[:, [col + 1, piv]] = H[:, [piv, col + 1]]
-        inv = inv_mod(int(H[col + 1, col]), p)
-        for r in range(col + 2, n):
-            if H[r, col]:
-                f = int(H[r, col]) * inv % p
-                H[r] = (H[r] - f * H[col + 1]) % p
-                H[:, col + 1] = (H[:, col + 1] + f * H[:, r]) % p
-    # p_k(t) = charpoly of leading k x k block of the Hessenberg matrix
-    polys = [[1]]  # p_0 = 1
+        f = _reduce(H[col + 2 :, col] * inv_mod(int(H[col + 1, col]), p), p)
+        H[col + 2 :] = _reduce(H[col + 2 :] - np.outer(f, H[col + 1]), p)
+        H[:, col + 1] += _safe_matmul(H[:, col + 2 :], f[:, None], p)[:, 0]
+        _reduce(H[:, col + 1], p)
+    # row k of P holds p_k(t), the charpoly of the leading k x k block:
+    # p_k = (t - H[k-1, k-1]) p_{k-1} - sum over m < k of term_m p_{m-1}
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
     for k in range(1, n + 1):
-        akk = int(H[k - 1, k - 1])
-        prev = polys[k - 1]
-        cur = [(-akk * prev[0]) % p] + [
-            (prev[i - 1] - akk * prev[i]) % p for i in range(1, k)
-        ] + [1]
+        P[k, 1 : k + 1] = P[k - 1, :k]
+        P[k, :k] -= int(H[k - 1, k - 1]) * P[k - 1, :k]
+        terms = np.zeros(k - 1, dtype=np.int64)
         run = 1
         for m in range(k - 1, 0, -1):
             run = run * int(H[m, m - 1]) % p
-            term = run * int(H[m - 1, k - 1]) % p
-            if term:
-                pm = polys[m - 1]
-                for i in range(len(pm)):
-                    cur[i] = (cur[i] - term * pm[i]) % p
-        polys.append(cur)
-    return [c % p for c in polys[n]]
+            terms[m - 1] = run * int(H[m - 1, k - 1]) % p
+        P[k, :k] -= _safe_matmul(terms[None, :], P[: k - 1, :k], p)[0]
+        _reduce(P[k], p)
+    return [int(c) for c in P[n]]
 
 
 def _safe_matmul(A, B, p):
     """A @ B mod p for residue matrices, exact for every p <= 2**31.
 
-    When K * (p - 1)**2 < 2**63 (K the inner dimension) one int64 product
-    is exact.  Otherwise A is split into 16-bit limbs, A = hi * 2**16 + lo,
-    and A @ B = ((hi @ B) mod p) * 2**16 + lo @ B mod p: hi < 2**15 and
-    lo < 2**16 keep every partial sum below 2**63 while K < 2**16, so a
-    longer inner dimension raises ValueError.
+    Two regimes, chosen by the inner dimension K.  When K * (p - 1)**2 <
+    2**53 the product is taken in float64, through BLAS: every partial sum
+    of K products of residues is then an integer below 2**53, which a
+    double holds exactly, so the result is exact in any summation order,
+    with or without fused multiply-adds.  Otherwise A is split into 16-bit
+    limbs, A = hi * 2**16 + lo, and A @ B = ((hi @ B) mod p) * 2**16 +
+    lo @ B mod p in int64: hi < 2**15 and lo < 2**16 keep every partial
+    sum below 2**63 while K < 2**16, so a longer inner dimension raises
+    ValueError.
     """
     K = A.shape[1]
-    if K * (p - 1) * (p - 1) < 1 << 63:
-        return _reduce(A @ B, p)
+    if K * (p - 1) * (p - 1) < 1 << 53:
+        C = A.astype(np.float64) @ B.astype(np.float64)
+        return _reduce(C.astype(np.int64), p)
     if K >= 1 << 16 or p > _P_LIMIT:
-        raise ValueError("no exact int64 product for inner dimension %d mod %d" % (K, p))
+        raise ValueError("no exact product for inner dimension %d mod %d" % (K, p))
     hi = _reduce((A >> 16) @ B, p)
     hi <<= 16
     hi += (A & 0xFFFF) @ B

@@ -227,6 +227,12 @@ class SkewPolyMatrix(Frozen):
         dm = DegreeMatrix(
             [int(x) for x in fields["gen_degrees"].split(",")], int(fields["socle"])
         )
+        # serialize() writes the size and every upper entry, zeros too
+        n = int(fields["size"])
+        if n != dm.size or set(entries) != {
+            (i, j) for i in range(n) for j in range(i + 1, n)
+        }:
+            raise ValueError("matrix block needs size %d and every m[i][j], i < j" % dm.size)
         upper = {
             key: MultiPoly.parse(value, p) for key, value in entries.items()
         }

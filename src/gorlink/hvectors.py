@@ -36,7 +36,6 @@ __all__ = [
     "gorenstein_family_dim",
     "additivity_shift",
     "decompose",
-    "stanley_admissible",
     "enumerate_candidates",
     "acm_curve_exclusion",
     "MAX_LINK_DEGREE",
@@ -232,22 +231,6 @@ def decompose(h, d):
     hy = generic_hvector(total - d)
     k = additivity_shift(h, hx, hy)
     return None if k is None else (hx, hy, k)
-
-
-def stanley_admissible(h):
-    """Symmetric, with nonnegative first difference up to the middle."""
-    e = _entries(h)
-    if not e:
-        return False
-    if any(e[i] != e[-1 - i] for i in range(len(e) // 2 + 1)):
-        return False
-    mid = (len(e) - 1) // 2
-    prev = 0
-    for i in range(mid + 1):
-        if e[i] < prev:
-            return False
-        prev = e[i]
-    return True
 
 
 def acm_curve_exclusion(h, d):

