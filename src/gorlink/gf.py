@@ -15,13 +15,13 @@ numpy does several times faster than its remainder.
 Pivoting takes the first nonzero entry in a column (arithmetic is exact,
 no magnitude concerns), and the reduced row echelon form of a row space
 is unique, so every echelon form here is canonical, whatever the order of
-the steps that computed it.  rref eliminates inputs no wider or taller
-than one panel a column at a time; larger ones go by panels of _PANEL
-columns, with matrix products doing most of the work (Dumas, Giorgi and
-Pernet, FFLAS-FFPACK, 2008): Gauss-Jordan on the narrow panel finds its
-pivots and the transform that reduces the rows carrying them, one product
-applies that transform across the rest of those rows, and one more clears
-their pivot columns from every other row.
+the steps that computed it.  rref works through the rows in blocks of
+_LEAF, with matrix products doing most of the work (Dumas, Giorgi and
+Pernet, FFLAS-FFPACK, 2008; Jeannerod, Pernet and Storjohann, 2013): one
+product reduces a block against the echelon form of the blocks before it,
+Gauss-Jordan eliminates what is left of the block a column at a time, and
+one more product clears the block's new pivot columns from the earlier
+rows.  An input of at most _LEAF rows is one block and takes no product.
 
 reduce_rows needs its (R, pivots) in reduced echelon form: then
 R[:, pivots] is the identity, the coefficient of row i in the reduction of
@@ -87,8 +87,8 @@ def inv_mod(a, p):
 # ---------------------------------------------------------------------------
 # dense linear algebra on int64 arrays, entries in [0, p)
 
-# Column-panel width of the blocked elimination in rref.
-_PANEL = 32
+# Row-block height of the blocked elimination in rref.
+_LEAF = 32
 
 
 def _reduce(a, p):
@@ -103,22 +103,16 @@ def _reduce(a, p):
     return a
 
 
-def _gauss_jordan(R, p, width=None):
+def _gauss_jordan(R, p):
     """Gauss-Jordan elimination in place, one pivot column at a time.
 
-    Returns (pivots, order): the pivot columns, and the input row that each
-    row of R now holds; pivot rows are swapped to the top in pivot order.
-    With `width` given, only the first `width` columns are eliminated and
-    the rest of R is zero on entry, one column per possible pivot: the row
-    taking the j-th pivot gets a 1 in column width + j before it is
-    scaled, so that on return R[:k, width : width + k] is the matrix T with
-    T @ (the chosen input rows, in pivot order) = R[:k, :width].
+    Returns the pivot columns; pivot rows are swapped to the top in pivot
+    order, so R[:len(pivots)] is the reduced echelon form.
     """
     nrows = R.shape[0]
-    order = np.arange(nrows)
     pivots = []
     row = 0
-    for col in range(R.shape[1] if width is None else width):
+    for col in range(R.shape[1]):
         if row >= nrows:
             break
         nz = R[row:, col].nonzero()[0]
@@ -127,9 +121,6 @@ def _gauss_jordan(R, p, width=None):
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
-            order[[row, pr]] = order[[pr, row]]
-        if width is not None:
-            R[row, width + row] = 1
         pivot_row = R[row] * inv_mod(int(R[row, col]), p) % p
         # every row nonzero in this column, the pivot row too, which the
         # update zeroes and the next line restores
@@ -140,43 +131,17 @@ def _gauss_jordan(R, p, width=None):
         R[row] = pivot_row
         pivots.append(col)
         row += 1
-    return pivots, order
+    return pivots
 
 
-def _eliminate_panel(W, rest, c0, c1, p):
-    """Eliminate the columns [c0, c1) of W in place; returns the pivot rows
-    and pivot columns found there.
+def _eliminate(V, R, cols, p):
+    """V - V[:, cols] @ R mod p, in place on V; returns V.
 
-    On entry the rows `rest` (those not yet pivot rows) are zero before
-    column c0.  Gauss-Jordan on the narrow panel W[rest, c0:c1] finds the k
-    pivots, the rows that carry them and the transform T that reduces those
-    rows; S = T @ (those rows from column c0 on) are the new pivot rows, and
-    subtracting W[:, cols] @ S clears their pivot columns from every other
-    row.  Both products skip the columns where the chosen rows vanish and
-    the rows already zero on the pivot columns, which keeps sparse inputs
-    cheap.  The rows of `rest` not chosen end up zero on the panel.
+    With (R, cols) in reduced echelon form this is the reduction of the
+    rows of V against R (see the module docstring).
     """
-    width = c1 - c0
-    M = np.zeros((len(rest), width + min(len(rest), width)), dtype=np.int64)
-    M[:, :width] = W[rest, c0:c1]
-    cols, order = _gauss_jordan(M, p, width)
-    if not cols:
-        return [], []
-    k = len(cols)
-    chosen = rest[order[:k]]
-    cols = [c0 + c for c in cols]
-    # the chosen rows, and so the new pivot rows, vanish outside `span`
-    span = c0 + W[chosen, c0:].any(axis=0).nonzero()[0]
-    S = _safe_matmul(M[:k, width : width + k], W[np.ix_(chosen, span)], p)
-    coef = W[:, cols]
-    coef[chosen] = 0
-    hit = coef.any(axis=1).nonzero()[0]
-    if hit.size:
-        block = W[np.ix_(hit, span)]
-        block -= _safe_matmul(coef[hit], S, p)
-        W[np.ix_(hit, span)] = _reduce(block, p)
-    W[np.ix_(chosen, span)] = S
-    return list(chosen), cols
+    V -= _safe_matmul(V[:, cols], R, p)
+    return _reduce(V, p)
 
 
 def rref(A, p):
@@ -185,27 +150,36 @@ def rref(A, p):
     Returns (R, pivots) where pivots is the list of pivot column indices,
     one per nonzero row of R, in increasing order.  Column order is the
     caller's.  The reduced echelon form of a row space is unique, so the
-    result does not depend on how it is computed: inputs no wider or taller
-    than one panel are eliminated a column at a time, larger ones a panel
-    of _PANEL columns at a time with matrix products doing the work.
+    result does not depend on how it is computed: the rows are taken in
+    blocks of _LEAF, each block reduced against the echelon form of the
+    blocks before it by one matrix product, its remaining rows eliminated a
+    column at a time, and its new pivot columns cleared from the earlier
+    rows by one more product.
     """
     W = _reduce(np.array(A, dtype=np.int64), p)
     if W.ndim != 2:
         raise ValueError("matrix expected")
-    nrows, ncols = W.shape
-    if nrows <= _PANEL or ncols <= _PANEL:
-        pivots, _ = _gauss_jordan(W, p)
-        return W[: len(pivots)], pivots
-    pivot_rows, pivots = [], []
-    rest = np.arange(nrows)
-    for c0 in range(0, ncols, _PANEL):
-        if not rest.size:
-            break
-        rows, cols = _eliminate_panel(W, rest, c0, min(c0 + _PANEL, ncols), p)
-        pivot_rows += rows
-        pivots += cols
-        rest = np.setdiff1d(rest, rows, assume_unique=True)
-    return W[pivot_rows], pivots
+    R, pivots = W[:0], []
+    for r0 in range(0, W.shape[0], _LEAF):
+        B = W[r0 : r0 + _LEAF]
+        if pivots:
+            B = _eliminate(B, R, pivots, p)
+            B = B[B.any(axis=1)]
+        new = _gauss_jordan(B, p)
+        if not new:
+            continue
+        # B is zero on the old pivot columns, so its echelon rows need no
+        # further reduction; the old rows lose the new pivot columns
+        B = B[: len(new)]
+        if not pivots:
+            R, pivots = B, new
+            continue
+        R = _eliminate(R, B, new, p)
+        pivots += new
+        order = np.argsort(pivots)
+        R = np.concatenate([R, B])[order]
+        pivots = [pivots[i] for i in order]
+    return R, pivots
 
 
 def reduce_rows(V, R, pivots, p):
@@ -214,9 +188,7 @@ def reduce_rows(V, R, pivots, p):
     R must be in reduced echelon form (see the module docstring): the
     reduction is then V - V[:, pivots] @ R, one product.
     """
-    V = _reduce(np.array(V, dtype=np.int64), p)
-    V -= _safe_matmul(V[:, pivots], R, p)
-    return _reduce(V, p)
+    return _eliminate(_reduce(np.array(V, dtype=np.int64), p), R, pivots, p)
 
 
 def rank(A, p):

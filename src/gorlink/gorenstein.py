@@ -36,7 +36,6 @@ from ._frozen import Frozen
 from .gf import (
     charpoly_mod_p,
     kernel_basis_array,
-    rank,
     rref,
     reduce_rows,
     _safe_matmul,
@@ -344,21 +343,6 @@ class ProjectionWitness(Frozen):
         object.__setattr__(self, "factor", factor)
 
 
-def _artinian_hf_ok(ideal, xh, hvec):
-    """Is the Hilbert function of S/(I + (x_h)) equal to the h-vector?
-
-    Its value in degree t is hf(t) less the rank of multiplication by x_h
-    from (S/I)_(t-1).  Fails exactly when x_h is a zero-divisor mod I,
-    i.e. vanishes at a point of the scheme.
-    """
-    e = _entries(hvec)
-    for t in range(len(e) + 2):
-        image = rank(ideal.mult_matrix(xh, t - 1), ideal.p) if t else 0
-        if ideal.hf(t) - image != (e[t] if t < len(e) else 0):
-            return False
-    return True
-
-
 def _random_linear(stream, p):
     while True:
         coeffs = [stream.below(p) for _ in range(4)]
@@ -370,7 +354,13 @@ def multiplication_operator(ideal, ell, xh, sigma0):
     """Matrix of multiplication by ell/x_h on the stable graded piece.
 
     Row-vector convention: coordinates map through v -> v @ T.  Requires
-    multiplication by x_h from degree sigma0 to sigma0+1 to be bijective.
+    multiplication by x_h from degree sigma0 to sigma0+1 to be bijective,
+    and raises BadPositionError otherwise.  At the stable degree sigma0
+    this is exactly the test that x_h is a nonzerodivisor on S/I, which is
+    Cohen-Macaulay of dimension 1: a zero-divisor x_h vanishes at a point
+    of the scheme, and its annihilator (I : x_h)/I is nonzero in every
+    degree from sigma0 on, because the residual scheme of I : x_h has
+    smaller degree.
     """
     p = ideal.p
     L = ideal.mult_matrix(ell, sigma0)
@@ -393,19 +383,20 @@ def _projection_char_poly(ideal, ell, xh):
 def char_poly_of_projection(ideal, stream):
     """Random projection of the scheme to a line.
 
-    Picks a dehomogenizer x_h that misses the scheme (retrying, up to
-    DEHOMOGENIZER_RETRIES times, while the artinian reduction has the
-    wrong Hilbert function) and a direction ell, and returns
-    (ell, x_h, characteristic polynomial of ell/x_h).
+    Picks a dehomogenizer x_h and a direction ell, and returns (ell, x_h,
+    characteristic polynomial of ell/x_h).  A zero-divisor x_h, one that
+    meets the scheme, is caught by multiplication_operator and redrawn, up
+    to DEHOMOGENIZER_RETRIES times; each try draws from its own child
+    stream, so a redraw moves no later draw.
     """
-    hvec = h_vector(ideal)
     for attempt in range(DEHOMOGENIZER_RETRIES):
         st = stream.child("proj", attempt)
         xh = _random_linear(st, ideal.p)
-        if not _artinian_hf_ok(ideal, xh, hvec):
-            continue
         ell = _random_linear(st, ideal.p)
-        return ell, xh, _projection_char_poly(ideal, ell, xh)
+        try:
+            return ell, xh, _projection_char_poly(ideal, ell, xh)
+        except BadPositionError:
+            continue
     raise BadPositionError(
         "no dehomogenizing linear form found in %d tries" % DEHOMOGENIZER_RETRIES
     )

@@ -1,7 +1,7 @@
 """Slow GF(p) elimination references, kept for cross-checks in the tests.
 
 `rref` and `reduce_rows` one pivot at a time on full rows, which gorlink.gf
-computes by column panels and matrix products, plus the determinant by
+computes by row blocks and matrix products, plus the determinant by
 forward elimination, which only the tests use.
 """
 

@@ -14,7 +14,9 @@ by its x3 power yields a basis of the saturation.
 
 The program itself works degreewise (gorlink.groebner.GradedSpaces);
 the tests compare its ideals, Hilbert functions and quotients with the
-ones computed here.
+ones computed here.  artinian_hf_ok is the slow nonzerodivisor test, by
+the Hilbert function in every degree, that the projection's check in a
+single degree is compared with.
 """
 
 import heapq
@@ -22,7 +24,7 @@ import heapq
 import numpy as np
 
 from gorlink._frozen import Frozen
-from gorlink.gf import inv_mod, rref
+from gorlink.gf import inv_mod, rank, rref
 from gorlink.gorenstein import _poly_power
 from gorlink.mpoly import (
     NVARS,
@@ -581,3 +583,22 @@ def extract_subscheme_by_saturation(gb, ell, xh, f_d):
     total = groebner(list(gb.gens) + [F], p)
     return saturate(total, xh)
 
+
+# ---------------------------------------------------------------------------
+# nonzerodivisor test by the Hilbert function of the artinian reduction
+
+
+def artinian_hf_ok(ideal, xh, hvec):
+    """Is the Hilbert function of S/(I + (x_h)) equal to the h-vector?
+
+    Its value in degree t is hf(t) less the rank of multiplication by x_h
+    from (S/I)_(t-1), for every t up to two past the h-vector.  Fails
+    exactly when x_h is a zero-divisor mod I, i.e. vanishes at a point of
+    the scheme.  `ideal` is a gorlink.groebner.GradedSpaces.
+    """
+    e = tuple(hvec)
+    for t in range(len(e) + 2):
+        image = rank(ideal.mult_matrix(xh, t - 1), ideal.p) if t else 0
+        if ideal.hf(t) - image != (e[t] if t < len(e) else 0):
+            return False
+    return True

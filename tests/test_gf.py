@@ -5,7 +5,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from gorlink.gf import (
-    _PANEL,
+    _LEAF,
     _safe_matmul,
     charpoly_mod_p,
     inv_mod,
@@ -230,9 +230,9 @@ PRIMES = [3, 10007, (1 << 31) - 1]
 
 
 @st.composite
-def _matrices(draw, max_side=3 * _PANEL):
-    """(A, p, rng): a matrix up to three panels wide and tall, of drawn rank,
-    with some columns zeroed and some rows repeated."""
+def _matrices(draw, max_side=3 * _LEAF):
+    """(A, p, rng): a matrix up to three row blocks tall and as wide, of
+    drawn rank, with some columns zeroed and some rows repeated."""
     p = draw(st.sampled_from(PRIMES))
     m = draw(st.integers(0, max_side))
     n = draw(st.integers(0, max_side))
@@ -305,6 +305,10 @@ def test_elimination_matches_sympy(case):
     product = A.astype(object).dot(basis.T.astype(object)) % p
     assert not product.any()
 
+    # the row space, and so its echelon form, ignores the order of the rows
+    R_perm, piv_perm = rref(A[rng.permutation(m)], p)
+    assert piv_perm == piv_exp and R_perm.tolist() == R_exp
+
 
 @settings(max_examples=30)
 @given(_matrices(max_side=24))
@@ -320,7 +324,7 @@ def test_charpoly_matches_sympy(case):
 
 
 def test_rref_matches_reference_on_macaulay_shapes():
-    """Tall and wide sparse inputs, several panels each, against the
+    """Tall and wide sparse inputs, several row blocks each, against the
     one-pivot-per-step reference (gf_reference)."""
     rng = np.random.default_rng(12)
     for p in PRIMES:

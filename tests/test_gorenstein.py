@@ -4,6 +4,7 @@ import pytest
 from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import groebner, h_vector
 from gorlink.gorenstein import (
+    BadPositionError,
     DegreeMatrix,
     ProjectionWitness,
     SkewPolyMatrix,
@@ -193,6 +194,33 @@ def test_char_poly_of_projection_degree():
     ell, xh, f = char_poly_of_projection(gb, SplitStream(6).child("projection"))
     assert f.degree == 8
     assert f.is_monic()
+
+
+def test_bad_position_matches_artinian_reduction():
+    """multiplication_operator's single-degree check rejects exactly the
+    zero-divisors x_h that the artinian reduction's Hilbert function
+    finds; at small p both outcomes are common."""
+    for p in (5, 7, 11):
+        outcomes = set()
+        for h in ((1, 3, 1), (1, 3, 3, 1), (1, 3, 4, 3, 1)):
+            for seed in range(3):
+                st = SplitStream(seed).child("nzd", p, h)
+                _, gb = random_gorenstein(h, p, st.child("gorenstein"))
+                sigma0 = gb.stable_degree()[0]
+                ell = MultiPoly.linear_form([1, 2, 3, 4], p)
+                for k in range(10):
+                    xs = st.child("xh", k)
+                    xh = MultiPoly.linear_form([xs.below(p) for _ in range(4)], p)
+                    if xh.is_zero():
+                        continue
+                    try:
+                        multiplication_operator(gb, ell, xh, sigma0)
+                        bad = False
+                    except BadPositionError:
+                        bad = True
+                    assert bad != oracle.artinian_hf_ok(gb, xh, h)
+                    outcomes.add(bad)
+        assert outcomes == {False, True}
 
 
 def test_is_reduced_and_split_rejects_nonreduced():

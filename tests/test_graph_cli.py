@@ -245,3 +245,15 @@ def test_cli_link_search_small(tmp_path, capsys):
     graph, _ = build_graph(store)
     comp = glicci_component(graph)
     assert {1, 2, 3, 4} <= comp
+
+
+def test_cli_link_search_jobs_matches_serial(capsys, monkeypatch):
+    """--jobs spawns workers with one BLAS thread each and prints what the
+    serial search prints; the caller's thread setting is left as it was."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    argv = ["link", "search", "--smax", "1", "--p", "101", "--seed", "1",
+            "--max-attempts", "25"]
+    serial = _run_cli(argv, capsys)
+    parallel = _run_cli(argv + ["--jobs", "2"], capsys)
+    assert parallel == serial and serial[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
