@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import splitstats as ss
+from ._workers import worker_pool
 from .hvectors import (
     HVector,
     enumerate_candidates,
@@ -167,25 +168,8 @@ def _cmd_link_search(args):
         for c in cands
     ]
     if args.jobs and args.jobs > 1:
-        import multiprocessing
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one BLAS thread per worker, so that --jobs workers do not each run
-        # a pool as wide as the machine; spawned workers import a fresh
-        # numpy, which reads the setting as it starts.  The caller's own
-        # setting is put back once the workers are gone.
-        blas = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        spawn = multiprocessing.get_context("spawn")
-        try:
-            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                certs = list(pool.map(_search_one, jobs))
-        finally:
-            if blas is None:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = blas
+        with worker_pool(args.jobs) as pool:
+            certs = list(pool.map(_search_one, jobs))
     else:
         certs = [_search_one(job) for job in jobs]
     worst = STATUS_OK

@@ -2,15 +2,17 @@
 
 Elements are canonical residues in [0, p) for an odd prime p < 2**31.
 Matrices are numpy int64 arrays; with p below 2**31, a product of two
-residues fits in an int64.  Matrix products go through _safe_matmul,
-which has two regimes (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008).
-When K * (p - 1)**2 < 2**53, K the inner dimension, it multiplies in
-float64 through BLAS: every partial sum is then an integer a double
-holds exactly, so the product is exact in any summation order; at
-p = 10007 that covers every K below about 9 * 10**7.  Above that bound
-it splits into 16-bit limbs and multiplies in int64, exact while
-K < 2**16.  Residues are reduced with a floor division by p, which
-numpy does several times faster than its remainder.
+residues fits in an int64.  Matrix products, and stacks of them, go
+through _safe_matmul, which multiplies in float64 through BLAS (Dumas,
+Giorgi and Pernet, FFLAS-FFPACK, 2008).  When K * (p - 1)**2 < 2**53,
+K the inner dimension, one product does: every partial sum is then an
+integer a double holds exactly, so the product is exact in any summation
+order; at p = 10007 that covers every K below about 9 * 10**7.  Above
+that bound the left factor is split into limbs whose width is set by K
+and p so that each limb product is exact in float64 too (2 limbs at
+p = 2**31 - 1 for K < 64), exact while K < 2**16.  Residues are reduced
+with a floor division by p, which numpy does several times faster than
+its remainder.
 
 Pivoting takes the first nonzero entry in a column (arithmetic is exact,
 no magnitude concerns), and the reduced row echelon form of a row space
@@ -271,25 +273,36 @@ def charpoly_mod_p(A, p):
 
 
 def _safe_matmul(A, B, p):
-    """A @ B mod p for residue matrices, exact for every p <= 2**31.
+    """A @ B mod p for residue matrices or stacks of them, exact for every
+    p <= 2**31.
 
-    Two regimes, chosen by the inner dimension K.  When K * (p - 1)**2 <
-    2**53 the product is taken in float64, through BLAS: every partial sum
-    of K products of residues is then an integer below 2**53, which a
-    double holds exactly, so the result is exact in any summation order,
-    with or without fused multiply-adds.  Otherwise A is split into 16-bit
-    limbs, A = hi * 2**16 + lo, and A @ B = ((hi @ B) mod p) * 2**16 +
-    lo @ B mod p in int64: hi < 2**15 and lo < 2**16 keep every partial
-    sum below 2**63 while K < 2**16, so a longer inner dimension raises
-    ValueError.
+    Every product is taken in float64, through BLAS, with K = A.shape[-1]
+    the inner dimension.  When K * (p - 1)**2 < 2**53, one product does:
+    every partial sum of K products of residues is then an integer below
+    2**53, which a double holds exactly, so the result is exact in any
+    summation order, with or without fused multiply-adds.  Otherwise A is
+    split into limbs of b = 53 - bitlen(p - 1) - bitlen(K) bits: a limb
+    times a residue is below 2**(53 - bitlen(K)), so each limb product is
+    exact in float64 too.  The products are combined by Horner's rule in
+    int64: the reduced sum so far times 2**b is below 2**52, so adding the
+    next limb product stays below 2**54 before it is reduced.  At
+    p = 2**31 - 1 that is 2 limbs up to K = 63 and 6 at K = 2**16 - 1; a
+    longer inner dimension raises ValueError.
     """
-    K = A.shape[1]
+    K = A.shape[-1]
     if K * (p - 1) * (p - 1) < 1 << 53:
         C = A.astype(np.float64) @ B.astype(np.float64)
-        return _reduce(C.astype(np.int64), p)
+        C = C.astype(np.int64)
+        return _reduce(C, p)
     if K >= 1 << 16 or p > _P_LIMIT:
         raise ValueError("no exact product for inner dimension %d mod %d" % (K, p))
-    hi = _reduce((A >> 16) @ B, p)
-    hi <<= 16
-    hi += (A & 0xFFFF) @ B
-    return _reduce(hi, p)
+    Bf = B.astype(np.float64)
+    top = (p - 1).bit_length()
+    b = 53 - top - K.bit_length()
+    mask = (1 << b) - 1
+    acc = 0
+    for shift in range((top - 1) // b * b, -1, -b):  # most significant limb first
+        C = (((A >> shift) & mask).astype(np.float64) @ Bf).astype(np.int64)
+        C += acc << b
+        acc = _reduce(C, p)
+    return acc

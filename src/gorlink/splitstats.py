@@ -20,9 +20,12 @@ is summed in integers over the partition classes and divided by n! once.
 As q grows, a class contributes |C_L|/n! to A(n, k, q)/q^n, giving the
 q -> infinity limit p(n, k) = sum of |C_L|/n! over the classes reaching k.
 
-A seeded Monte Carlo harness measures the same fraction empirically; each
-trial reads the factor-degree profile of its draw from the
-distinct-degree factorization in gorlink.unipoly.
+A seeded Monte Carlo harness measures the same fraction empirically.
+Each trial draws its polynomial from its own child stream, one trial at a
+time; the factor-degree profiles of the draws are then read in blocks of
+_MC_BLOCK trials by unipoly.factor_degree_profiles, one stacked
+computation per block, so how trials are grouped, or spread over
+workers, never changes a count.
 """
 
 from fractions import Fraction
@@ -30,6 +33,7 @@ from itertools import groupby
 from math import factorial
 
 from ._frozen import Frozen
+from ._workers import worker_pool
 from .gf import check_modulus
 from .rng import SplitStream
 from . import unipoly
@@ -47,6 +51,9 @@ __all__ = [
 
 PARTITION_CAP = 60
 EXACT_CAP = 40
+# Monte Carlo trials whose profiles are read in one stacked computation; a
+# larger block is hardly faster and holds more memory at once.
+_MC_BLOCK = 32
 
 
 def iter_partitions(n):
@@ -277,19 +284,28 @@ def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):
 
 
 def _montecarlo_chunk(n, k, q, seed, lo, hi):
-    """Successes among trials lo..hi-1 of one Monte Carlo run."""
+    """Successes among trials lo..hi-1 of one Monte Carlo run.
+
+    The draws are made one trial at a time, as their streams require; their
+    profiles are read in blocks of _MC_BLOCK by one stacked computation.
+    """
     root = SplitStream(seed).child("montecarlo", n, k, q)
-    return sum(
-        splits_with_degree_factor(unipoly.random_monic(n, q, root.child(i)), k)
-        for i in range(lo, hi)
-    )
+    successes = 0
+    for start in range(lo, hi, _MC_BLOCK):
+        block = [
+            unipoly.random_monic(n, q, root.child(i))
+            for i in range(start, min(start + _MC_BLOCK, hi))
+        ]
+        successes += sum(
+            profile is not None and (unipoly.degree_sums(profile) >> k) & 1
+            for profile in unipoly.factor_degree_profiles(block)
+        )
+    return successes
 
 
 def _montecarlo_parallel(n, k, q, trials, seed, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
     chunk = (trials + workers - 1) // workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(workers) as pool:
         futures = [
             pool.submit(_montecarlo_chunk, n, k, q, seed, lo, min(lo + chunk, trials))
             for lo in range(0, trials, chunk)

@@ -13,11 +13,19 @@ h -> h^p mod c as a matrix (von zur Gathen-Shoup 1992): its rows
 x^(j*p) mod c are read off a power of the companion matrix of c once per
 input, so each round is one vector-matrix product, a reduction and a gcd.
 The products go through gf._safe_matmul, which multiplies in float64
-through BLAS while every sum stays below 2^53 (at p = 10007, for every
-degree below 9 * 10^7) and by 16-bit limbs above that (at p = 2^31 - 1),
-so the splitting is exact for p = 2 and every odd p < 2^31.  It serves
-factor(), the split statistics' Monte Carlo and the search for a
-degree-d factor, which splits only the degree classes it takes in part.
+through BLAS, by limbs where a sum could pass 2^53 (at p = 2^31 - 1), so
+the splitting is exact for p = 2 and every odd p < 2^31.  It serves
+factor() and the search for a degree-d factor, which need the product of
+each degree class and split only the classes they take in part.
+
+When only the degrees are wanted, factor_degree_profiles() reads them for
+a whole stack of polynomials of one degree at once: the Frobenius rows of
+every member come from stacked products, and the degree of each
+gcd(c, x^(p^d) - x) from one Euclid over all the stack's pairs, carried
+out by cross-multiplication so that it needs no inverse.  The Monte Carlo
+of gorlink.splitstats reads its trials this way, 32 at a time.  The list
+code stays for the class products, and on one polynomial of degree <= 40
+it is also the faster of the two.
 
 Which degrees a factor can have is read off the factor-degree profile
 [(degree, count)] by degree_sums(), a bitmask of the reachable degree
@@ -33,7 +41,7 @@ deterministic even though the splitting is randomized.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import _safe_matmul, inv_mod
+from .gf import _reduce, _safe_matmul, inv_mod
 from .rng import SplitStream
 
 __all__ = [
@@ -41,6 +49,7 @@ __all__ = [
     "is_squarefree",
     "factor",
     "factor_degree_profile",
+    "factor_degree_profiles",
     "degree_sums",
     "find_factor_of_degree",
     "random_monic",
@@ -329,23 +338,42 @@ def _squarefree_decomposition(c, p):
 
 
 def _frobenius_rows(c, p):
-    """Q with row j = x^(j*p) mod c, so h(x)^p mod c = h @ Q for h mod c.
+    """Q[i] with row j = x^(j*p) mod c[i], so h(x)^p mod c[i] = h @ Q[i].
 
-    Row i of the companion matrix C is x^(i+1) mod c, so row i of C^p is
-    x^(i+p) mod c; its row 0 is x^p and row j of Q is row j-1 times C^p.
+    c is an (N, n + 1) stack of monic polynomials of one degree n, as
+    ascending coefficient rows; Q is (N, n, n) and each product below is
+    one stacked product.  Row i of the companion matrix C is x^(i+1) mod c,
+    so row i of C^p is x^(i+p) mod c; its row 0 is x^p and row j of Q is
+    row j-1 times C^p.  A product M @ C moves the columns of M right by one
+    and adds M's last column times C's last row, so it takes no matmul.
     """
-    n = len(c) - 1
-    C = np.eye(n, k=1, dtype=np.int64)
-    C[-1] = [-v % p for v in c[:n]]
-    Cp = C
+    N, n = c.shape[0], c.shape[1] - 1
+    last = -c[:, None, :n] % p  # the last row of C
+    Cp = np.zeros((N, n, n), dtype=np.int64)
+    Cp[:, :-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    Cp[:, -1:] = last
     for bit in bin(p)[3:]:  # square and multiply, leading bit first
         Cp = _safe_matmul(Cp, Cp, p)
         if bit == "1":
-            Cp = _safe_matmul(Cp, C, p)
-    Q = np.eye(n, dtype=np.int64)
+            M = Cp[:, :, -1:] * last
+            M[:, :, 1:] += Cp[:, :, :-1]
+            Cp = _reduce(M, p)
+    Q = np.zeros((N, n, n), dtype=np.int64)
+    Q[:, 0, 0] = 1
     for j in range(1, n):
-        Q[j] = _safe_matmul(Q[j - 1 : j], Cp, p)
+        Q[:, j : j + 1] = _safe_matmul(Q[:, j - 1 : j], Cp, p)
     return Q
+
+
+def _frobenius_orbit(c, m, p):
+    """x^(p^d) mod c for d = 1..m, an (N, m, n) array for a stack c as in
+    _frobenius_rows: h_1 is row 1 of Q and h_d = h_(d-1) @ Q."""
+    Q = _frobenius_rows(c, p)
+    H = np.empty((Q.shape[0], m, Q.shape[1]), dtype=np.int64)
+    H[:, 0] = Q[:, 1]
+    for d in range(1, m):
+        H[:, d : d + 1] = _safe_matmul(H[:, d - 1 : d], Q, p)
+    return H
 
 
 def _distinct_degree(c, p):
@@ -358,7 +386,7 @@ def _distinct_degree(c, p):
     n = len(c) - 1
     if n < 2:
         return [(list(c), n)] if n else []
-    Q = _frobenius_rows(c, p)
+    Q = _frobenius_rows(np.array([c], dtype=np.int64), p)[0]
     h = np.eye(1, n, 1, dtype=np.int64)  # x mod c
     out = []
     r = list(c)
@@ -436,17 +464,125 @@ def factor(f, stream=None):
 def factor_degree_profile(f):
     """Degrees of the irreducible factors of a squarefree monic f.
 
-    Returns a sorted list of (degree, count) pairs.  Only distinct-degree
-    splitting is needed, which keeps this cheap for statistics runs.
+    Returns a sorted list of (degree, count) pairs: the one-polynomial case
+    of factor_degree_profiles(), so that every profile, the Monte Carlo's
+    included, comes from one code path.
     """
     if not f.is_monic() or f.degree < 1:
         raise ValueError("degree profile expects a monic polynomial of degree >= 1")
-    if not is_squarefree(f):
+    profile = factor_degree_profiles([f])[0]
+    if profile is None:
         raise ValueError("degree profile expects a square-free polynomial")
-    return [
-        (d, (len(prod) - 1) // d)
-        for prod, d in _distinct_degree(list(f.coeffs), f.p)
-    ]
+    return profile
+
+
+def factor_degree_profiles(polys):
+    """Factor-degree profile of each of a stack of monic polynomials.
+
+    The polynomials share one degree n >= 1 and one p (p = 2 allowed).
+    Returns, per polynomial, its sorted [(degree, count)] profile, or None
+    when it is not square-free.
+
+    For square-free c, D_d = deg gcd(c, x^(p^d) - x) = sum over e | d of
+    e * n_e, with n_e the number of factors of degree e (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 14.2), so d * n_d is D_d minus the
+    e * n_e of the proper divisors e of d, and what D_{n//2} leaves of n is
+    at most one factor of degree above n/2.  Every h_d = x^(p^d) mod c, for
+    d = 1..n//2, comes from stacked products h <- h @ Q with the Frobenius
+    rows Q, and one Euclid (_gcd_degrees) runs over all the pairs
+    (c, c') and (c, h_d - x) of the stack at once.  factor() and
+    find_factor_of_degree() need the degree-class products, not just their
+    degrees, and keep the one-polynomial distinct-degree splitting, which
+    is also the faster of the two on a single polynomial of degree <= 40.
+    """
+    polys = list(polys)
+    if not polys:
+        return []
+    n, p = polys[0].degree, polys[0].p
+    if n < 1 or any(f.degree != n or f.p != p or not f.is_monic() for f in polys):
+        raise ValueError("degree profiles expect monic polynomials of one degree >= 1 and one p")
+    c = np.array([f.coeffs for f in polys], dtype=np.int64)
+    N, m = len(polys), n // 2
+    # row 0 of each polynomial pairs c with c', row d with h_d - x
+    second = np.zeros((N, m + 1, n + 1), dtype=np.int64)
+    second[:, 0, :n] = c[:, 1:] * np.arange(1, n + 1) % p
+    if m:
+        second[:, 1:, :n] = _frobenius_orbit(c, m, p)
+        second[:, 1:, 1] = (second[:, 1:, 1] - 1) % p
+    degrees = _gcd_degrees(
+        np.repeat(c, m + 1, axis=0), second.reshape(-1, n + 1), p
+    ).reshape(N, m + 1)
+    profiles = []
+    for D in degrees.tolist():
+        if D[0] > 0:
+            profiles.append(None)
+            continue
+        covered = [0] * (m + 1)  # covered[d] = d * n_d
+        for d in range(1, m + 1):
+            covered[d] = D[d] - sum(covered[e] for e in range(1, d) if d % e == 0)
+        profile = [(d, covered[d] // d) for d in range(1, m + 1) if covered[d]]
+        if n > sum(covered):
+            profile.append((n - sum(covered), 1))
+        profiles.append(profile)
+    return profiles
+
+
+def _gcd_degrees(A, B, p):
+    """deg gcd(A[r], B[r]) for each pair of rows of ascending coefficients
+    (-1 for two zero rows).
+
+    The rows are kept descending from their leading term, so that x^s * b,
+    lined up under a of degree deg b + s, is the row of b itself.  Each step
+    replaces the side a of higher degree by lc(b) * a - lc(a) * x^s * b,
+    which cancels its leading term with no inverse: every product of two
+    residues stays below 2**62.  A pair is done when its lower side is 0.
+    """
+    W = A.shape[1]
+    A, B = A[:, ::-1].copy(), B[:, ::-1].copy()
+    da, db = np.full(len(A), W - 1), np.full(len(B), W - 1)
+    _lead(A, da)
+    _lead(B, db)
+    out = np.empty(len(A), dtype=np.int64)
+    rows = np.arange(len(A))
+    T = np.empty_like(A)
+    while True:
+        swap = da < db
+        if swap.any():
+            A[swap], B[swap] = B[swap], A[swap]
+            da[swap], db[swap] = db[swap], da[swap]
+        done = db < 0
+        if done.any():
+            out[rows[done]] = da[done]
+            live = ~done
+            if not live.any():
+                return out
+            rows, A, B, da, db = rows[live], A[live], B[live], da[live], db[live]
+            T = np.empty_like(A)
+        # one step, with T as its only scratch array, so that the steps
+        # allocate nothing of the stack's size
+        np.multiply(B, A[:, :1], out=T)
+        A *= B[:, :1]
+        A -= T
+        np.floor_divide(A, p, out=T)
+        T *= p
+        A -= T
+        T[:, :-1] = A[:, 1:]  # drop the cancelled leading term
+        T[:, -1] = 0
+        A, T = T, A
+        da -= 1
+        _lead(A, da)
+
+
+def _lead(X, deg):
+    """Shift each descending row of X left past its leading zeros, in place,
+    lowering its degree in deg; a zero row gets degree -1."""
+    deg[~X.any(axis=1)] = -1
+    shift = (X[:, 0] == 0) & (deg >= 0)
+    while shift.any():  # rare once a step has cancelled the leading term
+        X[shift, :-1] = X[shift, 1:]
+        X[shift, -1] = 0
+        deg[shift] -= 1
+        shift &= X[:, 0] == 0
 
 
 def degree_sums(profile):

@@ -200,27 +200,48 @@ BOUNDARY_PRIMES = [3, 10007, 1048573, 67108859, 268435399, (1 << 31) - 1]
 def _inner_dimensions(p, rng):
     """Inner dimensions just below and just above the first K with
     K (p - 1)^2 >= 2^53, or random ones up to 300 where that K is out of
-    reach."""
+    reach; at p = 2^31 - 1 also 31, 32, 63 and 64, where the limbs narrow
+    from 17 to 16 bits and then become 3 instead of 2."""
     first_limb = -(-(1 << 53) // ((p - 1) ** 2))
     if first_limb <= 1 << 14:
-        return [first_limb - 1, first_limb, first_limb + 1]
+        dims = [first_limb - 1, first_limb, first_limb + 1]
+        return dims + [31, 32, 63, 64] if p == (1 << 31) - 1 else dims
     return list(rng.integers(1, 301, 3))
 
 
+def _exact_product(A, B, p):
+    return np.matmul(A.astype(object), B.astype(object)) % p
+
+
 @settings(max_examples=12)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_matmul_exact_across_float_bound(m, n, seed):
-    """Against Python integers, for every prime and shape: entries uniform,
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_matmul_exact_across_float_bound(m, n, depth, seed):
+    """Against Python integers, for every prime and shape, as matrices
+    (depth 0) or as stacks of them up to two axes deep: entries uniform,
     from the top 64 residues (sums just past the bound, odd products among
     them) and all p - 1 (the largest sums)."""
     rng = np.random.default_rng(seed)
+    stack = tuple(int(s) for s in rng.integers(1, 4, depth))
     for p in BOUNDARY_PRIMES:
         assert is_odd_prime(p)
         for K in _inner_dimensions(p, rng):
             for low in (0, max(p - 64, 0), p - 1):
-                A, B = rng.integers(low, p, (m, K)), rng.integers(low, p, (K, n))
-                exact = A.astype(object).dot(B.astype(object)) % p
-                assert _safe_matmul(A, B, p).tolist() == exact.tolist(), (p, K, low)
+                A, B = rng.integers(low, p, stack + (m, K)), rng.integers(low, p, stack + (K, n))
+                exact = _exact_product(A, B, p)
+                assert _safe_matmul(A, B, p).tolist() == exact.tolist(), (p, K, low, stack)
+
+
+def test_matmul_longest_limb_split():
+    """K = 2^16 - 1 at p = 2^31 - 1 takes 6-bit limbs, 6 of them: exact on
+    a stack against Python integers; K = 2^16 is out of reach."""
+    p = (1 << 31) - 1
+    K = (1 << 16) - 1
+    rng = np.random.default_rng(16)
+    for low in (0, p - 64):
+        A, B = rng.integers(low, p, (2, 2, K)), rng.integers(low, p, (2, K, 3))
+        assert _safe_matmul(A, B, p).tolist() == _exact_product(A, B, p).tolist(), low
+    with pytest.raises(ValueError):
+        _safe_matmul(np.ones((2, 1, 1 << 16), np.int64), np.ones((2, 1 << 16, 1), np.int64), p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -193,15 +194,18 @@ def test_montecarlo_matches_predicate_on_small_field():
     assert abs(float(frac) - float(expected)) < 0.1
 
 
-def test_montecarlo_deterministic_and_worker_independent():
+def test_montecarlo_deterministic_and_worker_independent(monkeypatch):
     a = montecarlo_split_fraction(8, 4, 101, 60, seed=5)
     b = montecarlo_split_fraction(8, 4, 101, 60, seed=5)
     assert a == b
     c = montecarlo_split_fraction(8, 4, 101, 60, seed=6)
     assert a != c  # overwhelmingly likely
-    # scheduling across workers must not change the count
+    # scheduling across workers must not change the count, and the workers'
+    # one-thread BLAS setting must not outlive them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     parallel = montecarlo_split_fraction(8, 4, 101, 60, seed=5, workers=2)
     assert parallel == a
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_montecarlo_exact_near_2_31():

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sympy_ddf
 from gorlink.rng import SplitStream
@@ -11,6 +11,7 @@ from gorlink.unipoly import (
     degree_sums,
     factor,
     factor_degree_profile,
+    factor_degree_profiles,
     find_factor_of_degree,
     is_squarefree,
     random_monic,
@@ -133,13 +134,29 @@ def _monic_polys(draw):
     return tail + [1], p
 
 
+@st.composite
+def _monic_stacks(draw):
+    p = draw(st.sampled_from([2, 3, 101, 10007, 2**31 - 1]))
+    n = draw(st.integers(1, 40))
+    tail = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return [t + [1] for t in draw(st.lists(tail, min_size=1, max_size=6))], p
+
+
+def _derivative_free_stack(p):
+    """x^(2p) + a x^p + b for every a, b (derivative 0, never square-free),
+    then two square-free rows of degree 2p."""
+    rows = [[b] + [0] * (p - 1) + [a] + [0] * (p - 1) + [1] for a in range(p) for b in range(p)]
+    return rows + [[1, 1] + [0] * (2 * p - 2) + [1], [0, 1] + [0] * (2 * p - 2) + [1]], p
+
+
 @settings(max_examples=60)
-@given(_monic_polys())
-def test_degree_profile_matches_sympy(poly):
-    coeffs, p = poly
-    expected = sympy_ddf.degree_profile(coeffs, p)
-    assume(expected is not None)
-    assert factor_degree_profile(UniPoly(coeffs, p)) == expected
+@given(_monic_stacks())
+@example(_derivative_free_stack(2))
+@example(_derivative_free_stack(3))
+def test_degree_profile_matches_sympy(stack):
+    rows, p = stack
+    expected = [sympy_ddf.degree_profile(coeffs, p) for coeffs in rows]
+    assert factor_degree_profiles([UniPoly(coeffs, p) for coeffs in rows]) == expected
 
 
 @settings(max_examples=100)
