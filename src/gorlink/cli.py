@@ -66,6 +66,8 @@ def _parse_hvector(text):
 
 
 def _cmd_splitstats_exact(args):
+    if args.q is not None and args.q < 2:
+        raise InputError("--q must be a field size >= 2, got %d" % args.q)
     poly = ss.count_squarefree_with_factor(args.n, args.k)
     print(poly.format())
     if args.q is not None:

@@ -9,16 +9,29 @@ of degree k:
 
 where N(l, q) = (1/l) sum_{d | l} mu(l/d) q^d counts monic irreducibles
 of degree l (Gauss) and L has t_i parts equal to l_i.  Written in runs
-[(l_i, t_i)], a partition is a factor-degree profile, so whether it
-reaches k is unipoly.degree_sums, the mask the factor search uses.
+[(l_i, t_i)], a partition is a factor-degree profile, and a profile is a
+cycle type (S. D. Cohen, Acta Arith. 17, 1970).
 
 The binomial C(N(l, q), t) is a polynomial in q with integer numerator
-and denominator t! * l^t.  Since prod_i t_i! * l_i^t_i = n!/|C_L|, where
-|C_L| is the size of the conjugacy class of cycle type L in the
-symmetric group, each term is (integer numerator) * |C_L| / n!: A(n, k, q)
-is summed in integers over the partition classes and divided by n! once.
-As q grows, a class contributes |C_L|/n! to A(n, k, q)/q^n, giving the
-q -> infinity limit p(n, k) = sum of |C_L|/n! over the classes reaching k.
+and denominator t! * l^t.  _cycle_sum does not walk the partitions: it
+builds them one cycle length at a time, l = n, ..., 1, which is the
+exponential formula for the cycle index (Flajolet-Sedgewick, Analytic
+Combinatorics, 2009, ch. II) with a subset-sum mask as extra state.  The
+state is the degree m still to fill and the mask of the sums that the
+parts taken so far reach, built by the step of unipoly.degree_sums and
+cut to the bits in [k - m, k], the only ones that can still end at k.
+Adding t parts of length l to parts of total s = n - m multiplies by
+(s + t*l)! / (s! * t! * l^t), the number of ways to lay t new l-cycles
+over s + t*l points, an integer.  Along a partition these factors
+multiply to n!/prod(t_i! * l_i^t_i) = |C_L|, the size of the conjugacy
+class of cycle type L in the symmetric group, so A(n, k, q) is summed in
+integers and divided by n! once.
+
+Each numerator is monic of degree l*t, so a class contributes |C_L|/n! to
+the leading coefficient of A(n, k, q), and every term has degree n.  The
+q -> infinity limit p(n, k) = lim A(n, k, q)/q^n is therefore the same
+program with each numerator replaced by its leading coefficient [1]: the
+sum of |C_L|/n! over the classes reaching k.
 
 A seeded Monte Carlo harness measures the same fraction empirically.
 Each trial draws its polynomial from its own child stream, one trial at a
@@ -29,8 +42,7 @@ workers, never changes a count.
 """
 
 from fractions import Fraction
-from itertools import groupby
-from math import factorial
+from math import comb, factorial
 
 from ._frozen import Frozen
 from ._workers import worker_pool
@@ -41,57 +53,18 @@ from . import unipoly
 __all__ = [
     "RationalPolynomial",
     "count_irreducible",
-    "iter_partitions",
     "count_squarefree_with_factor",
-    "conjugacy_fraction",
     "limit_fraction",
     "montecarlo_split_fraction",
-    "splits_with_degree_factor",
 ]
 
-PARTITION_CAP = 60
+# A(n, k, q) stays a polynomial in q, under a second at n = 40; p(n, k)
+# reaches the largest candidate degree.
 EXACT_CAP = 40
+LIMIT_CAP = 96
 # Monte Carlo trials whose profiles are read in one stacked computation; a
 # larger block is hardly faster and holds more memory at once.
 _MC_BLOCK = 32
-
-
-def iter_partitions(n):
-    """Yield the partitions of n as decreasing tuples, largest part first."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > PARTITION_CAP:
-        raise ValueError("partition enumeration capped at n = %d" % PARTITION_CAP)
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def _runs(parts):
-    """[(part, multiplicity)] of a decreasing tuple of parts."""
-    return [(ell, len(list(group))) for ell, group in groupby(parts)]
-
-
-def _classes(n, k):
-    """Run form of each partition of n with a sub-multiset summing to k."""
-    for parts in iter_partitions(n):
-        runs = _runs(parts)
-        if (unipoly.degree_sums(runs) >> k) & 1:
-            yield runs
-
-
-def _class_size(runs, n_factorial):
-    """|C_L| = n!/prod(t! * l^t) for the cycle type L with runs [(l, t)]."""
-    z = 1
-    for ell, t in runs:
-        z *= factorial(t) * ell**t
-    return n_factorial // z
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +183,39 @@ def _binomial_numerator(ell, t):
     return _binomial_cache[key]
 
 
+def _cycle_sum(n, k, weight):
+    """n! times the sum, over the cycle types [(l, t)] of n that reach k,
+    of prod weight(l, t) / (t! * l^t), as a list of integer coefficients.
+
+    weight(l, t) gives integer coefficients, ascending in q.
+    """
+    top = (1 << k + 1) - 1
+    states = {(n, 1): [1]}  # (degree left, mask of reachable sums) -> sum
+    for ell in range(n, 0, -1):
+        nxt = {}
+        for (m, mask), value in states.items():
+            s = n - m
+            for t in range(m // ell + 1):
+                left = m - t * ell
+                if t:
+                    mask |= mask << ell
+                if ell == 1 and left:
+                    continue  # nothing shorter is left to fill the rest
+                low = max(k - left, 0)  # the parts still to come add left
+                reach = (mask & top) >> low << low
+                if reach >> k:
+                    reach = 1 << k
+                if not reach:
+                    continue
+                size = comb(s + t * ell, s) * factorial(t * ell) // (factorial(t) * ell**t)
+                term = _int_conv(value, weight(ell, t))
+                acc = nxt.setdefault((left, reach), [0] * len(term))
+                for e, c in enumerate(term):
+                    acc[e] += c * size
+        states = nxt
+    return states[(0, 1 << k)]
+
+
 def count_squarefree_with_factor(n, k):
     """A(n, k, q): square-free monic degree-n polynomials with a degree-k factor."""
     if not (0 <= k <= n):
@@ -219,46 +225,24 @@ def count_squarefree_with_factor(n, k):
     if n > EXACT_CAP:
         raise ValueError("exact evaluation capped at n = %d" % EXACT_CAP)
     n_factorial = factorial(n)
-    acc = [0] * (n + 1)
-    for runs in _classes(n, k):
-        size = _class_size(runs, n_factorial)
-        num = [1]
-        for ell, t in runs:
-            num = _int_conv(num, _binomial_numerator(ell, t))
-        for e, c in enumerate(num):
-            acc[e] += c * size
+    acc = _cycle_sum(n, k, _binomial_numerator)
     return RationalPolynomial({e: Fraction(c, n_factorial) for e, c in enumerate(acc)})
-
-
-def conjugacy_fraction(parts):
-    """|C_L| / n!: relative size of the conjugacy class of cycle type parts."""
-    n_factorial = factorial(sum(parts))
-    return Fraction(_class_size(_runs(parts), n_factorial), n_factorial)
 
 
 def limit_fraction(n, k):
     """p(n, k) = lim_{q->inf} A(n, k, q) / q^n, an exact rational in [0, 1]."""
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    if n > PARTITION_CAP:
-        raise ValueError("capped at n = %d" % PARTITION_CAP)
-    n_factorial = factorial(n)
-    return Fraction(
-        sum(_class_size(runs, n_factorial) for runs in _classes(n, k)), n_factorial
-    )
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > LIMIT_CAP:
+        raise ValueError("capped at n = %d" % LIMIT_CAP)
+    (total,) = _cycle_sum(n, k, lambda ell, t: [1])
+    return Fraction(total, factorial(n))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-def splits_with_degree_factor(f, k):
-    """True iff f, monic of degree >= 1, is square-free with a degree-k factor."""
-    try:
-        profile = unipoly.factor_degree_profile(f)
-    except ValueError:  # not square-free
-        return False
-    return (unipoly.degree_sums(profile) >> k) & 1 == 1
 
 
 def montecarlo_split_fraction(n, k, q, trials, seed, workers=None):

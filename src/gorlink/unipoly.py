@@ -29,9 +29,11 @@ it is also the faster of the two.
 
 Which degrees a factor can have is read off the factor-degree profile
 [(degree, count)] by degree_sums(), a bitmask of the reachable degree
-sums.  A partition of n in run form [(part, multiplicity)] is the same
-thing, so gorlink.splitstats selects its partition classes with the same
-mask that find_factor_of_degree() and the Monte Carlo use.
+sums.  A profile is a cycle type, so gorlink.splitstats counts the
+profiles of degree n that reach k by a dynamic program over cycle
+lengths whose state carries the same mask, grown by the same step
+mask |= mask << degree, that find_factor_of_degree() and the Monte Carlo
+use.
 
 Factor lists are returned in a canonical order (degree, then the
 ascending-degree coefficient tuple, lexicographically) so the output is
@@ -48,7 +50,6 @@ __all__ = [
     "UniPoly",
     "is_squarefree",
     "factor",
-    "factor_degree_profile",
     "factor_degree_profiles",
     "degree_sums",
     "find_factor_of_degree",
@@ -459,21 +460,6 @@ def factor(f, stream=None):
                 found.append((UniPoly(irr, p), mult))
     found.sort(key=lambda pair: pair[0].sort_key())
     return found
-
-
-def factor_degree_profile(f):
-    """Degrees of the irreducible factors of a squarefree monic f.
-
-    Returns a sorted list of (degree, count) pairs: the one-polynomial case
-    of factor_degree_profiles(), so that every profile, the Monte Carlo's
-    included, comes from one code path.
-    """
-    if not f.is_monic() or f.degree < 1:
-        raise ValueError("degree profile expects a monic polynomial of degree >= 1")
-    profile = factor_degree_profiles([f])[0]
-    if profile is None:
-        raise ValueError("degree profile expects a square-free polynomial")
-    return profile
 
 
 def factor_degree_profiles(polys):

@@ -11,7 +11,7 @@ from gorlink.store import (
     serialize_certificate,
     write_index,
 )
-from gorlink.splitstats import montecarlo_split_fraction
+from gorlink.splitstats import EXACT_CAP, LIMIT_CAP, montecarlo_split_fraction
 from gorlink.tangent import verify_edge, replay_certificate
 
 
@@ -175,6 +175,16 @@ def test_cli_splitstats_exact(capsys):
     status, out = _run_cli(["splitstats", "exact", "--n", "6", "--k", "3"], capsys)
     assert status == 0
     assert out.strip() == "29/80 q^6 - 11/16 q^5 + 5/16 q^4 - 5/16 q^3 + 13/40 q^2"
+
+
+def test_cli_splitstats_input_errors(capsys):
+    # a field size below 2 is refused before anything is printed
+    for q in ("0", "-3"):
+        status, out = _run_cli(["splitstats", "exact", "--n", "4", "--k", "2", "--q", q], capsys)
+        assert status == 4 and out == ""
+    for sub, n in (("limit", LIMIT_CAP + 1), ("exact", EXACT_CAP + 1)):
+        assert main(["splitstats", sub, "--n", str(n), "--k", "1"]) == 4
+        assert "capped" in capsys.readouterr().err
 
 
 def test_cli_splitstats_limit(capsys):

@@ -4,23 +4,23 @@ from itertools import product
 
 import pytest
 
+import partition_oracle as oracle
 import sympy_ddf
 from gorlink.rng import SplitStream
 from gorlink.splitstats import (
+    EXACT_CAP,
+    LIMIT_CAP,
     RationalPolynomial,
-    _runs,
-    conjugacy_fraction,
     count_irreducible,
     count_squarefree_with_factor,
-    iter_partitions,
     limit_fraction,
     montecarlo_split_fraction,
-    splits_with_degree_factor,
 )
 from gorlink.unipoly import (
     UniPoly,
     degree_sums,
     factor,
+    factor_degree_profiles,
     find_factor_of_degree,
     is_squarefree,
     random_monic,
@@ -44,10 +44,10 @@ def test_count_irreducible_integrality():
 
 
 def test_partition_enumeration():
-    assert list(iter_partitions(1)) == [(1,)]
-    assert len(list(iter_partitions(5))) == 7
-    assert len(list(iter_partitions(30))) == 5604
-    parts = list(iter_partitions(6))
+    assert list(oracle.iter_partitions(1)) == [(1,)]
+    assert len(list(oracle.iter_partitions(5))) == 7
+    assert len(list(oracle.iter_partitions(30))) == 5604
+    parts = list(oracle.iter_partitions(6))
     assert len(set(parts)) == len(parts)
     for p in parts:
         assert sum(p) == 6
@@ -56,13 +56,13 @@ def test_partition_enumeration():
 
 def test_multiplicity_form():
     # the run form of a partition is its factor-degree profile
-    assert _runs((3, 2, 2, 1)) == [(3, 1), (2, 2), (1, 1)]
-    assert _runs((4,)) == [(4, 1)]
-    assert conjugacy_fraction((3, 2, 2, 1)) == Fraction(1, 3 * 2 * 2**2)
+    assert oracle.runs((3, 2, 2, 1)) == [(3, 1), (2, 2), (1, 1)]
+    assert oracle.runs((4,)) == [(4, 1)]
+    assert oracle.conjugacy_fraction((3, 2, 2, 1)) == Fraction(1, 3 * 2 * 2**2)
 
 
 def _reaches(parts, k):
-    return (degree_sums(_runs(parts)) >> k) & 1 == 1
+    return (degree_sums(oracle.runs(parts)) >> k) & 1 == 1
 
 
 def test_has_subpartition():
@@ -124,10 +124,10 @@ def test_a21_at_q2():
 
 
 def test_conjugacy_fractions():
-    assert conjugacy_fraction((5,)) == Fraction(1, 5)
-    assert conjugacy_fraction((1, 1)) == Fraction(1, 2)
+    assert oracle.conjugacy_fraction((5,)) == Fraction(1, 5)
+    assert oracle.conjugacy_fraction((1, 1)) == Fraction(1, 2)
     for n in (5, 12, 30):
-        total = sum(conjugacy_fraction(p) for p in iter_partitions(n))
+        total = sum(oracle.conjugacy_fraction(p) for p in oracle.iter_partitions(n))
         assert total == 1
 
 
@@ -139,6 +139,24 @@ def test_limit_fraction_values():
     assert abs(float(limit_fraction(30, 1)) - (1 - math.exp(-1))) < 1e-6
     # p(30,20) leading-term constant from the q-expansion
     assert abs(float(limit_fraction(30, 20)) - 0.385481) < 1e-5
+
+
+def test_cycle_dp_matches_partition_walk():
+    for n in range(1, 17):
+        for k in range(0, n + 1):
+            assert count_squarefree_with_factor(n, k) == oracle.count_squarefree_with_factor(n, k), (n, k)
+            assert limit_fraction(n, k) == oracle.limit_fraction(n, k), (n, k)
+    for n, k in ((30, 20), (30, 1)):
+        assert count_squarefree_with_factor(n, k) == oracle.count_squarefree_with_factor(n, k), (n, k)
+        assert limit_fraction(n, k) == oracle.limit_fraction(n, k), (n, k)
+    assert limit_fraction(45, 20) == oracle.limit_fraction(45, 20)
+
+
+def test_caps():
+    with pytest.raises(ValueError):
+        limit_fraction(LIMIT_CAP + 1, 1)
+    with pytest.raises(ValueError):
+        count_squarefree_with_factor(EXACT_CAP + 1, 1)
 
 
 def test_leading_coefficient_is_limit():
@@ -163,11 +181,13 @@ def test_splits_agrees_with_factor_search():
     for p in (3, 101, 10007):
         for i in range(40):
             f = random_monic(2 + st.below(20), p, st.child(p, i))
+            (profile,) = factor_degree_profiles([f])
             if not is_squarefree(f):
-                assert not any(splits_with_degree_factor(f, k) for k in range(f.degree + 1))
+                assert profile is None
                 continue
+            reach = degree_sums(profile)
             for k in range(f.degree + 1):
-                assert splits_with_degree_factor(f, k) == (find_factor_of_degree(f, k) is not None), (p, i, k)
+                assert (reach >> k) & 1 == (find_factor_of_degree(f, k) is not None), (p, i, k)
 
 
 def test_rational_polynomial_format():
@@ -180,9 +200,11 @@ def test_montecarlo_trivial_cases():
     successes, frac = montecarlo_split_fraction(1, 1, 101, 100, seed=0)
     assert successes == 100 and frac == 1
     # exhaustive ground truth at n=2, k=1, q=2 is 1/4; check the predicate
+    profiles = factor_degree_profiles(
+        [UniPoly([a, b, 1], 2) for a, b in product(range(2), repeat=2)]
+    )
     hits = sum(
-        splits_with_degree_factor(UniPoly([a, b, 1], 2), 1)
-        for a, b in product(range(2), repeat=2)
+        profile is not None and (degree_sums(profile) >> 1) & 1 for profile in profiles
     )
     assert Fraction(hits, 4) == Fraction(1, 4)
 
