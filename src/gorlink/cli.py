@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import splitstats as ss
 from ._workers import worker_pool
+from .gf import is_odd_prime
 from .hvectors import (
     HVector,
     enumerate_candidates,
@@ -65,9 +66,23 @@ def _parse_hvector(text):
         raise InputError("bad h-vector %r: %s" % (text, exc))
 
 
+def _is_prime_power(q):
+    """Is 2 <= q < 2**64 a power of a prime, the size of a finite field?"""
+    if not 2 <= q < 1 << 64:
+        return False
+    if q == 2 or is_odd_prime(q):
+        return True
+    for e in range(2, q.bit_length() + 1):
+        r = round(q ** (1 / e))  # the e-th root is below 2**32, within 1
+        for c in (r - 1, r, r + 1):
+            if c ** e == q and (c == 2 or is_odd_prime(c)):
+                return True
+    return False
+
+
 def _cmd_splitstats_exact(args):
-    if args.q is not None and args.q < 2:
-        raise InputError("--q must be a field size >= 2, got %d" % args.q)
+    if args.q is not None and not _is_prime_power(args.q):
+        raise InputError("--q must be a field size, a prime power below 2**64, got %d" % args.q)
     poly = ss.count_squarefree_with_factor(args.n, args.k)
     print(poly.format())
     if args.q is not None:

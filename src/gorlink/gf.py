@@ -17,13 +17,17 @@ its remainder.
 Pivoting takes the first nonzero entry in a column (arithmetic is exact,
 no magnitude concerns), and the reduced row echelon form of a row space
 is unique, so every echelon form here is canonical, whatever the order of
-the steps that computed it.  rref works through the rows in blocks of
-_LEAF, with matrix products doing most of the work (Dumas, Giorgi and
-Pernet, FFLAS-FFPACK, 2008; Jeannerod, Pernet and Storjohann, 2013): one
-product reduces a block against the echelon form of the blocks before it,
-Gauss-Jordan eliminates what is left of the block a column at a time, and
-one more product clears the block's new pivot columns from the earlier
-rows.  An input of at most _LEAF rows is one block and takes no product.
+the steps that computed it.  One block loop, _rref_onto, folds rows into
+an echelon form in hand, _LEAF rows at a time, with matrix products doing
+most of the work (Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008; Jeannerod,
+Pernet and Storjohann, 2013): one product reduces a block against the
+echelon form so far, Gauss-Jordan eliminates what is left of the block a
+column at a time, and one more product clears the block's new pivot
+columns from the earlier rows.  rref folds its rows into an empty form,
+extend_rref into a copy of a given one.  Rows that already lead with 1s
+in distinct columns need no pivot search at all: rref_unit_triangular
+inverts each block's unit triangle by repeated squaring and clears the
+block from the rows above by one product.
 
 reduce_rows needs its (R, pivots) in reduced echelon form: then
 R[:, pivots] is the identity, the coefficient of row i in the reduction of
@@ -38,6 +42,8 @@ __all__ = [
     "check_modulus",
     "inv_mod",
     "rref",
+    "extend_rref",
+    "rref_unit_triangular",
     "reduce_rows",
     "kernel_basis_array",
     "rank",
@@ -49,14 +55,14 @@ _P_LIMIT = 1 << 31
 
 
 def is_odd_prime(p):
-    """Deterministic Miller-Rabin, valid for all p < 2**31."""
+    """Deterministic Miller-Rabin, valid for all p < 2**64."""
     if p < 3 or p % 2 == 0:
         return False
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):  # deterministic witness set below 3.2e9
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # deterministic below 3.1e23
         if a % p == 0:
             continue
         x = pow(a, d, p)
@@ -146,22 +152,15 @@ def _eliminate(V, R, cols, p):
     return _reduce(V, p)
 
 
-def rref(A, p):
-    """Reduced row echelon form mod p.
+def _rref_onto(R, pivots, W, p):
+    """Fold the rows of W into the RREF (R, pivots), _LEAF rows at a time.
 
-    Returns (R, pivots) where pivots is the list of pivot column indices,
-    one per nonzero row of R, in increasing order.  Column order is the
-    caller's.  The reduced echelon form of a row space is unique, so the
-    result does not depend on how it is computed: the rows are taken in
-    blocks of _LEAF, each block reduced against the echelon form of the
-    blocks before it by one matrix product, its remaining rows eliminated a
-    column at a time, and its new pivot columns cleared from the earlier
-    rows by one more product.
+    W holds residues and is consumed, and R may be written in place.
+    Returns the RREF of the rows of R and W together.  Each block of W is
+    reduced against the echelon form so far by one matrix product, what is
+    left of it is eliminated a column at a time, and its new pivot columns
+    are cleared from the earlier rows by one more product.
     """
-    W = _reduce(np.array(A, dtype=np.int64), p)
-    if W.ndim != 2:
-        raise ValueError("matrix expected")
-    R, pivots = W[:0], []
     for r0 in range(0, W.shape[0], _LEAF):
         B = W[r0 : r0 + _LEAF]
         if pivots:
@@ -182,6 +181,63 @@ def rref(A, p):
         R = np.concatenate([R, B])[order]
         pivots = [pivots[i] for i in order]
     return R, pivots
+
+
+def rref(A, p):
+    """Reduced row echelon form mod p.
+
+    Returns (R, pivots) where pivots is the list of pivot column indices,
+    one per nonzero row of R, in increasing order.  Column order is the
+    caller's.  The reduced echelon form of a row space is unique, so the
+    result does not depend on how it is computed: the rows are folded, in
+    blocks of _LEAF, into an echelon form that starts empty (_rref_onto).
+    """
+    W = _reduce(np.array(A, dtype=np.int64), p)
+    if W.ndim != 2:
+        raise ValueError("matrix expected")
+    return _rref_onto(W[:0], [], W, p)
+
+
+def extend_rref(R, pivots, V, p):
+    """RREF of the rows of an RREF (R, pivots) and of V together.
+
+    The same as rref of the stacked rows, but R is taken as already
+    reduced, so only the rows of V are eliminated.  R and pivots are left
+    as they are.
+    """
+    W = _reduce(np.array(V, dtype=np.int64), p)
+    return _rref_onto(R.copy(), list(pivots), W, p)
+
+
+def rref_unit_triangular(U, cols, p):
+    """RREF of rows whose leading entries are 1s in increasing columns.
+
+    Row i of U is zero before column cols[i] and 1 there, and cols is
+    increasing, so U[:, cols] is unit upper triangular and the RREF is
+    U[:, cols]^-1 U with pivots cols.  The rows are taken in blocks of
+    _LEAF from the bottom.  Each block is multiplied by the inverse of its
+    own triangle I + N, which doubling gives in a few products:
+    (I + N)^-1 = (I - N)(I + N^2)(I + N^4)..., stopping once the power of N
+    is zero (N^_LEAF is).  The block is then cleared from the rows above by
+    one product.  The rows below were cleared from the block before, and
+    they are zero in its columns, so no pivot loop is needed.
+    """
+    R = _reduce(np.array(U, dtype=np.int64), p)
+    cols = list(cols)
+    top = (len(cols) - 1) // _LEAF * _LEAF
+    for r0 in range(top, -1, -_LEAF):
+        B = R[r0 : r0 + _LEAF]
+        block = cols[r0 : r0 + _LEAF]
+        power = _reduce(-B[:, block], p)
+        power[np.diag_indices(len(block))] = 0  # -N
+        inverse = np.eye(len(block), dtype=np.int64)
+        while power.any():
+            inverse = _reduce(inverse + _safe_matmul(inverse, power, p), p)
+            power = _safe_matmul(power, power, p)
+        B[:] = _safe_matmul(inverse, B, p)
+        if r0:
+            _eliminate(R[:r0], B, block, p)
+    return R, cols
 
 
 def reduce_rows(V, R, pivots, p):

@@ -35,13 +35,14 @@ import numpy as np
 from ._frozen import Frozen
 from .gf import (
     charpoly_mod_p,
+    extend_rref,
     kernel_basis_array,
     rref,
     reduce_rows,
     _safe_matmul,
 )
 from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
-from .groebner import GradedSpaces, echelon_piece, groebner, h_vector
+from .groebner import GradedSpaces, groebner, h_vector, with_std
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import UniPoly, is_squarefree, find_factor_of_degree
 
@@ -494,7 +495,7 @@ class _PieceCollector:
         span, span_piv = rref(reduce_rows(rows, base_R, base_piv, p), p)
         dense = np.zeros((len(coord_rows), len(monos)), dtype=np.int64)
         dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
-        self.pieces[t] = echelon_piece(np.concatenate([base_R, dense]), p)
+        self.pieces[t] = with_std(*extend_rref(base_R, base_piv, dense, p))
         keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
         self.generators.extend(poly(row) for row in keep)
         self.prev_rows = dense

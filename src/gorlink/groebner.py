@@ -13,13 +13,19 @@ generating sets of one ideal give the same pieces.
 Pieces are built lazily and cached, so one object per ideal serves every
 stage that reads it.  The Hilbert function, the h-vector, containment and
 equality are all read off the pieces.
+
+A piece above the lowest generator degree grows from the one below, as
+I_t = S_1 I_{t-1} plus the generators of degree t.  The leading monomials
+of the multiples are read off before any elimination, as in the symbolic
+preprocessing of F4, so most pivots take no pivot search (see
+GradedSpaces.piece).
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from .gf import rref, reduce_rows
+from .gf import extend_rref, reduce_rows, rref, rref_unit_triangular
 from .mpoly import (
     NVARS,
     monomial_count,
@@ -28,7 +34,7 @@ from .mpoly import (
     product_positions,
 )
 
-__all__ = ["groebner", "h_vector", "echelon_piece", "GradedSpaces"]
+__all__ = ["groebner", "h_vector", "GradedSpaces"]
 
 # A piece is a dense matrix over all C(t+3, 3) degree-t monomials, so the
 # Hilbert-function scan gives up at degree 20 (1771 monomials).  Every
@@ -51,11 +57,11 @@ def fill_multiples(out, f, a, shifts=slice(None)):
     out[np.arange(len(pos))[:, None], pos] = list(f.terms.values())
 
 
-def echelon_piece(rows, p):
-    """(R, pivots, std_positions) of the row space of a 2-d array mod p."""
-    R, pivots = rref(rows, p)
-    pivot_set = set(pivots)
-    return R, pivots, [i for i in range(rows.shape[1]) if i not in pivot_set]
+def with_std(R, pivots):
+    """The cached form of a piece: (R, pivots, std_positions)."""
+    is_std = np.ones(R.shape[1], dtype=bool)
+    is_std[pivots] = False
+    return R, pivots, is_std.nonzero()[0].tolist()
 
 
 class GradedSpaces:
@@ -77,17 +83,55 @@ class GradedSpaces:
         self._stable = None
 
     def piece(self, t):
-        """(R, pivots, std_positions) for degree t."""
+        """(R, pivots, std_positions) for degree t.
+
+        Up to the lowest generator degree this is the RREF of the
+        generators of degree t.  Above it, piece t grows from piece t - 1:
+        x_v times a row of piece t - 1 leads with a 1 at x_v times the
+        row's pivot, since multiplying by a monomial keeps the monomial
+        order, so one such multiple per distinct leading monomial, sorted,
+        is a unit triangle (rref_unit_triangular).  The other multiples and
+        the generators of degree t are then folded into it (extend_rref).
+        An RREF is unique, so the piece equals the RREF of all multiples of
+        the generators.
+        """
         if t not in self._pieces:
-            gens = [g for g in self.gens if g.degree <= t]
-            counts = [monomial_count(t - g.degree) for g in gens]
-            rows = np.zeros((sum(counts), monomial_count(t)), dtype=np.int64)
-            start = 0
-            for g, n in zip(gens, counts):
-                fill_multiples(rows[start : start + n], g, t - g.degree)
-                start += n
-            self._pieces[t] = echelon_piece(rows, self.p)
+            if t > 0 and any(g.degree < t for g in self.gens):
+                R, pivots = self._grow(t)
+            else:
+                R, pivots = rref(self._generator_rows(t), self.p)
+            self._pieces[t] = with_std(R, pivots)
         return self._pieces[t]
+
+    def _generator_rows(self, t):
+        """Coefficient rows of the generators of degree t."""
+        gens = [g for g in self.gens if g.degree == t]
+        rows = np.zeros((len(gens), monomial_count(t)), dtype=np.int64)
+        for i, g in enumerate(gens):
+            fill_multiples(rows[i : i + 1], g, 0)
+        return rows
+
+    def _grow(self, t):
+        """RREF of piece t from the RREF of piece t - 1 (see piece)."""
+        below, pivots, _ = self.piece(t - 1)
+        table = product_positions(1, t - 1)
+        width = monomial_count(t)
+        # the first (variable, row) pair to reach each leading column
+        cols, first = np.unique(table[:, pivots], return_index=True)
+        chosen = np.zeros((NVARS, len(pivots)), dtype=bool)
+        chosen.flat[first] = True
+        var, row = np.divmod(first, len(pivots))
+        U = np.zeros((len(first), width), dtype=np.int64)
+        U[np.arange(len(first))[:, None], table[var]] = below[row]
+        R, piv = rref_unit_triangular(U, cols.tolist(), self.p)
+        del U  # not held while the other multiples are folded in
+        for v in range(NVARS):
+            rest = below[~chosen[v]]
+            if len(rest):
+                rows = np.zeros((len(rest), width), dtype=np.int64)
+                rows[:, table[v]] = rest
+                R, piv = extend_rref(R, piv, rows, self.p)
+        return extend_rref(R, piv, self._generator_rows(t), self.p)
 
     def hf(self, t):
         """dim (S/I)_t."""

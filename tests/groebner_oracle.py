@@ -16,7 +16,10 @@ The program itself works degreewise (gorlink.groebner.GradedSpaces);
 the tests compare its ideals, Hilbert functions and quotients with the
 ones computed here.  artinian_hf_ok is the slow nonzerodivisor test, by
 the Hilbert function in every degree, that the projection's check in a
-single degree is compared with.
+single degree is compared with.  macaulay_piece builds a graded piece
+from scratch, every multiple of every generator and then one rref, which
+the program's pieces, grown from the piece one degree below, are compared
+with.
 """
 
 import heapq
@@ -26,10 +29,12 @@ import numpy as np
 from gorlink._frozen import Frozen
 from gorlink.gf import inv_mod, rank, rref
 from gorlink.gorenstein import _poly_power
+from gorlink.groebner import fill_multiples
 from gorlink.mpoly import (
     NVARS,
     MultiPoly,
     grevlex_key,
+    monomial_count,
     monomial_degree,
     monomial_mul,
     monomials_of_degree,
@@ -602,3 +607,21 @@ def artinian_hf_ok(ideal, xh, hvec):
         if ideal.hf(t) - image != (e[t] if t < len(e) else 0):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# graded pieces from the Macaulay matrix of all generator multiples
+
+
+def macaulay_piece(gens, t, p):
+    """(R, pivots): RREF of the degree-t piece of the ideal the homogeneous
+    gens generate, from the rows of m * g for every generator g of degree
+    at most t and every monomial m of degree t - deg g."""
+    gens = [g for g in gens if g.degree <= t]
+    counts = [monomial_count(t - g.degree) for g in gens]
+    rows = np.zeros((sum(counts), monomial_count(t)), dtype=np.int64)
+    start = 0
+    for g, n in zip(gens, counts):
+        fill_multiples(rows[start : start + n], g, t - g.degree)
+        start += n
+    return rref(rows, p)

@@ -8,12 +8,14 @@ from gorlink.gf import (
     _LEAF,
     _safe_matmul,
     charpoly_mod_p,
+    extend_rref,
     inv_mod,
     is_odd_prime,
     kernel_basis_array,
     rank,
     reduce_rows,
     rref,
+    rref_unit_triangular,
     solve_in_rowspace,
 )
 from gorlink.rng import SplitStream
@@ -28,6 +30,9 @@ def test_is_odd_prime():
     assert not is_odd_prime(10005)
     assert not is_odd_prime(2047)  # strong pseudoprime to base 2 alone
     assert not is_odd_prime(25326001)  # strong pseudoprime to bases 2,3,5
+    assert not is_odd_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    assert not is_odd_prime(3825123056546413051)  # to every prime base up to 23
+    assert is_odd_prime((1 << 61) - 1)
 
 
 def test_field_inverse_examples():
@@ -329,6 +334,43 @@ def test_elimination_matches_sympy(case):
     # the row space, and so its echelon form, ignores the order of the rows
     R_perm, piv_perm = rref(A[rng.permutation(m)], p)
     assert piv_perm == piv_exp and R_perm.tolist() == R_exp
+
+
+@settings(max_examples=40)
+@given(_matrices(), st.integers(0, 3 * _LEAF))
+def test_extend_rref_matches_rref(case, split):
+    """Folding rows into an RREF in hand equals the RREF of the stack, and
+    leaves the RREF in hand as it was."""
+    A, p, rng = case
+    R, pivots = rref(A[:split], p)
+    R_before, piv_before = R.copy(), list(pivots)
+    V = A[split:]
+    R2, piv2 = extend_rref(R, pivots, V, p)
+    R_exp, piv_exp = rref(np.concatenate([R, V]), p)
+    assert piv2 == piv_exp and np.array_equal(R2, R_exp)
+    assert np.array_equal(R, R_before) and pivots == piv_before
+    # the same row space as A, so the same form
+    R_all, piv_all = rref(A, p)
+    assert piv2 == piv_all and np.array_equal(R2, R_all)
+
+
+@pytest.mark.parametrize("p", [10007, (1 << 31) - 1])
+@pytest.mark.parametrize("height", [0, 1, 31, 32, 33, 100])
+def test_rref_unit_triangular_matches_rref(height, p):
+    """Rows leading with 1 in increasing columns, one to three triangle
+    blocks tall; at 2**31 - 1 every product takes the limb path."""
+    rng = np.random.default_rng(height)
+    width = height + 40
+    cols = np.sort(rng.choice(width, height, replace=False))
+    U = rng.integers(0, p, (height, width)) * (rng.random((height, width)) < 0.5)
+    U[np.arange(width) <= cols[:, None]] = 0
+    U[np.arange(height), cols] = 1
+    U_before = U.copy()
+    R, pivots = rref_unit_triangular(U, cols.tolist(), p)
+    R_exp, piv_exp = rref(U, p)
+    assert pivots == piv_exp == cols.tolist()
+    assert np.array_equal(R, R_exp)
+    assert np.array_equal(U, U_before)
 
 
 @settings(max_examples=30)

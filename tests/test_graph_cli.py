@@ -178,10 +178,13 @@ def test_cli_splitstats_exact(capsys):
 
 
 def test_cli_splitstats_input_errors(capsys):
-    # a field size below 2 is refused before anything is printed
-    for q in ("0", "-3"):
+    # a q that is no field size is refused before anything is printed
+    for q in ("0", "-3", "6", "12", str(1 << 64)):
         status, out = _run_cli(["splitstats", "exact", "--n", "4", "--k", "2", "--q", q], capsys)
         assert status == 4 and out == ""
+    for q in ("2", "9", "5", "8"):
+        status, out = _run_cli(["splitstats", "exact", "--n", "4", "--k", "2", "--q", q], capsys)
+        assert status == 0 and "A(4,2,%s)/q^4" % q in out
     for sub, n in (("limit", LIMIT_CAP + 1), ("exact", EXACT_CAP + 1)):
         assert main(["splitstats", sub, "--n", str(n), "--k", "1"]) == 4
         assert "capped" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from gorlink.mpoly import (
     MultiPoly,
@@ -9,6 +10,7 @@ from gorlink.mpoly import (
     product_positions,
 )
 from gorlink.groebner import fill_multiples, groebner, h_vector
+from gorlink.gorenstein import extract_subscheme, is_reduced_and_split, random_gorenstein, residual
 from gorlink.rng import SplitStream
 
 # the slow Buchberger engine the degreewise ideals are checked against
@@ -313,3 +315,71 @@ def test_graded_spaces_mult_matrix_matches_normal_form():
             row[index[mono]] = c
         vec = spaces.coords([row], t + 1)[0]
         assert list(vec) == list(M[j])
+
+
+# ---------------------------------------------------------------------------
+# pieces grown from the piece below equal the Macaulay build from scratch
+
+PIECE_TOP = 8
+
+
+def assert_pieces_match_macaulay(ideal):
+    for t in range(PIECE_TOP + 1):
+        R, pivots, std = ideal.piece(t)
+        R_exp, piv_exp = oracle.macaulay_piece(ideal.gens, t, ideal.p)
+        assert pivots == piv_exp, t
+        assert np.array_equal(R, R_exp), t
+        assert sorted(std + pivots) == list(range(monomial_count(t)))
+
+
+@hst.composite
+def _mixed_ideals(draw):
+    """Random homogeneous generators of mixed degrees 0-4, dense or with a
+    few terms."""
+    p = draw(hst.sampled_from([3, 5, 10007, (1 << 31) - 1]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    degrees = draw(hst.lists(hst.integers(1, 4), min_size=1, max_size=4))
+    if draw(hst.integers(0, 9)) == 0:
+        degrees.append(0)  # a nonzero constant: the unit ideal
+    gens = []
+    for deg in degrees:
+        monos = monomials_of_degree(deg)
+        size = draw(hst.sampled_from([1, 2, 3, len(monos) // 2, len(monos)]))
+        picked = rng.choice(len(monos), min(max(size, 1), len(monos)), replace=False)
+        gens.append(MultiPoly({monos[i]: int(rng.integers(1, p)) for i in picked}, p))
+    return groebner(gens, p)
+
+
+@settings(max_examples=80)
+@given(_mixed_ideals())
+def test_pieces_match_macaulay_build(ideal):
+    assert_pieces_match_macaulay(ideal)
+
+
+def test_pieces_match_macaulay_build_examples():
+    p = 7
+    # the unit ideal: every piece above 0 grows from a full piece
+    unit = groebner([MultiPoly.constant(3, p)], p)
+    assert_pieces_match_macaulay(unit)
+    assert unit.hf(PIECE_TOP) == 0
+    # a generator of degree exactly 4 lands in a piece grown from degree 3
+    assert_pieces_match_macaulay(groebner([P("x0^2 + x1*x2"), P("x3^4 + x0*x1^3")], p))
+    # a linear form whose x3-multiples are not all redundant
+    assert_pieces_match_macaulay(groebner([P("x1 + x2 + 4*x3", 5)], 5))
+    # a monomial ideal of mixed degrees, and a power of one variable
+    assert_pieces_match_macaulay(groebner([P("x0*x1"), P("x2^3"), P("x3^5")], p))
+    assert_pieces_match_macaulay(groebner([P("x0^6")], p))
+
+
+def test_collector_ideals_match_macaulay_build():
+    """I_X and I_Y carry pieces handed in by the degreewise collector;
+    the pieces above them grow from the highest of those."""
+    p = 101
+    _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
+    w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
+    assert w is not None
+    gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+    gby = residual(gb, gbx)
+    for ideal in (gbx, gby):
+        assert 0 < max(ideal._pieces) < PIECE_TOP
+        assert_pieces_match_macaulay(ideal)
