@@ -44,7 +44,7 @@ from .gf import (
 from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
 from .groebner import GradedSpaces, groebner, h_vector, with_std
 from .hvectors import parse_gorenstein_type, _entries
-from .unipoly import UniPoly, is_squarefree, find_factor_of_degree
+from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, gcd_degree, is_squarefree
 
 __all__ = [
     "numerator_polynomial",
@@ -416,11 +416,12 @@ def is_reduced_and_split(ideal, d, stream):
             ell, xh, f = char_poly_of_projection(ideal, stream.child(attempt))
         except BadPositionError:
             continue
-        if not is_squarefree(f):
+        try:
+            fd = find_factor_of_degree(f, d)
+        except NotSquarefreeError:
             # could be a non-reduced scheme or a direction merging two
             # points; only another projection can tell, so retry
             continue
-        fd = find_factor_of_degree(f, d)
         # square-free means the factor degrees are the residue-field
         # degrees of the points of G; no other projection can change them
         return ProjectionWitness(ell, xh, f, fd) if fd is not None else None
@@ -442,7 +443,7 @@ def witness_splits(ideal, witness, d):
         is_squarefree(f)
         and fd.degree == d
         and fd.is_monic()
-        and (f % fd).is_zero()
+        and gcd_degree(f, fd) == d
     )
 
 

@@ -208,7 +208,8 @@ def _cycle_sum(n, k, weight):
                 if not reach:
                     continue
                 size = comb(s + t * ell, s) * factorial(t * ell) // (factorial(t) * ell**t)
-                term = _int_conv(value, weight(ell, t))
+                w = weight(ell, t)
+                term = value if w == [1] else _int_conv(value, w)
                 acc = nxt.setdefault((left, reach), [0] * len(term))
                 for e, c in enumerate(term):
                     acc[e] += c * size

@@ -26,6 +26,7 @@ from gorlink.rng import SplitStream
 from gorlink.unipoly import UniPoly
 
 import groebner_oracle as oracle
+import sympy_ddf
 from gf_reference import det_mod_p
 
 
@@ -235,10 +236,11 @@ def test_witness_splits_checks_char_poly():
     _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
     assert w is not None and witness_splits(gb, w, 5)
-    cofactor = w.char_poly // w.factor
+    cofactor = UniPoly(sympy_ddf.quotient(w.char_poly.coeffs, w.factor.coeffs, p), p)
     assert witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, cofactor), 3)
     assert not witness_splits(gb, w, 4)  # the factor has degree 5
-    for bad in (w.factor * UniPoly([2], p), w.factor + UniPoly([1], p)):
+    c = w.factor.coeffs
+    for bad in (UniPoly([2 * a for a in c], p), UniPoly([c[0] + 1, *c[1:]], p)):
         # not monic, or not a divisor
         assert not witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, bad), 5)
     # a double point: the char poly t^2 of x1/x0 is not square-free

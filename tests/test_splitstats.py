@@ -19,7 +19,6 @@ from gorlink.splitstats import (
 from gorlink.unipoly import (
     UniPoly,
     degree_sums,
-    factor,
     factor_degree_profiles,
     find_factor_of_degree,
     is_squarefree,
@@ -96,20 +95,7 @@ def test_squarefree_count_identity():
 
 
 def _bruteforce_count(n, k, q):
-    count = 0
-    for tail in product(range(q), repeat=n):
-        f = UniPoly(list(tail) + [1], q)
-        if not is_squarefree(f):
-            continue
-        degrees = []
-        for g, _ in factor(f):
-            degrees.append(g.degree)
-        reach = 1
-        for dd in degrees:
-            reach |= reach << dd
-        if (reach >> k) & 1:
-            count += 1
-    return count
+    return sum(sympy_ddf.splits(list(tail) + [1], q, k) for tail in product(range(q), repeat=n))
 
 
 def test_exact_counts_match_bruteforce():

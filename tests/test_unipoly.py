@@ -1,17 +1,20 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sympy_ddf
+from gorlink import unipoly
 from gorlink.rng import SplitStream
 from gorlink.splitstats import count_irreducible
 from gorlink.unipoly import (
+    NotSquarefreeError,
     UniPoly,
     degree_sums,
-    factor,
     factor_degree_profiles,
     find_factor_of_degree,
+    gcd_degree,
     is_squarefree,
     random_monic,
 )
@@ -21,69 +24,49 @@ def U(coeffs, p):
     return UniPoly(coeffs, p)
 
 
-def test_arithmetic_basics():
-    p = 7
-    f = U([1, 2, 1], p)  # (x+1)^2
-    g = U([1, 1], p)
-    q, r = divmod(f, g)
-    assert q == g and r.is_zero()
-    assert f.gcd(g) == g
-    assert f.derivative() == U([2, 2], p)
-    assert f.evaluate(6) == 0  # x = -1
-
-
 def test_is_squarefree_examples():
     assert not is_squarefree(U([0, 0, 1], 2))  # x^2
     assert is_squarefree(U([0, 1, 1], 2))  # x^2 + x = x(x+1)
     assert is_squarefree(U([1, 1, 1], 2))  # x^2 + x + 1 irreducible
     with pytest.raises(ValueError):
-        is_squarefree(UniPoly.zero(5))
+        is_squarefree(UniPoly([], 5))
 
 
-def test_factor_examples():
+def test_degree_profile_examples():
     # x^2 + x over GF(2) = x (x+1)
-    fs = factor(U([0, 1, 1], 2))
-    assert fs == [(U([0, 1], 2), 1), (U([1, 1], 2), 1)]
+    assert factor_degree_profiles([U([0, 1, 1], 2)]) == [[(1, 2)]]
+    assert find_factor_of_degree(U([0, 1, 1], 2), 1) == U([0, 1], 2)
     # x^2 + 1 over GF(2) = (x+1)^2
-    assert factor(U([1, 0, 1], 2)) == [(U([1, 1], 2), 2)]
-    # x^6 - 1 over GF(7): six distinct linear factors
-    fs = factor(U([6, 0, 0, 0, 0, 0, 1], 7))
-    assert len(fs) == 6
-    assert all(g.degree == 1 and m == 1 for g, m in fs)
+    assert factor_degree_profiles([U([1, 0, 1], 2)]) == [None]
+    # x^6 - 1 over GF(7): six distinct linear factors, x + 1 first
+    assert factor_degree_profiles([U([6, 0, 0, 0, 0, 0, 1], 7)]) == [[(1, 6)]]
+    assert find_factor_of_degree(U([6, 0, 0, 0, 0, 0, 1], 7), 1) == U([1, 1], 7)
 
 
-def test_factor_requires_monic_nonconstant():
+def test_entry_points_require_monic_nonconstant():
+    for f in (U([2, 4], 7), U([3], 7)):
+        with pytest.raises(ValueError):
+            factor_degree_profiles([f])
+        with pytest.raises(ValueError):
+            find_factor_of_degree(f, 1)
+
+
+@pytest.mark.parametrize("p", [4, 9, 2**61 - 1])
+def test_entry_points_reject_bad_modulus(p):
+    # the profile at p = 9 used to report a negative count, and the call at
+    # 2^61 - 1 failed deep inside the matrix product
+    f = U([3, 1, 4, 1, 5, 9, 2, 6, 1], p)
     with pytest.raises(ValueError):
-        factor(U([2, 4], 7))
+        is_squarefree(f)
     with pytest.raises(ValueError):
-        factor(U([3], 7))
-
-
-def test_factor_roundtrip_random():
-    st = SplitStream(123).child("roundtrip")
-    p = 10007
-    for trial in range(1000):
-        n = 1 + st.below(30)
-        f = random_monic(n, p, st.child(trial))
-        prod = UniPoly.one(p)
-        for g, mult in factor(f):
-            assert g.is_monic()
-            for _ in range(mult):
-                prod = prod * g
-        assert prod == f
-
-
-def test_factor_canonical_order_is_stable():
-    p = 101
-    f = U([1, 0, 0, 0, 0, 0, 1], p) * U([5, 1], p)
-    assert factor(f) == factor(f)
-    keys = [g.sort_key() for g, _ in factor(f)]
-    assert keys == sorted(keys)
+        factor_degree_profiles([f])
+    with pytest.raises(ValueError):
+        find_factor_of_degree(f, 2)
+    with pytest.raises(ValueError):
+        gcd_degree(f, f)
 
 
 def _all_monic(p, n):
-    from itertools import product
-
     for tail in product(range(p), repeat=n):
         yield UniPoly(list(tail) + [1], p)
 
@@ -91,12 +74,8 @@ def _all_monic(p, n):
 def test_irreducible_counts_match_gauss_over_gf2():
     # exhaustive enumeration, degrees 1..6, against N(ell, 2)
     for ell in range(1, 7):
-        count = 0
-        for f in _all_monic(2, ell):
-            fs = factor(f)
-            if len(fs) == 1 and fs[0][1] == 1 and fs[0][0] == f:
-                count += 1
-        assert count == count_irreducible(ell).evaluate(2)
+        profiles = factor_degree_profiles(_all_monic(2, ell))
+        assert profiles.count([(ell, 1)]) == count_irreducible(ell).evaluate(2)
 
 
 def test_squarefree_agrees_with_multiplicities():
@@ -104,8 +83,7 @@ def test_squarefree_agrees_with_multiplicities():
     for p in (2, 3, 101):
         for trial in range(60):
             f = random_monic(1 + st.below(12), p, st.child(p, trial))
-            sf = all(m == 1 for _, m in factor(f))
-            assert sf == is_squarefree(f)
+            assert sympy_ddf.is_squarefree(f.coeffs, p) == is_squarefree(f)
 
 
 def test_degree_profile_matches_factorization():
@@ -120,8 +98,8 @@ def test_degree_profile_matches_factorization():
             continue
         done += 1
         expected = {}
-        for g, _ in factor(f):
-            expected[g.degree] = expected.get(g.degree, 0) + 1
+        for g in sympy_ddf.factors(f.coeffs, p):
+            expected[len(g) - 1] = expected.get(len(g) - 1, 0) + 1
         assert factor_degree_profiles([f]) == [sorted(expected.items())]
 
 
@@ -171,25 +149,20 @@ def test_degree_sums_matches_subset_sums(profile):
 
 
 def test_find_factor_of_degree():
-    # x(x+1)(x^2+x+1) over GF(2): degree-2 subset beats the irreducible quadratic
-    f = U([0, 1], 2) * U([1, 1], 2) * U([1, 1, 1], 2)
+    # x(x+1)(x^2+x+1) = x^4 + x over GF(2): degree-2 subset beats the
+    # irreducible quadratic
+    f = U([0, 1, 0, 0, 1], 2)
     assert find_factor_of_degree(f, 2) == U([0, 1, 1], 2)  # x^2 + x
-    # an irreducible quintic has no degree-2 factor
-    irred5 = None
-    for tail in range(32):
-        cand = UniPoly([tail & 1, tail >> 1 & 1, tail >> 2 & 1, tail >> 3 & 1, tail >> 4 & 1, 1], 2)
-        fs = factor(cand)
-        if len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == 5:
-            irred5 = cand
-            break
-    assert irred5 is not None
+    # an irreducible quintic, x^5 + x^2 + 1, has no degree-2 factor
+    irred5 = U([1, 0, 1, 0, 0, 1], 2)
+    assert factor_degree_profiles([irred5]) == [[(5, 1)]]
     assert find_factor_of_degree(irred5, 2) is None
     # degree 0 always works to give the constant 1
     assert find_factor_of_degree(f, 0) == UniPoly.one(2)
 
 
 def test_find_factor_rejects_non_squarefree():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSquarefreeError):
         find_factor_of_degree(U([1, 0, 1], 2), 1)  # (x+1)^2
 
 
@@ -207,31 +180,56 @@ def test_find_factor_product_divides():
         if g is None:
             continue
         found += 1
-        assert g.degree == 3 and (f % g).is_zero()
+        assert g.degree == 3 and sympy_ddf.remainder(f.coeffs, g.coeffs, p) == ()
 
 
-def _least_factor_of_degree(f, d):
-    """The lexicographically least sub-multiset of the canonical factor list
-    with degree sum d, by the greedy over the full factorization."""
-    factors = [g for g, _ in factor(f)]
+def _least_factors(factors):
+    """For every d, the lexicographically least sub-multiset of the
+    canonical factor list with degree sum d, as its list of factors."""
     reach = [1] * (len(factors) + 1)
     for i in range(len(factors) - 1, -1, -1):
-        reach[i] = reach[i + 1] | reach[i + 1] << factors[i].degree
-    if not reach[0] >> d & 1:
-        return None
-    out = UniPoly.one(f.p)
-    for i, g in enumerate(factors):
-        if g.degree <= d and reach[i + 1] >> (d - g.degree) & 1:
-            out = out * g
-            d -= g.degree
-    return out
+        reach[i] = reach[i + 1] | reach[i + 1] << len(factors[i]) - 1
+    least = []
+    for d in range(sum(len(g) - 1 for g in factors) + 1):
+        if not reach[0] >> d & 1:
+            least.append(None)
+            continue
+        taken = []
+        for i, g in enumerate(factors):
+            if len(g) - 1 <= d and reach[i + 1] >> (d - len(g) + 1) & 1:
+                taken.append(g)
+                d -= len(g) - 1
+        least.append(taken)
+    return least
 
 
 @settings(max_examples=60)
-@given(_monic_polys(), st.integers(1, 40))
-def test_find_factor_of_degree_matches_full_factorization(poly, d):
+@given(_monic_polys())
+def test_find_factor_of_degree_matches_full_factorization(poly):
     coeffs, p = poly
-    assume(p < 2**31 - 1)  # the reference factors completely; keep it quick
     f = UniPoly(coeffs, p)
-    assume(is_squarefree(f) and d <= f.degree)
-    assert find_factor_of_degree(f, d) == _least_factor_of_degree(f, d)
+    assume(is_squarefree(f))
+    for d, taken in enumerate(_least_factors(sympy_ddf.factors(coeffs, p))):
+        g = find_factor_of_degree(f, d)
+        assert (None if g is None else g.coeffs) == (
+            None if taken is None else sympy_ddf.product(taken, p)
+        ), d
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 101, 10007, 2**31 - 1]), st.integers(1, 30), st.data())
+def test_gcd_rows_match_sympy(p, width, data):
+    # pairs of rows of one width, some of them zero, in one stack
+    row = st.one_of(
+        st.just([0] * width), st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    )
+    pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=8))
+    A = np.array([a for a, _ in pairs], dtype=np.int64)
+    B = np.array([b for _, b in pairs], dtype=np.int64)
+    degrees, rows = unipoly._gcd_rows(A, B, p)
+    for (a, b), deg, last in zip(pairs, degrees.tolist(), rows):
+        expected = sympy_ddf.gcd(a, b, p)
+        assert deg == len(expected) - 1
+        if deg >= 0:
+            monic = [int(c) * pow(int(last[0]), -1, p) % p for c in last[deg::-1]]
+            assert tuple(monic) == expected
