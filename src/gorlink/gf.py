@@ -35,6 +35,8 @@ v is v[pivots[i]], untouched by the other rows, and the reduction of the
 rows of V is the single product V - V[:, pivots] @ R.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -77,7 +79,10 @@ def is_odd_prime(p):
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def check_modulus(p):
+    """p, once it is known to be an odd prime below 2**31.  Memoized per p;
+    a bad p raises ValueError every time, since an exception is not cached."""
     if not (3 <= p < _P_LIMIT) or not is_odd_prime(p):
         raise ValueError("modulus must be an odd prime below 2**31, got %r" % (p,))
     return p
@@ -330,7 +335,8 @@ def charpoly_mod_p(A, p):
 
 def _safe_matmul(A, B, p):
     """A @ B mod p for residue matrices or stacks of them, exact for every
-    p <= 2**31.
+    p <= 2**31.  A is integer; B may be integer or float64 (residues held
+    exactly), and a float64 B is used as it is, with no copy.
 
     Every product is taken in float64, through BLAS, with K = A.shape[-1]
     the inner dimension.  When K * (p - 1)**2 < 2**53, one product does:
@@ -346,13 +352,13 @@ def _safe_matmul(A, B, p):
     longer inner dimension raises ValueError.
     """
     K = A.shape[-1]
+    Bf = B.astype(np.float64, copy=False)
     if K * (p - 1) * (p - 1) < 1 << 53:
-        C = A.astype(np.float64) @ B.astype(np.float64)
+        C = A.astype(np.float64, copy=False) @ Bf
         C = C.astype(np.int64)
         return _reduce(C, p)
     if K >= 1 << 16 or p > _P_LIMIT:
         raise ValueError("no exact product for inner dimension %d mod %d" % (K, p))
-    Bf = B.astype(np.float64)
     top = (p - 1).bit_length()
     b = 53 - top - K.bit_length()
     mask = (1 << b) - 1

@@ -35,6 +35,7 @@ import numpy as np
 from ._frozen import Frozen
 from .gf import (
     charpoly_mod_p,
+    check_modulus,
     extend_rref,
     kernel_basis_array,
     rref,
@@ -44,7 +45,7 @@ from .gf import (
 from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
 from .groebner import GradedSpaces, groebner, h_vector, with_std
 from .hvectors import parse_gorenstein_type, _entries
-from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, gcd_degree, is_squarefree
+from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, squarefree_gcd_degree
 
 __all__ = [
     "numerator_polynomial",
@@ -298,8 +299,10 @@ def random_gorenstein(h, p, stream):
     Draws uniformly random homogeneous entries (degree-zero slots stay
     zero, keeping the presentation minimal), takes the Pfaffian ideal,
     and checks that the h-vector came out right; degenerate draws are
-    retried up to MATRIX_RETRIES times.
+    retried up to MATRIX_RETRIES times.  A modulus that is not an odd prime
+    below 2^31 raises ValueError before any draw.
     """
+    check_modulus(p)
     dm = generic_degree_matrix(h)
     target = _entries(h)
     for attempt in range(MATRIX_RETRIES):
@@ -432,30 +435,22 @@ def witness_splits(ideal, witness, d):
     """Does a stored witness certify a reduced scheme with a degree-d part?
 
     Recomputes the characteristic polynomial of ell/x_h and requires it to
-    be square-free and the stored factor to be a monic degree-d divisor.
+    be square-free and the stored factor to be a monic degree-d divisor;
+    one Euclid over (f, f') and (f, factor) answers both.
     """
     try:
         f = _projection_char_poly(ideal, witness.ell, witness.xh)
     except BadPositionError:
         return False
     fd = witness.factor
-    return (
-        is_squarefree(f)
-        and fd.degree == d
-        and fd.is_monic()
-        and gcd_degree(f, fd) == d
-    )
+    if fd.degree != d or not fd.is_monic():
+        return False
+    squarefree, common = squarefree_gcd_degree(f, fd)
+    return squarefree and common == d
 
 
 # ---------------------------------------------------------------------------
 # subscheme extraction and residuals (degreewise linear algebra)
-
-
-def _poly_power(f, m):
-    out = MultiPoly.constant(1, f.p)
-    for _ in range(m):
-        out = out * f
-    return out
 
 
 class _PieceCollector:
@@ -538,6 +533,7 @@ def extract_subscheme(ideal, ell, xh, f_d):
         raise ExtractionError(
             "factor image has rank %d, expected %d" % (len(pivW), n - d)
         )
+    pushes = _xh_pushes(ideal, xh, sigma0)
     collector = _PieceCollector(ideal)
     hf_hist = []
     cap = sigma0 + n + 2
@@ -545,12 +541,12 @@ def extract_subscheme(ideal, ell, xh, f_d):
     while True:
         if t <= sigma0:
             # push degree-t forms into the stable piece and compare with W
-            push = ideal.mult_matrix(_poly_power(xh, sigma0 - t), t)
-            residual_map = reduce_rows(push, RW, pivW, p)
+            residual_map = reduce_rows(pushes[t], RW, pivW, p)
         else:
-            # above the stable degree the vanishing space is W moved up by x_h
-            step = ideal.mult_matrix(_poly_power(xh, t - sigma0), sigma0)
-            RW_t, pivW_t = rref(_safe_matmul(W, step, p), p)
+            # above the stable degree the vanishing space is W moved up by
+            # x_h^(t - sigma0), one more step of x_h each degree
+            W = _safe_matmul(W, ideal.mult_matrix(xh, t - 1), p)
+            RW_t, pivW_t = rref(W, p)
             residual_map = reduce_rows(
                 np.eye(ideal.hf(t), dtype=np.int64), RW_t, pivW_t, p
             )
@@ -566,6 +562,15 @@ def extract_subscheme(ideal, ell, xh, f_d):
     if ideal_x.scheme_degree() != d:
         raise ExtractionError("extracted subscheme has the wrong degree")
     return ideal_x
+
+
+def _xh_pushes(ideal, xh, top):
+    """Multiplication by x_h^(top - t) from (S/I)_t into (S/I)_top, for
+    t = 0..top: a chain of the one-step maps of x_h, from the top down."""
+    pushes = [np.eye(ideal.hf(top), dtype=np.int64)]
+    for s in range(top - 1, -1, -1):
+        pushes.append(_safe_matmul(ideal.mult_matrix(xh, s), pushes[-1], ideal.p))
+    return pushes[::-1]
 
 
 def _points_hf_done(hist, expected):

@@ -19,20 +19,24 @@ I_t = S_1 I_{t-1} plus the generators of degree t.  The leading monomials
 of the multiples are read off before any elimination, as in the symbolic
 preprocessing of F4, so most pivots take no pivot search (see
 GradedSpaces.piece).
+
+Coordinates in S/I are read off one normal-form table per piece, with no
+further elimination.  A reduced echelon form has the identity on its pivot
+columns, so a pivot monomial m, leading row r, is congruent mod I_t to
+m - r, which lies on the standard monomials alone, and a standard monomial
+is its own normal form.  The table N_t stacks these normal forms, one row
+per degree-t monomial over the standard monomials, so the coordinates of
+any degree-t rows are one product rows @ N_t, and multiplication by f is
+N_{t + deg f} gathered at the products of f's terms with each standard
+monomial, contracted with f's coefficients (see GradedSpaces.normal_forms).
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from .gf import extend_rref, reduce_rows, rref, rref_unit_triangular
-from .mpoly import (
-    NVARS,
-    monomial_count,
-    monomial_position,
-    monomials_of_degree,
-    product_positions,
-)
+from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
+from .mpoly import MultiPoly, NVARS, monomial_count, monomials_of_degree, product_positions
 
 __all__ = ["groebner", "h_vector", "GradedSpaces"]
 
@@ -42,19 +46,6 @@ __all__ = ["groebner", "h_vector", "GradedSpaces"]
 MAX_HF_PROBE = 20
 
 _PAIRS = frozenset(frozenset(pair) for pair in combinations(range(NVARS), 2))
-
-
-def fill_multiples(out, f, a, shifts=slice(None)):
-    """Write the coefficient rows of m * f into out, one row per degree-a
-    monomial m at the positions `shifts` of monomials_of_degree(a).
-
-    out is zero on entry, with one column per degree-(a + deg f) monomial.
-    Each product's column is read off the cached product_positions table,
-    so the whole block is one fancy-index assignment.
-    """
-    cols = [monomial_position(m) for m in f.terms]
-    pos = product_positions(a, f.degree)[shifts][:, cols]
-    out[np.arange(len(pos))[:, None], pos] = list(f.terms.values())
 
 
 def with_std(R, pivots):
@@ -73,13 +64,17 @@ class GradedSpaces:
     standard-monomial coordinate frame of (S/I)_t.  A caller that has
     already echelonized some pieces (as the degreewise quotient and
     extraction do) hands them in as `pieces`, a dict keyed by degree.
+
+    Every reader of (S/I) coordinates (coords, mult_matrix, contains) goes
+    through the normal-form table of a piece (normal_forms), which the
+    reduced echelon form gives with no elimination.
     """
 
     def __init__(self, gens, p, pieces=()):
         self.gens = tuple(gens)
         self.p = p
         self._pieces = dict(pieces)
-        self._mult_cache = {}
+        self._tables = {}
         self._stable = None
 
     def piece(self, t):
@@ -107,8 +102,9 @@ class GradedSpaces:
         """Coefficient rows of the generators of degree t."""
         gens = [g for g in self.gens if g.degree == t]
         rows = np.zeros((len(gens), monomial_count(t)), dtype=np.int64)
-        for i, g in enumerate(gens):
-            fill_multiples(rows[i : i + 1], g, 0)
+        for row, g in zip(rows, gens):
+            positions, coeffs = g.columns()
+            row[positions] = coeffs
         return rows
 
     def _grow(self, t):
@@ -181,17 +177,17 @@ class GradedSpaces:
         return self.hf(0) == 0
 
     def contains(self, f):
-        """Is the polynomial f in the ideal?  Checked per homogeneous part."""
-        parts = {}
-        for m, c in f.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        for t, terms in parts.items():
-            row = np.zeros((1, monomial_count(t)), dtype=np.int64)
-            for m, c in terms.items():
-                row[0, monomial_position(m)] = c
-            if self.nf_rows(row, t).any():
-                return False
-        return True
+        """Is the polynomial f in the ideal?  Checked per homogeneous part:
+        a form lies in I_t iff its normal form is zero."""
+        if f.is_zero():
+            return True
+        if not f.is_homogeneous():
+            parts = {}
+            for m, c in f.terms.items():
+                parts.setdefault(sum(m), {})[m] = c
+            return all(self.contains(MultiPoly(terms, self.p)) for terms in parts.values())
+        positions, coeffs = f.columns()
+        return not _safe_matmul(coeffs, self.normal_forms(f.degree)[positions], self.p).any()
 
     def max_degree(self):
         return max((g.degree for g in self.gens), default=0)
@@ -218,30 +214,42 @@ class GradedSpaces:
         monos = monomials_of_degree(t)
         return [monos[i] for i in self.piece(t)[2]]
 
-    def nf_rows(self, rows, t):
-        """Reduce dense degree-t coefficient rows; returns reduced rows."""
-        R, pivots, _ = self.piece(t)
-        return reduce_rows(np.asarray(rows, dtype=np.int64), R, pivots, self.p)
+    def normal_forms(self, t):
+        """N_t: row j holds the coordinates in (S/I)_t of the normal form of
+        monomials_of_degree(t)[j], over the standard monomials.
+
+        With the piece (R, pivots, std) in reduced echelon form, a standard
+        monomial's row is a unit vector and the monomial at pivots[i] has
+        the row -R[i, std], since R[i] is 1 there and 0 on the other
+        pivots.  Built once per degree, from the piece alone, and held in
+        float64, which holds residues exactly, so that _safe_matmul
+        multiplies by it with no conversion.
+        """
+        if t not in self._tables:
+            R, pivots, std = self.piece(t)
+            table = np.zeros((monomial_count(t), len(std)))
+            table[std, np.arange(len(std))] = 1
+            table[pivots] = -R[:, std] % self.p
+            self._tables[t] = table
+        return self._tables[t]
 
     def coords(self, rows, t):
-        """Standard-monomial coordinates of (already any) degree-t rows."""
-        reduced = self.nf_rows(rows, t)
-        _, _, std = self.piece(t)
-        return reduced[:, std]
+        """Standard-monomial coordinates of degree-t rows of residues."""
+        return _safe_matmul(np.asarray(rows, dtype=np.int64), self.normal_forms(t), self.p)
 
     def mult_matrix(self, f, t):
         """Matrix of multiplication by f: (S/I)_t -> (S/I)_{t + deg f}.
 
         Shape (hf(t), hf(t + deg f)); row j holds the image coordinates of
-        the j-th standard monomial, so images are `coords @ M`.
+        the j-th standard monomial s_j, so images are `coords @ M`.  Row j
+        is the sum of c * N_{t + deg f}[m * s_j] over the terms c * m of f:
+        the table gathered at the products of f's own terms, contracted
+        with f's coefficients in one product.
         """
-        key = (f, t)
-        if key not in self._mult_cache:
-            std = self.piece(t)[2]
-            rows = np.zeros((len(std), monomial_count(t + f.degree)), dtype=np.int64)
-            fill_multiples(rows, f, t, std)
-            self._mult_cache[key] = self.coords(rows, t + f.degree)
-        return self._mult_cache[key]
+        positions, coeffs = f.columns()
+        products = product_positions(t, f.degree)[self.piece(t)[2]][:, positions]
+        table = self.normal_forms(t + f.degree)
+        return _safe_matmul(coeffs, table[products], self.p)
 
 
 def groebner(gens, p=None):
@@ -251,6 +259,7 @@ def groebner(gens, p=None):
         if not polys:
             raise ValueError("cannot infer modulus from an empty generator list")
         p = polys[0].p
+    check_modulus(p)
     for g in polys:
         if g.p != p:
             raise ValueError("mixed moduli")

@@ -82,6 +82,16 @@ def _pairs(s):
     return (s + 1) * (s + 2) // 2
 
 
+_index_cache = {}
+
+
+def _position_index(t):
+    """{monomial: its position in monomials_of_degree(t)} (cached dict)."""
+    if t not in _index_cache:
+        _index_cache[t] = {m: i for i, m in enumerate(monomials_of_degree(t))}
+    return _index_cache[t]
+
+
 _product_cache = {}
 
 
@@ -121,6 +131,14 @@ class MultiPoly(Frozen):
         object.__setattr__(self, "p", p)
         # total degree, -1 for the zero polynomial
         object.__setattr__(self, "degree", max(map(monomial_degree, clean), default=-1))
+
+    def columns(self):
+        """(positions, coefficients) of the terms of a homogeneous polynomial:
+        two int arrays in the order of terms, each monomial's position in
+        monomials_of_degree(self.degree) and its coefficient."""
+        index = _position_index(self.degree)
+        positions = np.fromiter(map(index.__getitem__, self.terms), np.intp, len(self.terms))
+        return positions, np.fromiter(self.terms.values(), np.int64, len(self.terms))
 
     @classmethod
     def zero(cls, p):

@@ -122,13 +122,15 @@ def hom_dim_zero(M, target):
     col_dims = [target.dim(sigma - g) for g in gens]
     col_offsets = np.cumsum([0] + col_dims)
     A = np.zeros((total_unknowns, int(col_offsets[-1])), dtype=np.int64)
-    for k in range(M.size):
-        for j in range(M.size):
-            f = M.entry(k, j)
-            if f.is_zero():
-                continue
-            block = target.mult_map(f, gens[j])
-            A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = block
+    # entry (k, j) multiplies the image of generator j into relation k; the
+    # entry (j, k) below the diagonal is -f, so its block is minus f's
+    for (k, j), f in M.upper.items():
+        A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = target.mult_map(
+            f, gens[j]
+        )
+        A[offsets[k] : offsets[k + 1], col_offsets[j] : col_offsets[j + 1]] = (
+            -target.mult_map(f, gens[k]) % p
+        )
     # the solutions are the left kernel of A: unknowns minus rank
     return total_unknowns - rank(A.T, p)
 

@@ -42,8 +42,6 @@ coefficient tuple, lexicographically), so the factor found is
 deterministic even though the splitting is randomized.
 """
 
-import functools
-
 import numpy as np
 
 from ._frozen import Frozen
@@ -55,6 +53,7 @@ __all__ = [
     "NotSquarefreeError",
     "is_squarefree",
     "gcd_degree",
+    "squarefree_gcd_degree",
     "factor_degree_profiles",
     "degree_sums",
     "find_factor_of_degree",
@@ -68,10 +67,8 @@ class NotSquarefreeError(ValueError):
     """find_factor_of_degree was given a polynomial with a repeated factor."""
 
 
-@functools.lru_cache(maxsize=None)
 def _field(p):
-    """p, once it is known to be 2 or an odd prime below 2^31; a bad p
-    raises ValueError every time, since an exception is not cached."""
+    """p, once it is known to be 2 or an odd prime below 2^31."""
     return p if p == 2 else check_modulus(p)
 
 
@@ -223,12 +220,19 @@ def random_monic(n, p, stream):
     return UniPoly(coeffs, p)
 
 
-def _pair_gcd_degree(a, b, p):
-    """deg gcd(a, b) of two coefficient sequences, -1 when both are zero."""
-    A = np.zeros((2, max(len(a), len(b), 1)), dtype=np.int64)
-    A[0, : len(a)] = a
-    A[1, : len(b)] = b
-    return int(_gcd_rows(A[:1], A[1:], p)[0][0])
+def _gcd_degrees(pairs, p):
+    """deg gcd(a, b) for each pair of coefficient sequences (-1 when both
+    are zero), from one Euclid over the stack of pairs."""
+    width = max([1] + [len(c) for pair in pairs for c in pair])
+    A = np.zeros((2, len(pairs), width), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        A[0, i, : len(a)] = a
+        A[1, i, : len(b)] = b
+    return _gcd_rows(A[0], A[1], p)[0].tolist()
+
+
+def _derivative(c, p):
+    return [i * c[i] % p for i in range(1, len(c))]
 
 
 def is_squarefree(f):
@@ -236,15 +240,26 @@ def is_squarefree(f):
     if f.is_zero():
         raise ValueError("zero polynomial has no square-free test")
     p = _field(f.p)
-    c = f.coeffs
-    return _pair_gcd_degree(c, [i * c[i] % p for i in range(1, len(c))], p) == 0
+    return _gcd_degrees([(f.coeffs, _derivative(f.coeffs, p))], p)[0] == 0
 
 
 def gcd_degree(f, g):
     """deg gcd(f, g) for f and g over one GF(p); -1 when both are zero."""
     if f.p != g.p:
         raise ValueError("mixed moduli %d and %d" % (f.p, g.p))
-    return _pair_gcd_degree(f.coeffs, g.coeffs, _field(f.p))
+    return _gcd_degrees([(f.coeffs, g.coeffs)], _field(f.p))[0]
+
+
+def squarefree_gcd_degree(f, g):
+    """(is_squarefree(f), gcd_degree(f, g)) from one Euclid over the two
+    pairs (f, f') and (f, g); requires f nonzero."""
+    if f.is_zero():
+        raise ValueError("zero polynomial has no square-free test")
+    if f.p != g.p:
+        raise ValueError("mixed moduli %d and %d" % (f.p, g.p))
+    p = _field(f.p)
+    own, common = _gcd_degrees([(f.coeffs, _derivative(f.coeffs, p)), (f.coeffs, g.coeffs)], p)
+    return own == 0, common
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ the Hilbert function in every degree, that the projection's check in a
 single degree is compared with.  macaulay_piece builds a graded piece
 from scratch, every multiple of every generator and then one rref, which
 the program's pieces, grown from the piece one degree below, are compared
-with.
+with.  graded_coords, graded_mult_matrix and graded_contains read (S/I)
+coordinates by filling the product rows and reducing them against a
+piece, which the program's normal-form tables are compared with.
 """
 
 import heapq
@@ -27,9 +29,7 @@ import heapq
 import numpy as np
 
 from gorlink._frozen import Frozen
-from gorlink.gf import inv_mod, rank, rref
-from gorlink.gorenstein import _poly_power
-from gorlink.groebner import fill_multiples
+from gorlink.gf import inv_mod, rank, reduce_rows, rref
 from gorlink.mpoly import (
     NVARS,
     MultiPoly,
@@ -37,7 +37,9 @@ from gorlink.mpoly import (
     monomial_count,
     monomial_degree,
     monomial_mul,
+    monomial_position,
     monomials_of_degree,
+    product_positions,
 )
 
 MAX_HF_PROBE = 80
@@ -45,6 +47,13 @@ MAX_HF_PROBE = 80
 
 # ---------------------------------------------------------------------------
 # monomial and substitution helpers only this oracle needs
+
+
+def _poly_power(f, m):
+    out = MultiPoly.constant(1, f.p)
+    for _ in range(m):
+        out = out * f
+    return out
 
 
 def monomial_divides(a, b):
@@ -625,3 +634,48 @@ def macaulay_piece(gens, t, p):
         fill_multiples(rows[start : start + n], g, t - g.degree)
         start += n
     return rref(rows, p)
+
+
+# ---------------------------------------------------------------------------
+# (S/I) coordinates by reducing filled product rows against a piece
+
+
+def fill_multiples(out, f, a, shifts=slice(None)):
+    """Write the coefficient rows of m * f into out, one row per degree-a
+    monomial m at the positions `shifts` of monomials_of_degree(a).
+
+    out is zero on entry, with one column per degree-(a + deg f) monomial.
+    """
+    cols = [monomial_position(m) for m in f.terms]
+    pos = product_positions(a, f.degree)[shifts][:, cols]
+    out[np.arange(len(pos))[:, None], pos] = list(f.terms.values())
+
+
+def graded_coords(ideal, rows, t):
+    """Standard-monomial coordinates of degree-t rows: the rows reduced
+    against the piece of the GradedSpaces ideal, at its standard columns."""
+    R, pivots, std = ideal.piece(t)
+    return reduce_rows(np.asarray(rows, dtype=np.int64), R, pivots, ideal.p)[:, std]
+
+
+def graded_mult_matrix(ideal, f, t):
+    """Multiplication by f from (S/I)_t, one filled and reduced row per
+    standard monomial."""
+    std = ideal.piece(t)[2]
+    rows = np.zeros((len(std), monomial_count(t + f.degree)), dtype=np.int64)
+    fill_multiples(rows, f, t, std)
+    return graded_coords(ideal, rows, t + f.degree)
+
+
+def graded_contains(ideal, f):
+    """Is f in the ideal?  Each homogeneous part reduces to zero."""
+    parts = {}
+    for m, c in f.terms.items():
+        parts.setdefault(monomial_degree(m), {})[m] = c
+    for t, terms in parts.items():
+        row = np.zeros((1, monomial_count(t)), dtype=np.int64)
+        for m, c in terms.items():
+            row[0, monomial_position(m)] = c
+        if graded_coords(ideal, row, t).any():
+            return False
+    return True

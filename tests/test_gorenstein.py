@@ -5,6 +5,7 @@ from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import groebner, h_vector
 from gorlink.gorenstein import (
     BadPositionError,
+    DegeneracyError,
     DegreeMatrix,
     ProjectionWitness,
     SkewPolyMatrix,
@@ -160,6 +161,25 @@ def test_random_gorenstein_hits_target_hvector():
         assert h_vector(gb) == cand.h.entries
 
 
+def test_groebner_and_draw_reject_bad_modulus():
+    # checked before any work: the draws used to run on, giving a Hilbert
+    # function over Z/4, a "Gorenstein" draw over Z/9, or DegeneracyError
+    # after MATRIX_RETRIES draws that each failed inside the elimination
+    for p in (1, 4, 9, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            groebner([P("x0^2", p), P("x1*x2", p)], p)
+        with pytest.raises(ValueError, match="odd prime"):
+            groebner([], p)
+        try:
+            random_gorenstein((1, 3, 1), p, SplitStream(5).child("gorenstein"))
+        except DegeneracyError:
+            pytest.fail("p = %d reached the draws" % p)
+        except ValueError as exc:
+            assert "odd prime" in str(exc)
+        else:
+            pytest.fail("p = %d was accepted" % p)
+
+
 def test_random_gorenstein_single_point():
     _, gb = random_gorenstein((1,), 101, SplitStream(5).child("gorenstein"))
     assert h_vector(gb) == (1,)
@@ -249,6 +269,16 @@ def test_witness_splits_checks_char_poly():
     assert not witness_splits(double, ProjectionWitness(P("x1", p), P("x0", p), None, t), 1)
     # x_h = x1 vanishes at the point, so it is no dehomogenizer there
     assert not witness_splits(double, ProjectionWitness(P("x0", p), P("x1", p), None, t), 1)
+    # three points on a line: the char poly t(t - 1)(t - 2) of x1/x0 is
+    # square-free; t(t - 3) is monic of degree 2 and shares only t with it
+    three = groebner([P("x1^3 + 98*x0*x1^2 + 2*x0^2*x1", p), P("x2", p), P("x3", p)], p)
+    x1, x0 = P("x1", p), P("x0", p)
+    assert witness_splits(three, ProjectionWitness(x1, x0, None, UniPoly([0, 100, 1], p)), 2)
+    assert not witness_splits(three, ProjectionWitness(x1, x0, None, UniPoly([0, 98, 1], p)), 2)
+    # a double point beside a simple one: t^2 (t - 1) is not square-free,
+    # though the monic factor t - 1 divides it
+    fat = groebner([P("x1^3 + 100*x0*x1^2", p), P("x2", p), P("x3", p)], p)
+    assert not witness_splits(fat, ProjectionWitness(x1, x0, None, UniPoly([100, 1], p)), 1)
 
 
 def test_extraction_trivial_cases():

@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import pytest
 
@@ -30,6 +31,28 @@ def test_certificate_roundtrip(small_cert):
     assert back.matrix == small_cert.matrix
     ok, _, dims = replay_certificate(back)
     assert ok and dims == (0, 18, 21)
+
+
+def test_pickle_roundtrip_keeps_values_and_bytes(small_cert):
+    """--jobs workers send certificates back by pickle.  Reading a
+    polynomial's term columns, or replaying the certificate, leaves its
+    pickled state and bytes as they were."""
+    cert = parse_certificate(serialize_certificate(small_cert))  # nothing cached
+    f = cert.matrix.upper[(0, 1)]
+    before = pickle.dumps(f)
+    cert_bytes = pickle.dumps(cert)
+    f.columns()
+    assert f.__getstate__() == (f.terms, f.p, f.degree)
+    assert pickle.dumps(f) == before
+    back = pickle.loads(before)
+    assert back == f and hash(back) == hash(f) and back.render() == f.render()
+    assert pickle.dumps(back) == before
+    assert replay_certificate(cert)[0]
+    assert pickle.dumps(cert) == cert_bytes
+    again = pickle.loads(cert_bytes)
+    assert again.matrix == cert.matrix and again.witness.xh == cert.witness.xh
+    assert serialize_certificate(again) == serialize_certificate(small_cert)
+    assert pickle.dumps(again) == cert_bytes
 
 
 def test_store_roundtrip(tmp_path, small_cert):

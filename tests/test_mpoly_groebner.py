@@ -9,8 +9,14 @@ from gorlink.mpoly import (
     monomials_of_degree,
     product_positions,
 )
-from gorlink.groebner import fill_multiples, groebner, h_vector
-from gorlink.gorenstein import extract_subscheme, is_reduced_and_split, random_gorenstein, residual
+from gorlink.groebner import groebner, h_vector
+from gorlink.gorenstein import (
+    _xh_pushes,
+    extract_subscheme,
+    is_reduced_and_split,
+    random_gorenstein,
+    residual,
+)
 from gorlink.rng import SplitStream
 
 # the slow Buchberger engine the degreewise ideals are checked against
@@ -66,7 +72,7 @@ def test_product_positions_and_multiples():
     f = random_form(2, p, st)
     shifts = [0, 3, 7]
     rows = np.zeros((len(shifts), monomial_count(5)), dtype=np.int64)
-    fill_multiples(rows, f, 3, shifts)
+    oracle.fill_multiples(rows, f, 3, shifts)
     for row, k in zip(rows, shifts):
         g = f * MultiPoly({monomials_of_degree(3)[k]: 1}, p)
         assert row.tolist() == [g.terms.get(m, 0) for m in monomials_of_degree(5)]
@@ -297,26 +303,6 @@ def test_graded_spaces_match_hilbert_function():
         assert spaces.hf(t) == hilbert_function(G, t)
 
 
-def test_graded_spaces_mult_matrix_matches_normal_form():
-    st = SplitStream(17).child("mult")
-    p = 101
-    spaces = groebner([random_form(2, p, st) for _ in range(3)], p)
-    G = oracle.groebner(spaces.gens, p)
-    f = random_form(1, p, st)
-    t = 2
-    M = spaces.mult_matrix(f, t)
-    std = spaces.std_monomials(t)
-    index = {m: i for i, m in enumerate(monomials_of_degree(t + 1))}
-    for j, m in enumerate(std):
-        prod = oracle.term_mul(f, m, 1)
-        nf = normal_form(prod, G)
-        row = [0] * len(index)
-        for mono, c in nf.terms.items():
-            row[index[mono]] = c
-        vec = spaces.coords([row], t + 1)[0]
-        assert list(vec) == list(M[j])
-
-
 # ---------------------------------------------------------------------------
 # pieces grown from the piece below equal the Macaulay build from scratch
 
@@ -354,6 +340,101 @@ def _mixed_ideals(draw):
 @given(_mixed_ideals())
 def test_pieces_match_macaulay_build(ideal):
     assert_pieces_match_macaulay(ideal)
+
+
+# ---------------------------------------------------------------------------
+# (S/I) coordinates read off the normal-form tables equal the oracle's rows
+# filled and reduced against each piece
+
+TABLE_TOP = 4
+PUSH_TOP = 6
+
+
+def _table_forms(p, rng):
+    """The zero form, a nonzero constant, and in degrees 1-3 a one-term
+    form and a dense one."""
+    forms = [MultiPoly.zero(p), MultiPoly.constant(int(rng.integers(1, p)), p)]
+    for deg in (1, 2, 3):
+        monos = monomials_of_degree(deg)
+        one = monos[int(rng.integers(len(monos)))]
+        forms.append(MultiPoly({one: int(rng.integers(1, p))}, p))
+        forms.append(MultiPoly({m: int(rng.integers(0, p)) for m in monos}, p))
+    return forms
+
+
+def assert_table_path_matches_oracle(ideal, rng):
+    p = ideal.p
+    for t in range(TABLE_TOP + 1):
+        rows = rng.integers(0, p, (3, monomial_count(t)))
+        rows[0] = 0
+        assert np.array_equal(ideal.coords(rows, t), oracle.graded_coords(ideal, rows, t))
+    forms = _table_forms(p, rng)
+    for f in forms:
+        for t in range(TABLE_TOP + 1):
+            M = ideal.mult_matrix(f, t)
+            assert np.array_equal(M, oracle.graded_mult_matrix(ideal, f, t)), (f, t)
+            assert M.shape == (ideal.hf(t), ideal.hf(t + f.degree))
+    for f in forms + list(ideal.gens):
+        assert ideal.contains(f) == oracle.graded_contains(ideal, f), f
+        if f.is_zero():
+            continue
+        # f less its normal form lies in the ideal, alone and beside a
+        # generator of another degree
+        row = np.zeros((1, monomial_count(f.degree)), dtype=np.int64)
+        oracle.fill_multiples(row, f, 0)
+        nf = oracle.graded_coords(ideal, row, f.degree)[0].tolist()
+        rest = f - MultiPoly(dict(zip(ideal.std_monomials(f.degree), nf)), p)
+        assert ideal.contains(rest) and oracle.graded_contains(ideal, rest)
+        # parts of several degrees, in either order
+        for mixed in (rest + ideal.gens[-1], f + ideal.gens[-1], ideal.gens[-1] + f):
+            assert ideal.contains(mixed) == oracle.graded_contains(ideal, mixed), mixed
+    # the chained pushes by x_h equal one multiplication by x_h^m, m <= 6
+    xh = MultiPoly.linear_form([int(c) for c in rng.integers(0, p, 4)], p)
+    for t, push in enumerate(_xh_pushes(ideal, xh, PUSH_TOP)):
+        power = oracle._poly_power(xh, PUSH_TOP - t)
+        assert np.array_equal(push, oracle.graded_mult_matrix(ideal, power, t)), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_ideals(), hst.integers(0, 2**32 - 1))
+def test_graded_spaces_mult_matrix_matches_normal_form(ideal, seed):
+    """coords, mult_matrix, contains and the x_h pushes, read off the
+    normal-form tables, against filled rows reduced against the pieces, at
+    p in {3, 5, 10007, 2^31 - 1} (the last takes _safe_matmul's limbs)."""
+    assert_table_path_matches_oracle(ideal, np.random.default_rng(seed))
+
+
+def test_graded_spaces_mult_matrix_matches_normal_form_examples():
+    st = SplitStream(17).child("mult")
+    p = 101
+    spaces = groebner([random_form(2, p, st) for _ in range(3)], p)
+    G = oracle.groebner(spaces.gens, p)
+    f = random_form(1, p, st)
+    t = 2
+    M = spaces.mult_matrix(f, t)
+    std = spaces.std_monomials(t)
+    index = {m: i for i, m in enumerate(monomials_of_degree(t + 1))}
+    for j, m in enumerate(std):
+        prod = oracle.term_mul(f, m, 1)
+        nf = normal_form(prod, G)
+        row = [0] * len(index)
+        for mono, c in nf.terms.items():
+            row[index[mono]] = c
+        vec = spaces.coords([row], t + 1)[0]
+        assert list(vec) == list(M[j])
+    rng = np.random.default_rng(17)
+    assert_table_path_matches_oracle(spaces, rng)
+    # the unit ideal: every quotient piece is zero
+    unit = groebner([MultiPoly.constant(3, p)], p)
+    assert_table_path_matches_oracle(unit, rng)
+    assert unit.mult_matrix(f, 2).shape == (0, 0) and unit.contains(f)
+    # a monomial ideal at p = 2^31 - 1, with a degree-0 form
+    q = (1 << 31) - 1
+    monomial = groebner([P("x0*x1", q), P("x2^3", q)], q)
+    assert_table_path_matches_oracle(monomial, rng)
+    assert np.array_equal(
+        monomial.mult_matrix(MultiPoly.constant(5, q), 2), 5 * np.eye(monomial.hf(2), dtype=np.int64)
+    )
 
 
 def test_pieces_match_macaulay_build_examples():

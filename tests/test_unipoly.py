@@ -17,6 +17,7 @@ from gorlink.unipoly import (
     gcd_degree,
     is_squarefree,
     random_monic,
+    squarefree_gcd_degree,
 )
 
 
@@ -64,6 +65,8 @@ def test_entry_points_reject_bad_modulus(p):
         find_factor_of_degree(f, 2)
     with pytest.raises(ValueError):
         gcd_degree(f, f)
+    with pytest.raises(ValueError):
+        squarefree_gcd_degree(f, f)
 
 
 def _all_monic(p, n):
@@ -83,7 +86,15 @@ def test_squarefree_agrees_with_multiplicities():
     for p in (2, 3, 101):
         for trial in range(60):
             f = random_monic(1 + st.below(12), p, st.child(p, trial))
-            assert sympy_ddf.is_squarefree(f.coeffs, p) == is_squarefree(f)
+            squarefree = sympy_ddf.is_squarefree(f.coeffs, p)
+            assert squarefree == is_squarefree(f)
+            # with a factor of f, or a random g: one stack answers both
+            if squarefree and trial % 2:
+                g = sympy_ddf.factors(f.coeffs, p)[0]
+            else:
+                g = random_monic(st.below(8), p, st.child("g", p, trial)).coeffs
+            expected = len(sympy_ddf.gcd(f.coeffs, list(g), p)) - 1
+            assert squarefree_gcd_degree(f, U(g, p)) == (is_squarefree(f), expected)
 
 
 def test_degree_profile_matches_factorization():
