@@ -49,7 +49,6 @@ __all__ = [
     "reduce_rows",
     "kernel_basis_array",
     "rank",
-    "solve_in_rowspace",
     "charpoly_mod_p",
 ]
 
@@ -275,19 +274,6 @@ def kernel_basis_array(A, p):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -R[:, free].T % p
     return basis
-
-
-def solve_in_rowspace(R, pivots, V, p):
-    """Coordinates of the rows of V in terms of the RREF rows R.
-
-    Requires every row of V to lie in the row space (raises otherwise).
-    Since R is in reduced echelon form the coordinates are just the pivot
-    columns of V.
-    """
-    V = _reduce(np.array(V, dtype=np.int64), p)
-    if reduce_rows(V, R, pivots, p).any():
-        raise ValueError("vector not in row space")
-    return V[:, pivots]
 
 
 def charpoly_mod_p(A, p):

@@ -1,11 +1,19 @@
 """Tangent-space dominance tests for Gorenstein links of point schemes.
 
-A degree-zero homomorphism from the Pfaffian ideal I_G to a graded
-module is pinned down by the images of the generators, one element of
-the target in each generator degree, subject to one linear constraint
-block per row of the skew presentation matrix (whose columns span the
-full first syzygy module).  The dimension of that solution space is a
-kernel computation over GF(p).
+A degree-zero homomorphism from the Pfaffian ideal I_G to S/I_G is
+pinned down by the images of the generators, one element of (S/I_G)_g in
+each generator degree g, subject to one linear constraint block per row
+of the skew presentation matrix (whose columns span the full first
+syzygy module).  The solutions are the left kernel K of one constraint
+matrix over GF(p).
+
+For an ideal J containing I_G, J/I_G is a submodule of S/I_G, so a
+relation vanishes in J/I_G exactly when it vanishes in S/I_G: the maps
+into J/I_G are the maps in K whose generator images lie in (J/I_G)_g.
+Reducing each generator's block of K modulo an echelon basis of
+(J/I_G)_g is linear, so dim Hom(I_G, J/I_G)_0 is dim K minus the rank of
+the reduced blocks.  One kernel per attempt serves S/I_G, I_X/I_G and
+I_Y/I_G.
 
 The dominance criterion for a candidate split deg G = d + e: with
 gdim the dimension of the family of Gorenstein cones for this h-vector,
@@ -23,8 +31,7 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import _safe_matmul, check_modulus, rank, rref, solve_in_rowspace
-from .mpoly import MultiPoly
+from .gf import check_modulus, kernel_basis_array, rank, reduce_rows, rref
 from .groebner import groebner, h_vector
 from .gorenstein import (
     ExtractionError,
@@ -41,8 +48,6 @@ from .hvectors import HVector, _entries, additivity_shift, family_dim_of
 from .rng import SplitStream
 
 __all__ = [
-    "QuotientRingTarget",
-    "SubquotientTarget",
     "hom_dim_zero",
     "generic_hilbert_function_test",
     "EdgeCertificate",
@@ -54,85 +59,47 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 50
 
 
-class QuotientRingTarget:
-    """The module S/I as a target for degree-zero homomorphisms."""
+def hom_dim_zero(M, ideal_g, subs=()):
+    """Degree-zero Hom dimensions from the Pfaffian ideal I_G of M.
 
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.p = ideal.p
-
-    def dim(self, t):
-        return self.ideal.hf(t)
-
-    def mult_map(self, f, t):
-        return self.ideal.mult_matrix(f, t)
-
-
-class SubquotientTarget:
-    """The module I_num/I_den inside S/I_den, in standard-monomial coordinates."""
-
-    def __init__(self, den, num):
-        if not all(num.contains(g) for g in den.gens):
-            raise ValueError("SubquotientTarget needs I_den contained in I_num")
-        self.den = den
-        self.num = num
-        self.p = den.p
-        self._frames = {}
-
-    def _frame(self, t):
-        """(B, pivots): echelonized rows spanning the piece in (S/I_den)_t."""
-        if t not in self._frames:
-            self._frames[t] = rref(self.den.coords(self.num.piece(t)[0], t), self.p)
-        return self._frames[t]
-
-    def dim(self, t):
-        return self._frame(t)[0].shape[0]
-
-    def basis_polys(self, t):
-        B, _ = self._frame(t)
-        monos = self.den.std_monomials(t)
-        out = []
-        for row in B:
-            out.append(
-                MultiPoly({monos[i]: int(c) for i, c in enumerate(row) if c}, self.p)
-            )
-        return out
-
-    def mult_map(self, f, t):
-        """Multiplication by f in subquotient coordinates."""
-        B, _ = self._frame(t)
-        target_B, target_piv = self._frame(t + f.degree)
-        images = _safe_matmul(B, self.den.mult_matrix(f, t), self.p)
-        return solve_in_rowspace(target_B, target_piv, images, self.p)
-
-
-def hom_dim_zero(M, target):
-    """dim of degree-zero homomorphisms from the Pfaffian ideal into target.
-
-    Unknowns are the generator images, one target element per generator
-    degree; the constraints say every row of the skew matrix maps to zero.
+    Returns dim Hom(I_G, J/I_G)_0 for each ideal J in subs, in order,
+    followed by dim Hom(I_G, S/I_G)_0.  The unknowns are the generator
+    images in S/I_G, one element per generator degree; the constraints say
+    every row of the skew matrix maps to zero.  The maps into J/I_G are
+    those whose generator images lie in J/I_G, so each J only restricts the
+    one kernel.  Raises ValueError for a J that does not contain I_G.
     """
+    for J in subs:
+        if not all(J.contains(f) for f in ideal_g.gens):
+            raise ValueError("hom_dim_zero needs I_G contained in each J")
     dm = M.degree_matrix
     gens = dm.gen_degrees
     sigma = dm.socle_degree
     p = M.p
-    dims = [target.dim(g) for g in gens]
-    offsets = np.cumsum([0] + dims)
-    total_unknowns = int(offsets[-1])
-    col_dims = [target.dim(sigma - g) for g in gens]
-    col_offsets = np.cumsum([0] + col_dims)
-    A = np.zeros((total_unknowns, int(col_offsets[-1])), dtype=np.int64)
+    offsets = np.cumsum([0] + [ideal_g.hf(g) for g in gens])
+    col_offsets = np.cumsum([0] + [ideal_g.hf(sigma - g) for g in gens])
+    A = np.zeros((int(offsets[-1]), int(col_offsets[-1])), dtype=np.int64)
     # entry (k, j) multiplies the image of generator j into relation k; the
     # entry (j, k) below the diagonal is -f, so its block is minus f's
     for (k, j), f in M.upper.items():
-        A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = target.mult_map(
-            f, gens[j]
+        A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = (
+            ideal_g.mult_matrix(f, gens[j])
         )
         A[offsets[k] : offsets[k + 1], col_offsets[j] : col_offsets[j + 1]] = (
-            -target.mult_map(f, gens[k]) % p
+            -ideal_g.mult_matrix(f, gens[k]) % p
         )
-    # the solutions are the left kernel of A: unknowns minus rank
-    return total_unknowns - rank(A.T, p)
+    # the solutions are the left kernel of A
+    K = kernel_basis_array(A.T, p)
+    dims = []
+    for J in subs:
+        # each generator's image modulo an echelon basis of (J/I_G)_g
+        frames = {g: rref(ideal_g.coords(J.piece(g)[0], g), p) for g in set(gens)}
+        blocks = [
+            reduce_rows(K[:, offsets[j] : offsets[j + 1]], *frames[g], p)
+            for j, g in enumerate(gens)
+        ]
+        dims.append(len(K) - rank(np.hstack(blocks), p))
+    return (*dims, len(K))
 
 
 def generic_hilbert_function_test(ideal, d):
@@ -197,12 +164,7 @@ def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     tests["generic_hf_X"] = generic_hilbert_function_test(ideal_x, d)
     tests["generic_hf_Y"] = generic_hilbert_function_test(ideal_y, e)
     tests["additivity"] = additivity_shift(h, h_x, h_y) is not None
-    target_sg = QuotientRingTarget(ideal_g)
-    target_ix = SubquotientTarget(ideal_g, ideal_x)
-    target_iy = SubquotientTarget(ideal_g, ideal_y)
-    hom_sg = hom_dim_zero(matrix, target_sg)
-    hom_ix = hom_dim_zero(matrix, target_ix)
-    hom_iy = hom_dim_zero(matrix, target_iy)
+    hom_ix, hom_iy, hom_sg = hom_dim_zero(matrix, ideal_g, (ideal_x, ideal_y))
     # exact-sequence bound from 0 -> Hom(I,I_X/I) -> Hom(I,S_G) -> Hom(I,S_X):
     # dim Hom(I_G, S_X)_0 = 3d needs X reduced with generic Hilbert function,
     # so only a generic witness can turn a violation into an internal error
@@ -291,22 +253,26 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
 def replay_certificate(cert):
     """Recompute every claim in a certificate from its stored witness.
 
-    Entirely deterministic: rebuilds the ideal from the stored matrix,
-    re-checks e = degree(h) - d, recomputes the characteristic polynomial
-    of the stored projection (square-free, divisible by the stored monic
-    degree-d factor), extracts the subscheme from the stored projection
-    data and re-runs all the tests, comparing the h-vectors of X and Y as
-    well.  Returns (ok, recomputed tests, recomputed dims).
+    Entirely deterministic: re-checks e = degree(h) - d and gdim = g(h),
+    rebuilds the ideal from the stored matrix, recomputes the
+    characteristic polynomial of the stored projection (square-free,
+    divisible by the stored monic degree-d factor), extracts the subscheme
+    from the stored projection data and re-runs all the tests, comparing
+    the h-vectors of X and Y as well.  A matrix whose Pfaffians do not cut
+    out a zero-scheme cone is a mismatch too.  Returns (ok, recomputed
+    tests, recomputed dims).
     """
     if cert.matrix is None:
         return cert.verdict == "inconclusive", {}, ()
-    if cert.e != cert.h.degree - cert.d:
+    if cert.e != cert.h.degree - cert.d or cert.gdim != family_dim_of(cert.h):
         return False, {}, ()
     gens = [f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()]
     ideal = groebner(gens, cert.p)
-    if h_vector(ideal) != tuple(cert.h.entries):
+    try:
+        h_g = h_vector(ideal)
+    except ValueError:  # S/I_G is not a zero-scheme cone
         return False, {}, ()
-    if not witness_splits(ideal, cert.witness, cert.d):
+    if h_g != tuple(cert.h.entries) or not witness_splits(ideal, cert.witness, cert.d):
         return False, {}, ()
     try:
         tests, dims, h_x, h_y = _run_attempt(

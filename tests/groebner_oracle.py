@@ -22,6 +22,9 @@ the program's pieces, grown from the piece one degree below, are compared
 with.  graded_coords, graded_mult_matrix and graded_contains read (S/I)
 coordinates by filling the product rows and reducing them against a
 piece, which the program's normal-form tables are compared with.
+hom_dim_by_frames computes each degree-zero Hom dimension from its own
+constraint matrix over echelon frames of I_X/I_G, which the program's one
+kernel over S/I_G, restricted per submodule, is compared with.
 """
 
 import heapq
@@ -679,3 +682,43 @@ def graded_contains(ideal, f):
         if graded_coords(ideal, row, t).any():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# degree-zero Hom by one constraint matrix per target
+
+
+def hom_dim_by_frames(M, den, num):
+    """dim Hom(I_den, I_num/I_den)_0 for the Pfaffian ideal I_den of M.
+
+    Each piece of I_num/I_den gets an echelon frame in (S/I_den)
+    coordinates, multiplication by an entry f is solved in those frames,
+    and the constraint matrix over the frames has one row per unknown; the
+    answer is its left kernel.  With num the unit ideal the frames are the
+    whole of S/I_den.
+    """
+    p = M.p
+    frames = {}
+
+    def frame(t):
+        if t not in frames:
+            frames[t] = rref(graded_coords(den, num.piece(t)[0], t), p)
+        return frames[t]
+
+    def mult_map(f, t):
+        images = np.array(frame(t)[0], dtype=object).dot(graded_mult_matrix(den, f, t)) % p
+        target, pivots = frame(t + f.degree)
+        images = images.astype(np.int64)
+        if reduce_rows(images, target, pivots, p).any():
+            raise ValueError("image leaves I_num/I_den")
+        return images[:, pivots]
+
+    gens = M.degree_matrix.gen_degrees
+    sigma = M.degree_matrix.socle_degree
+    rows = np.cumsum([0] + [len(frame(g)[0]) for g in gens])
+    cols = np.cumsum([0] + [len(frame(sigma - g)[0]) for g in gens])
+    A = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for (k, j), f in M.upper.items():
+        A[rows[j] : rows[j + 1], cols[k] : cols[k + 1]] = mult_map(f, gens[j])
+        A[rows[k] : rows[k + 1], cols[j] : cols[j + 1]] = -mult_map(f, gens[k]) % p
+    return int(rows[-1]) - rank(A.T, p)

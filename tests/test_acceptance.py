@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 from gorlink import splitstats as ss
+from gorlink._workers import worker_pool
 from gorlink.cli import main as cli_main
 from gorlink.graph import build_graph, glicci_component
 from gorlink.gorenstein import generic_degree_matrix
@@ -254,11 +255,9 @@ def _search_job(job):
 
 @pytest.fixture(scope="module")
 def desk_store(tmp_path_factory):
-    from concurrent.futures import ProcessPoolExecutor
-
     store = str(tmp_path_factory.mktemp("acceptance_store"))
     jobs = [(c.h.csv(), c.d) for c in _desk_candidates()]
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with worker_pool(2) as pool:
         certs = list(pool.map(_search_job, jobs))
     for cert in certs:
         save_certificate(cert, store)

@@ -16,7 +16,6 @@ from gorlink.gf import (
     reduce_rows,
     rref,
     rref_unit_triangular,
-    solve_in_rowspace,
 )
 from gorlink.rng import SplitStream
 from gf_reference import det_mod_p, reduce_rows as ref_reduce_rows, rref as ref_rref
@@ -305,19 +304,6 @@ def test_elimination_matches_sympy(case):
             w = [(x - c * y) % p for x, y in zip(w, R_exp[i])]
         expected.append(w)
     assert reduce_rows(V, R, pivots, p).tolist() == expected
-
-    # rows in the row space: their coordinates recombine to them
-    coef = rng.integers(0, p, (3, len(pivots))).astype(object)
-    inside = np.array(coef.dot(np.array(R_exp, dtype=object).reshape(-1, n)) % p
-                      if len(pivots) else np.zeros((3, n)), dtype=np.int64)
-    coords = solve_in_rowspace(R, pivots, inside, p)
-    assert coords.tolist() == coef.tolist()
-    if len(pivots) < n:
-        free = next(c for c in range(n) if c not in piv_exp)
-        outside = np.zeros((1, n), dtype=np.int64)
-        outside[0, free] = 1
-        with pytest.raises(ValueError):
-            solve_in_rowspace(R, pivots, outside, p)
 
     # kernel: the basis sympy's RREF gives, and A times it is zero
     free = [c for c in range(n) if c not in piv_exp]

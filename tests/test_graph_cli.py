@@ -128,6 +128,42 @@ def test_replay_rejects_corrupted_claims(tmp_path, small_cert):
         assert any("replay mismatch" in line for line in report)
 
 
+FIXTURE_7_1 = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "fixture", "edge_7_1_0a09c033_2024.cert"
+)
+
+
+def test_replay_checks_family_dimension(tmp_path, capsys):
+    # a misstated gdim with the flags and verdict it would imply is
+    # consistent with itself; replay compares gdim with g(h)
+    text = open(FIXTURE_7_1).read()
+    text = text.replace("gdim=21", "gdim=22")
+    text = text.replace("hom_IX=1 hom_IY=1 smooth_SG=1", "hom_IX=0 hom_IY=0 smooth_SG=0")
+    text = _set_field(text, "verdict", "refuted")
+    (tmp_path / "edge.cert").write_text(text)
+    certs, errors = load_certificates(str(tmp_path))
+    assert not errors and certs[0].gdim == 22
+    assert not replay_certificate(certs[0])[0]
+    status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
+    assert status == 3 and "replay=MISMATCH" in out
+
+
+def test_replay_reports_a_matrix_with_no_zero_scheme(tmp_path, small_cert, capsys):
+    # with one entry zero the Pfaffians cut out a curve, whose Hilbert
+    # function never stabilizes: a mismatch for that certificate alone
+    save_certificate(small_cert, str(tmp_path))
+    bad = _set_field(open(FIXTURE_7_1).read(), "m[0][1]", "0")
+    (tmp_path / "bad.cert").write_text(bad)
+    certs, errors = load_certificates(str(tmp_path))
+    assert len(certs) == 2 and not errors
+    graph, report = build_graph(str(tmp_path), replay=True)
+    assert graph.edges == ((7, 1, "1,3,3,1"),)
+    assert report == ["replay mismatch: d=7 e=1 h=1,3,3,1 seed=2024"]
+    status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
+    assert status == 3
+    assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1
+
+
 def test_bad_modulus_rejected_up_front(small_cert, capsys):
     text = serialize_certificate(small_cert)
     for p in (10005, (1 << 31) + 11):

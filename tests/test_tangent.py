@@ -1,22 +1,24 @@
 import pytest
 
+from gorlink.gf import rank
 from gorlink.mpoly import MultiPoly
 from gorlink.groebner import groebner
 from gorlink.gorenstein import (
     extract_subscheme,
     is_reduced_and_split,
     random_gorenstein,
+    residual,
 )
 from gorlink.hvectors import additivity_shift, family_dim_of
 from gorlink.rng import SplitStream
 from gorlink.tangent import (
-    QuotientRingTarget,
-    SubquotientTarget,
     generic_hilbert_function_test,
     hom_dim_zero,
     replay_certificate,
     verify_edge,
 )
+
+import groebner_oracle as oracle
 
 
 def P(s, p):
@@ -24,38 +26,41 @@ def P(s, p):
 
 
 def test_graded_piece_trivial_and_small():
+    # J = I_G has only zero pieces over I_G, so no map lands in it; the unit
+    # ideal's pieces are the whole of S/I_G
     p = 101
-    quadric = groebner([P("x0^2", p)], p)
-    assert SubquotientTarget(quadric, quadric).dim(3) == 0
-    # I_num = (x0), I_den = (x0^2): one class in degree 1, namely x0
-    line = groebner([P("x0", p)], p)
-    piece = SubquotientTarget(quadric, line)
-    assert piece.dim(1) == 1
-    assert piece.basis_polys(1) == [P("x0", p)]
+    M, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(3).child("gorenstein"))
+    unit = groebner([P("1", p)], p)
+    assert hom_dim_zero(M, gb, (gb, unit)) == (0, 21, 21)
     with pytest.raises(ValueError):
-        SubquotientTarget(line, quadric)  # containment goes the other way
+        hom_dim_zero(M, gb, (groebner([P("x0", p)], p),))  # does not contain I_G
+
+
+def _twenty_in_thirty(seed, label):
+    """A (1,3,6,10,6,3,1) draw at p = 10007 with a degree-20 split and the
+    extracted I_X."""
+    for attempt in range(20):
+        st = SplitStream(seed).child(label, attempt)
+        M, gb = random_gorenstein((1, 3, 6, 10, 6, 3, 1), 10007, st.child("g"))
+        w = is_reduced_and_split(gb, 20, st.child("s"))
+        if w is not None:
+            return M, gb, extract_subscheme(gb, w.ell, w.xh, w.factor)
+    raise AssertionError("no split found in 20 attempts")
 
 
 def test_graded_piece_twenty_in_thirty():
-    for attempt in range(20):
-        st = SplitStream(31).child("gp", attempt)
-        _, gb = random_gorenstein((1, 3, 6, 10, 6, 3, 1), 10007, st.child("g"))
-        w = is_reduced_and_split(gb, 20, st.child("s"))
-        if w is None:
-            continue
-        gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-        piece = SubquotientTarget(gb, gbx)
-        assert piece.dim(4) == len(piece.basis_polys(4)) == 26 - 20
-        assert all(gbx.contains(f) and not gb.contains(f) for f in piece.basis_polys(4))
-        return
-    raise AssertionError("no split found in 20 attempts")
+    _, gb, gbx = _twenty_in_thirty(31, "gp")
+    # (I_X/I_G)_t, spanned by the coordinates of (I_X)_t in (S/I_G)_t, has
+    # dimension HF_G(t) - HF_X(t): 26 - 20 at t = 4
+    for t, dim in ((4, 26 - 20), (5, 29 - 20)):
+        assert rank(gb.coords(gbx.piece(t)[0], t), gb.p) == gb.hf(t) - gbx.hf(t) == dim
 
 
 def test_hom_into_quotient_of_complete_intersection():
     # CI of three quadrics: the matrix entries lie in the ideal, so all
     # 3 * dim (S/I)_2 = 21 unknowns are free
     M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
-    assert hom_dim_zero(M, QuotientRingTarget(gb)) == 21
+    assert hom_dim_zero(M, gb) == (21,)
     assert family_dim_of((1, 3, 3, 1)) == 21
 
 
@@ -66,16 +71,41 @@ def test_hom_family_dimension_independent_of_draw():
         p = 10007 if sum(h) > 10 else 101
         for seed in range(5):
             M, gb = random_gorenstein(h, p, SplitStream(seed).child("gorenstein"))
-            val = hom_dim_zero(M, QuotientRingTarget(gb))
-            assert val == g, (h, seed)
+            assert hom_dim_zero(M, gb) == (g,), (h, seed)
 
 
 def test_hom_presentation_check():
     M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
     # a valid Pfaffian presentation (test_gorenstein checks M annihilates its
     # Pfaffians) gives the tangent dimension of the (1,3,3,1) family
-    a = hom_dim_zero(M, QuotientRingTarget(gb))
-    assert a == 21
+    assert hom_dim_zero(M, gb) == (21,)
+
+
+def test_hom_dim_zero_matches_frame_oracle():
+    # one kernel over S/I_G restricted per submodule against one constraint
+    # matrix per target over echelon frames
+    for h, d, p in (
+        ((1, 3, 3, 1), 5, 101),
+        ((1, 3, 3, 1), 6, 10007),
+        ((1, 3, 6, 10, 6, 3, 1), 20, 101),
+        ((1, 3, 6, 10, 6, 3, 1), 20, 10007),
+    ):
+        unit = groebner([P("1", p)], p)
+        found = 0
+        for attempt in range(20):
+            st = SplitStream(5).child("oracle", attempt)
+            M, gb = random_gorenstein(h, p, st.child("g"))
+            w = is_reduced_and_split(gb, d, st.child("s"))
+            if w is None:
+                continue
+            gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+            gby = residual(gb, gbx)
+            expected = tuple(oracle.hom_dim_by_frames(M, gb, J) for J in (gbx, gby, unit))
+            assert hom_dim_zero(M, gb, (gbx, gby)) == expected, (h, d, p, attempt)
+            found += 1
+            if found == 2:
+                break
+        assert found, (h, d, p)
 
 
 def test_generic_hilbert_function_test():
@@ -146,18 +176,6 @@ def test_replay_is_deterministic_and_bit_exact():
     assert dims1 == dims2 == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
 
 
-def test_subquotient_target_dimensions():
-    for attempt in range(20):
-        st = SplitStream(77).child("sq", attempt)
-        M, gb = random_gorenstein((1, 3, 6, 10, 6, 3, 1), 10007, st.child("g"))
-        w = is_reduced_and_split(gb, 20, st.child("s"))
-        if w is None:
-            continue
-        gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-        target = SubquotientTarget(gb, gbx)
-        assert target.dim(4) == 6  # 26 - 20
-        assert target.dim(5) == 9  # 29 - 20
-        val = hom_dim_zero(M, target)
-        assert val == 63 - 60
-        return
-    raise AssertionError("no split found")
+def test_hom_into_subquotient_dimensions():
+    M, gb, gbx = _twenty_in_thirty(77, "sq")
+    assert hom_dim_zero(M, gb, (gbx,)) == (63 - 60, 63)
