@@ -44,7 +44,13 @@ from .gorenstein import (
     witness_splits,
     DegeneracyError,
 )
-from .hvectors import HVector, _entries, additivity_shift, family_dim_of
+from .hvectors import (
+    HVector,
+    _entries,
+    additivity_shift,
+    family_dim_of,
+    parse_gorenstein_type,
+)
 from .rng import SplitStream
 
 __all__ = [
@@ -59,7 +65,7 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 50
 
 
-def hom_dim_zero(M, ideal_g, subs=()):
+def hom_dim_zero(M, ideal_g, subs):
     """Degree-zero Hom dimensions from the Pfaffian ideal I_G of M.
 
     Returns dim Hom(I_G, J/I_G)_0 for each ideal J in subs, in order,
@@ -253,9 +259,9 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
 def replay_certificate(cert):
     """Recompute every claim in a certificate from its stored witness.
 
-    Entirely deterministic: re-checks e = degree(h) - d and gdim = g(h),
-    rebuilds the ideal from the stored matrix, recomputes the
-    characteristic polynomial of the stored projection (square-free,
+    Entirely deterministic: re-checks that h is a Gorenstein h-vector,
+    e = degree(h) - d and gdim = g(h), rebuilds the ideal from the stored
+    matrix, recomputes the characteristic polynomial of the stored projection (square-free,
     divisible by the stored monic degree-d factor), extracts the subscheme
     from the stored projection data and re-runs all the tests, comparing
     the h-vectors of X and Y as well.  A matrix whose Pfaffians do not cut
@@ -264,7 +270,9 @@ def replay_certificate(cert):
     """
     if cert.matrix is None:
         return cert.verdict == "inconclusive", {}, ()
-    if cert.e != cert.h.degree - cert.d or cert.gdim != family_dim_of(cert.h):
+    if cert.e != cert.h.degree - cert.d or parse_gorenstein_type(cert.h) is None:
+        return False, {}, ()
+    if cert.gdim != family_dim_of(cert.h):
         return False, {}, ()
     gens = [f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()]
     ideal = groebner(gens, cert.p)

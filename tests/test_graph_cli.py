@@ -148,17 +148,27 @@ def test_replay_checks_family_dimension(tmp_path, capsys):
     assert status == 3 and "replay=MISMATCH" in out
 
 
-def test_replay_reports_a_matrix_with_no_zero_scheme(tmp_path, small_cert, capsys):
-    # with one entry zero the Pfaffians cut out a curve, whose Hilbert
-    # function never stabilizes: a mismatch for that certificate alone
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # with one entry zero the Pfaffians cut out a curve, whose Hilbert
+        # function never stabilizes
+        ("m[0][1]", "0"),
+        # of degree 8, so e = 1 still holds, but not a Gorenstein h-vector
+        ("h", "1,3,2,2"),
+    ],
+)
+def test_replay_reports_a_bad_certificate(tmp_path, small_cert, capsys, field, value):
+    # a mismatch for the bad certificate alone, not a failure of the store
     save_certificate(small_cert, str(tmp_path))
-    bad = _set_field(open(FIXTURE_7_1).read(), "m[0][1]", "0")
+    bad = _set_field(open(FIXTURE_7_1).read(), field, value)
     (tmp_path / "bad.cert").write_text(bad)
     certs, errors = load_certificates(str(tmp_path))
     assert len(certs) == 2 and not errors
     graph, report = build_graph(str(tmp_path), replay=True)
     assert graph.edges == ((7, 1, "1,3,3,1"),)
-    assert report == ["replay mismatch: d=7 e=1 h=1,3,3,1 seed=2024"]
+    bad_h = value if field == "h" else "1,3,3,1"
+    assert report == ["replay mismatch: d=7 e=1 h=%s seed=2024" % bad_h]
     status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
     assert status == 3
     assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1

@@ -60,7 +60,7 @@ def test_hom_into_quotient_of_complete_intersection():
     # CI of three quadrics: the matrix entries lie in the ideal, so all
     # 3 * dim (S/I)_2 = 21 unknowns are free
     M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
-    assert hom_dim_zero(M, gb) == (21,)
+    assert hom_dim_zero(M, gb, ()) == (21,)
     assert family_dim_of((1, 3, 3, 1)) == 21
 
 
@@ -71,14 +71,14 @@ def test_hom_family_dimension_independent_of_draw():
         p = 10007 if sum(h) > 10 else 101
         for seed in range(5):
             M, gb = random_gorenstein(h, p, SplitStream(seed).child("gorenstein"))
-            assert hom_dim_zero(M, gb) == (g,), (h, seed)
+            assert hom_dim_zero(M, gb, ()) == (g,), (h, seed)
 
 
 def test_hom_presentation_check():
     M, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(3).child("gorenstein"))
     # a valid Pfaffian presentation (test_gorenstein checks M annihilates its
     # Pfaffians) gives the tangent dimension of the (1,3,3,1) family
-    assert hom_dim_zero(M, gb) == (21,)
+    assert hom_dim_zero(M, gb, ()) == (21,)
 
 
 def test_hom_dim_zero_matches_frame_oracle():
