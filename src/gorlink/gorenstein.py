@@ -9,7 +9,10 @@ generator of degree g with a relation of degree sigma - g, sigma being
 the numerator degree.  When the numerator leaves an even generator
 count, a cancelling generator/relation pair sits in the middle degree
 sigma/2 (this happens for type II with c = 1, e.g. the complete
-intersection (2,2,4) behind {1,3,4,4,3,1}).
+intersection (2,2,4) behind {1,3,4,4,3,1}).  The Pfaffians are computed
+on dense coefficient vectors, one level of the Laplace expansion at a
+time, each level's products batched into one matrix product per pair of
+degrees (see submaximal_pfaffians).
 
 Reducedness and splitting are tested by projecting: the characteristic
 polynomial of multiplication by ell/x_h on the degree-stable graded
@@ -30,6 +33,8 @@ objects, so the graded pieces of I_G, I_X and I_Y are each echelonized
 once per attempt and shared by every stage that reads them.
 """
 
+import functools
+
 import numpy as np
 
 from ._frozen import Frozen
@@ -40,10 +45,11 @@ from .gf import (
     kernel_basis_array,
     rref,
     reduce_rows,
+    _reduce,
     _safe_matmul,
 )
-from .mpoly import NVARS, MultiPoly, monomials_of_degree, product_positions
-from .groebner import GradedSpaces, groebner, h_vector, with_std
+from .mpoly import NVARS, MultiPoly, monomial_count, monomials_of_degree, product_positions
+from .groebner import GradedSpaces, groebner, has_h_vector, with_std
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, squarefree_gcd_degree
 
@@ -196,21 +202,15 @@ class SkewPolyMatrix(Frozen):
     def size(self):
         return self.degree_matrix.size
 
-    def entry(self, i, j):
-        if i == j:
-            return MultiPoly.zero(self.p)
-        if i < j:
-            return self.upper.get((i, j), MultiPoly.zero(self.p))
-        return -self.upper.get((j, i), MultiPoly.zero(self.p))
-
     def serialize(self):
         n = self.size
         lines = ["size: %d" % n,
                  "gen_degrees: %s" % ",".join(map(str, self.degree_matrix.gen_degrees)),
                  "socle: %d" % self.degree_matrix.socle_degree]
+        zero = MultiPoly.zero(self.p)
         for i in range(n):
             for j in range(i + 1, n):
-                lines.append("m[%d][%d]: %s" % (i, j, self.entry(i, j).render()))
+                lines.append("m[%d][%d]: %s" % (i, j, self.upper.get((i, j), zero).render()))
         return "\n".join(lines)
 
     @classmethod
@@ -247,31 +247,24 @@ class SkewPolyMatrix(Frozen):
         )
 
 
-def _pfaffian(matrix_entry, indices, cache, p):
-    """Pfaffian of the skew submatrix on the given sorted index tuple."""
-    if not indices:
-        return MultiPoly.constant(1, p)
-    if indices in cache:
-        return cache[indices]
-    a = indices[0]
-    rest = indices[1:]
-    total = MultiPoly.zero(p)
-    for pos, b in enumerate(rest):
-        f = matrix_entry(a, b)
-        if f.is_zero():
-            continue
-        sub = tuple(x for x in rest if x != b)
-        term = f * _pfaffian(matrix_entry, sub, cache, p)
-        total = total + term if pos % 2 == 0 else total - term
-    cache[indices] = total
-    return total
+@functools.cache
+def _scatter(u, v):
+    """0/1 matrix taking the outer product of a degree-u and a degree-v
+    coefficient vector, flattened, to the coefficients of their product:
+    row i * C(v + 3, 3) + j has its 1 at product_positions(u, v)[i, j].
+    Float64, so that _safe_matmul uses it with no copy; cached per (u, v)."""
+    table = product_positions(u, v).ravel()
+    S = np.zeros((len(table), monomial_count(u + v)))
+    S[np.arange(len(table)), table] = 1
+    S.flags.writeable = False
+    return S
 
 
-def pfaffian(M):
-    """Pfaffian of an even-size SkewPolyMatrix."""
-    if M.size % 2:
-        raise ValueError("Pfaffian needs even size")
-    return _pfaffian(M.entry, tuple(range(M.size)), {}, M.p)
+def _form(row, t, p):
+    """The degree-t form with the residues of row over monomials_of_degree(t)."""
+    monos = monomials_of_degree(t)
+    nonzero = np.flatnonzero(row)
+    return MultiPoly(dict(zip([monos[i] for i in nonzero], row[nonzero].tolist())), p)
 
 
 def submaximal_pfaffians(M):
@@ -279,18 +272,62 @@ def submaximal_pfaffians(M):
 
     The i-th output is (-1)^i * Pf(M with row and column i removed); with
     these signs the matrix annihilates the vector of Pfaffians.
+
+    The Laplace expansion along a = min S, Pf(S) = sum over b of
+    +-M[a, b] * Pf(S - {a, b}), reaches sorted index sets S through the
+    nonzero entries.  Pf(S), of degree |S|/2 * sigma - sum of g_i over S,
+    is held as its vector over monomials_of_degree.  The sets are computed
+    by size from the empty set up: each level groups its terms by (entry
+    degree u, minor degree v), reduces their outer products mod p and maps
+    them to product coefficients by one _safe_matmul with _scatter(u, v).
     """
     n = M.size
     if n % 2 == 0:
         raise ValueError("sub-maximal Pfaffians need odd size")
-    cache = {}
-    out = []
-    all_idx = tuple(range(n))
-    for i in range(n):
-        sub = tuple(x for x in all_idx if x != i)
-        pf = _pfaffian(M.entry, sub, cache, M.p)
-        out.append(pf if i % 2 == 0 else -pf)
-    return out
+    p, dm = M.p, M.degree_matrix
+
+    def degree(S):
+        return len(S) // 2 * dm.socle_degree - sum(dm.gen_degrees[i] for i in S)
+
+    entries = {}  # (i, j): the degree of M[i, j], and its vector and its negative's
+    for key, f in M.upper.items():
+        positions, coeffs = f.columns()
+        vec = np.zeros(monomial_count(f.degree), dtype=np.int64)
+        vec[positions] = coeffs
+        entries[key] = f.degree, (vec, -vec % p)
+    tops = [tuple(x for x in range(n) if x != i) for i in range(n)]
+    levels = [set(tops)]  # the index sets the expansion reaches, by size
+    for _ in range(n // 2):
+        levels.append({
+            tuple(x for x in S[1:] if x != b)
+            for S in levels[-1] for b in S[1:] if (S[0], b) in entries
+        })
+    pf = {(): np.ones(1, dtype=np.int64)}
+    for level in reversed(levels[:-1]):
+        sets, groups = {}, {}  # sets[w]: the sets of degree w; groups[u, v]: terms
+        for S in level:
+            w = degree(S)
+            row = len(sets.setdefault(w, []))
+            sets[w].append(S)
+            a, rest = S[0], S[1:]
+            for pos, b in enumerate(rest):
+                if (a, b) in entries:
+                    u, signed = entries[a, b]
+                    minor = pf[tuple(x for x in rest if x != b)]
+                    if len(minor):
+                        groups.setdefault((u, w - u), []).append((row, signed[pos % 2], minor))
+        acc = {w: np.zeros((len(S), monomial_count(w)), dtype=np.int64) for w, S in sets.items()}
+        for (u, v), terms in groups.items():
+            rows, E, F = zip(*terms)
+            outer = np.array(E)[:, :, None] * np.array(F)[:, None, :]
+            outer = _reduce(outer, p).reshape(len(terms), -1)
+            np.add.at(acc[u + v], list(rows), _safe_matmul(outer, _scatter(u, v), p))
+        for w, S in sets.items():
+            pf.update(zip(S, _reduce(acc[w], p)))
+    return [
+        _form(pf[S] if i % 2 == 0 else -pf[S] % p, degree(S), p)
+        for i, S in enumerate(tops)
+    ]
 
 
 def random_gorenstein(h, p, stream):
@@ -321,11 +358,8 @@ def random_gorenstein(h, p, stream):
         if len(gens) < dm.size:
             continue
         ideal = groebner(gens, p)
-        try:
-            if h_vector(ideal) == target:
-                return M, ideal
-        except ValueError:
-            pass
+        if has_h_vector(ideal, target):
+            return M, ideal
     raise DegeneracyError(
         "no Gorenstein scheme with h-vector %r after %d draws" % (target, MATRIX_RETRIES)
     )
@@ -478,10 +512,6 @@ class _PieceCollector:
         p = self.p
         monos = monomials_of_degree(t)
         base_R, base_piv, std = self.base.piece(t)
-
-        def poly(row):
-            return MultiPoly({monos[i]: int(c) for i, c in enumerate(row) if c}, p)
-
         # the previous piece times each variable
         prev = self.prev_rows
         table = product_positions(t - 1, 1)
@@ -493,7 +523,7 @@ class _PieceCollector:
         dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
         self.pieces[t] = with_std(*extend_rref(base_R, base_piv, dense, p))
         keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
-        self.generators.extend(poly(row) for row in keep)
+        self.generators.extend(_form(row, t, p) for row in keep)
         self.prev_rows = dense
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
 from .mpoly import MultiPoly, NVARS, monomial_count, monomials_of_degree, product_positions
 
-__all__ = ["groebner", "h_vector", "GradedSpaces"]
+__all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces"]
 
 # A piece is a dense matrix over all C(t+3, 3) degree-t monomials, so the
 # Hilbert-function scan gives up at degree 20 (1771 monomials).  Every
@@ -283,3 +283,18 @@ def h_vector(ideal):
     if any(d <= 0 for d in diffs):
         raise ValueError("Hilbert function not monotone; not a reduced cone ideal")
     return tuple(diffs)
+
+
+def has_h_vector(ideal, h):
+    """Is S/I a zero-scheme cone with h-vector h?  HF(S/I, t) must be the
+    sum h_0 + ... + h_t for t <= len(h): those degrees are compared first,
+    up to the first difference, and only if all agree does h_vector scan."""
+    total = 0
+    for t, step in enumerate(list(h) + [0]):
+        total += step
+        if ideal.hf(t) != total:
+            return False
+    try:
+        return h_vector(ideal) == tuple(h)
+    except ValueError:  # S/I is not a zero-scheme cone
+        return False

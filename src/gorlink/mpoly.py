@@ -179,57 +179,6 @@ class MultiPoly(Frozen):
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (t.get(m, 0) + c) % self.p
-            if v:
-                t[m] = v
-            else:
-                t.pop(m, None)
-        return MultiPoly(t, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (t.get(m, 0) - c) % self.p
-            if v:
-                t[m] = v
-            else:
-                t.pop(m, None)
-        return MultiPoly(t, self.p)
-
-    def __neg__(self):
-        return MultiPoly({m: -c % self.p for m, c in self.terms.items()}, self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            c = other % self.p
-            return MultiPoly({m: v * c % self.p for m, v in self.terms.items()}, self.p)
-        self._check(other)
-        p = self.p
-        out = {}
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return MultiPoly(out, p)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .gf import check_modulus, kernel_basis_array, rank, reduce_rows, rref
-from .groebner import groebner, h_vector
+from .groebner import groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
     extract_subscheme,
@@ -276,11 +276,7 @@ def replay_certificate(cert):
         return False, {}, ()
     gens = [f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()]
     ideal = groebner(gens, cert.p)
-    try:
-        h_g = h_vector(ideal)
-    except ValueError:  # S/I_G is not a zero-scheme cone
-        return False, {}, ()
-    if h_g != tuple(cert.h.entries) or not witness_splits(ideal, cert.witness, cert.d):
+    if not has_h_vector(ideal, cert.h.entries) or not witness_splits(ideal, cert.witness, cert.d):
         return False, {}, ()
     try:
         tests, dims, h_x, h_y = _run_attempt(

@@ -25,9 +25,10 @@ factor_degree_profiles() reads the profiles of a stack, which is how the
 Monte Carlo of gorlink.splitstats reads its trials, 32 at a time.
 find_factor_of_degree() runs the same computation on a stack of one; it
 takes a class it needs whole as it is and splits only a class it takes in
-part, by randomized equal-degree (Cantor-Zassenhaus) splitting on
-coefficient lists, where the char-2 case uses the trace map instead of an
-exponentiation by (q^d - 1)/2.
+part, by randomized equal-degree (Cantor-Zassenhaus) splitting (14.3):
+a^((p^e - 1)/2) mod c, or at p = 2 the trace map, is row 0 of powers of
+the matrix of multiplication by a mod c, by repeated squaring through
+gf._safe_matmul.
 
 Which degrees a factor can have is read off the factor-degree profile
 [(degree, count)] by degree_sums(), a bitmask of the reachable degree
@@ -73,24 +74,14 @@ def _field(p):
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list helpers of the equal-degree split (ascending degree,
-# normalized: no trailing 0)
+# raw coefficient-list helpers of the class products and the split's gcds
+# (ascending degree, normalized: no trailing 0)
 
 
 def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _trim(out)
 
 
 def _mul(a, b, p):
@@ -121,33 +112,14 @@ def _divmod(a, b, p):
     return _trim(q), r
 
 
-def _mod(a, b, p):
-    return _divmod(a, b, p)[1]
-
-
 def _gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _mod(a, b, p)
+        a, b = b, _divmod(a, b, p)[1]
     if a and a[-1] != 1:
         inv = inv_mod(a[-1], p)
         a = [x * inv % p for x in a]
     return a
-
-
-def _mulmod(a, b, f, p):
-    return _mod(_mul(a, b, p), f, p)
-
-
-def _powmod(a, e, f, p):
-    result = [1]
-    base = _mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
-        e >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +416,65 @@ def degree_sums(profile):
 # equal-degree splitting of a class taken in part
 
 
+def _x_powers(c, p):
+    """Rows x^j mod c for j < 2k - 1, k = deg c: a (2k - 1, k) array."""
+    k = len(c) - 1
+    X = np.eye(2 * k - 1, k, dtype=np.int64)
+    low = -np.array(c[:k], dtype=np.int64) % p  # x^k mod c
+    for j in range(k, 2 * k - 1):
+        X[j, 1:] = X[j - 1, :-1]
+        X[j] = (X[j] + X[j - 1, -1] * low) % p
+    return X
+
+
+def _times_matrix(a, X, p):
+    """Matrix of multiplication by a mod c, row i = x^i * a mod c, for a of
+    degree below k: the rows a shifted by i, times the table X of
+    _x_powers(c, p)."""
+    k = X.shape[1]
+    shifted = np.zeros((k, 2 * k - 1), dtype=np.int64)
+    rows = np.arange(k)[:, None]
+    shifted[rows, rows + np.arange(len(a))] = a
+    return _safe_matmul(shifted, X, p)
+
+
+def _power_row(A, e, p):
+    """Row 0 of A^e mod p, e >= 1, by repeated squaring."""
+    row = np.eye(1, len(A), dtype=np.int64)
+    while True:
+        if e & 1:
+            row = _safe_matmul(row, A, p)
+        e >>= 1
+        if not e:
+            return row[0]
+        A = _safe_matmul(A, A, p)
+
+
 def _equal_degree_split(c, d, p, stream):
-    """One random split of squarefree monic c (all factors of degree d)."""
+    """One random split of squarefree monic c (all factors of degree d).
+
+    With A the matrix of multiplication by a random a mod c, row 0 of A^i
+    is a^i mod c.  b = a^((p^d - 1)/2) is 0 or +-1 modulo each factor, so
+    gcd(c, b - 1) splits c unless all gave one value; at p = 2 the trace
+    b = a + a^2 + ... + a^(2^(d-1)) is 0 or 1 there, and gcd(c, b) splits.
+    """
     n = len(c) - 1
+    X = _x_powers(c, p)
     for _ in range(_EDF_RETRIES):
         a = [stream.below(p) for _ in range(n)]
         _trim(a)
         if len(a) <= 1:
             continue
+        A = _times_matrix(a, X, p)
         if p == 2:
-            # trace map over GF(2^d)
-            b = list(a)
-            t = list(a)
+            b = A[0].copy()
             for _ in range(d - 1):
-                t = _mulmod(t, t, c, p)
-                b = _add(b, t, p)
-            g = _gcd(c, b, p)
+                A = _safe_matmul(A, A, p)
+                b += A[0]
         else:
-            g0 = _gcd(c, a, p)
-            if 1 < len(g0) < len(c):
-                return g0
-            b = _powmod(a, (pow(p, d) - 1) // 2, c, p)
-            g = _gcd(c, _add(b, [p - 1], p), p)
+            b = _power_row(A, (pow(p, d) - 1) // 2, p)
+            b[0] -= 1
+        g = _gcd(c, _trim((b % p).tolist()), p)
         if 1 < len(g) < len(c):
             return g
     raise RuntimeError("equal-degree splitting failed after %d tries" % _EDF_RETRIES)

@@ -25,6 +25,12 @@ piece, which the program's normal-form tables are compared with.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, which the program's one
 kernel over S/I_G, restricted per submodule, is compared with.
+
+The ring arithmetic of polynomials (poly_add, poly_sub, poly_neg,
+poly_mul) lives here, since only this engine and the tests use it, and so
+does the cached Laplace expansion of Pfaffians on term dicts
+(submaximal_pfaffians, pfaffian), which the program's level-by-level
+product on dense vectors is compared with.
 """
 
 import heapq
@@ -49,13 +55,100 @@ MAX_HF_PROBE = 80
 
 
 # ---------------------------------------------------------------------------
+# ring arithmetic on term dicts, and the Laplace expansion of Pfaffians
+
+
+def _check(f, g):
+    if f.p != g.p:
+        raise ValueError("mixed moduli")
+
+
+def poly_add(f, g):
+    _check(f, g)
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return MultiPoly(terms, f.p)
+
+
+def poly_neg(f):
+    return MultiPoly({m: -c for m, c in f.terms.items()}, f.p)
+
+
+def poly_sub(f, g):
+    return poly_add(f, poly_neg(g))
+
+
+def poly_mul(f, g):
+    """f * g; g may be a polynomial or an integer."""
+    if isinstance(g, int):
+        return MultiPoly({m: c * g for m, c in f.terms.items()}, f.p)
+    _check(f, g)
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = monomial_mul(m1, m2)
+            out[m] = (out.get(m, 0) + c1 * c2) % f.p
+    return MultiPoly(out, f.p)
+
+
+def skew_entry(M, i, j):
+    """Entry (i, j) of the skew-symmetric matrix whose upper triangle a
+    SkewPolyMatrix holds (never a diagonal one)."""
+    zero = MultiPoly.zero(M.p)
+    return M.upper.get((i, j), zero) if i < j else poly_neg(M.upper.get((j, i), zero))
+
+
+def _pfaffian(matrix_entry, indices, cache, p):
+    """Pfaffian of the skew submatrix on the given sorted index tuple, by
+    the Laplace expansion along its first index, cached per index tuple."""
+    if not indices:
+        return MultiPoly.constant(1, p)
+    if indices in cache:
+        return cache[indices]
+    a = indices[0]
+    rest = indices[1:]
+    total = MultiPoly.zero(p)
+    for pos, b in enumerate(rest):
+        f = matrix_entry(a, b)
+        if f.is_zero():
+            continue
+        sub = tuple(x for x in rest if x != b)
+        term = poly_mul(f, _pfaffian(matrix_entry, sub, cache, p))
+        total = poly_add(total, term) if pos % 2 == 0 else poly_sub(total, term)
+    cache[indices] = total
+    return total
+
+
+def pfaffian(matrix_entry, n, p):
+    """Pfaffian of the even-size n x n skew matrix with the given entries."""
+    if n % 2:
+        raise ValueError("Pfaffian needs even size")
+    return _pfaffian(matrix_entry, tuple(range(n)), {}, p)
+
+
+def submaximal_pfaffians(M):
+    """(-1)^i * Pf(M without row and column i) for an odd-size
+    SkewPolyMatrix, by one cached Laplace expansion."""
+    if M.size % 2 == 0:
+        raise ValueError("sub-maximal Pfaffians need odd size")
+    cache = {}
+    out = []
+    for i in range(M.size):
+        sub = tuple(x for x in range(M.size) if x != i)
+        pf = _pfaffian(lambda a, b: skew_entry(M, a, b), sub, cache, M.p)
+        out.append(pf if i % 2 == 0 else poly_neg(pf))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # monomial and substitution helpers only this oracle needs
 
 
 def _poly_power(f, m):
     out = MultiPoly.constant(1, f.p)
     for _ in range(m):
-        out = out * f
+        out = poly_mul(out, f)
     return out
 
 
@@ -98,11 +191,11 @@ def substitute_linear(poly, images):
                 top = max(cache)
                 cur = cache[top]
                 for k in range(top + 1, e + 1):
-                    cur = cur * images[i]
+                    cur = poly_mul(cur, images[i])
                     cache[k] = cur
             if e:
-                piece = piece * cache[e]
-        out = out + piece
+                piece = poly_mul(piece, cache[e])
+        out = poly_add(out, piece)
     return out
 
 
@@ -596,7 +689,7 @@ def extract_subscheme_by_saturation(gb, ell, xh, f_d):
     F = MultiPoly.zero(p)
     for i, c in enumerate(f_d.coeffs):
         if c:
-            F = F + int(c) * (_poly_power(ell, i) * _poly_power(xh, d - i))
+            F = poly_add(F, poly_mul(poly_mul(_poly_power(ell, i), _poly_power(xh, d - i)), int(c)))
     total = groebner(list(gb.gens) + [F], p)
     return saturate(total, xh)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import groebner, h_vector
@@ -15,7 +16,6 @@ from gorlink.gorenstein import (
     is_reduced_and_split,
     multiplication_operator,
     numerator_polynomial,
-    pfaffian,
     point_ideal_quotient,
     random_gorenstein,
     residual,
@@ -104,8 +104,8 @@ def test_three_by_three_pfaffians_are_entries():
     dm = DegreeMatrix((2, 2, 2), 6)
     st = SplitStream(1).child("pf3")
     M = _random_skew(dm, p, st)
-    a, b, c = M.entry(0, 1), M.entry(0, 2), M.entry(1, 2)
-    assert submaximal_pfaffians(M) == [c, -b, a]
+    a, b, c = M.upper[0, 1], M.upper[0, 2], M.upper[1, 2]
+    assert submaximal_pfaffians(M) == [c, oracle.poly_neg(b), a]
 
 
 def test_pfaffian_syzygy_all_candidate_layouts():
@@ -122,14 +122,37 @@ def test_pfaffian_syzygy_all_candidate_layouts():
         for i in range(dm.size):
             acc = MultiPoly.zero(p)
             for j in range(dm.size):
-                acc = acc + M.entry(i, j) * pf[j]
+                acc = oracle.poly_add(acc, oracle.poly_mul(oracle.skew_entry(M, i, j), pf[j]))
             assert acc.is_zero(), (cand.h.entries, i)
     assert max(len(g) for g in seen) == 13  # largest layout is 13x13
 
 
-def test_pfaffian_squared_is_determinant():
-    from gorlink.gorenstein import _pfaffian
+_LAYOUTS = sorted(
+    {generic_degree_matrix(c.h).gen_degrees: generic_degree_matrix(c.h)
+     for c in enumerate_candidates(6)}.items()
+)
 
+
+@pytest.mark.parametrize("dm", [dm for _, dm in _LAYOUTS], ids=[str(g) for g, _ in _LAYOUTS])
+@settings(max_examples=3, deadline=None)
+@given(p=hst.sampled_from([3, 5, 10007, 2**31 - 1]), seed=hst.integers(0, 2**32 - 1), data=hst.data())
+def test_dense_pfaffians_match_laplace_expansion(dm, p, seed, data):
+    # every generic layout of s <= 6, the 3 x 3 ones among them; entries of
+    # degree 0 may hold constants and a drawn set of entries is zero, as in
+    # a deserialized matrix
+    slots = [(i, j) for i in range(dm.size) for j in range(i + 1, dm.size)
+             if dm.entry_degree(i, j) >= 0]
+    zeros = data.draw(hst.sets(hst.sampled_from(slots)))
+    st = SplitStream(seed).child("dense-pf")
+    upper = {
+        (i, j): MultiPoly({m: st.below(p) for m in monomials_of_degree(dm.entry_degree(i, j))}, p)
+        for i, j in slots if (i, j) not in zeros
+    }
+    M = SkewPolyMatrix(dm, upper, p)
+    assert submaximal_pfaffians(M) == oracle.submaximal_pfaffians(M)
+
+
+def test_pfaffian_squared_is_determinant():
     st = SplitStream(3).child("pfdet")
     p = 101
     for n in (2, 4, 6, 8, 10, 12):
@@ -144,7 +167,7 @@ def test_pfaffian_squared_is_determinant():
             c = int(vals[i, j])
             return MultiPoly.constant(c, p) if c else MultiPoly.zero(p)
 
-        pf = _pfaffian(entry, tuple(range(n)), {}, p)
+        pf = oracle.pfaffian(entry, n, p)
         pf_val = pf.terms.get((0, 0, 0, 0), 0)
         assert pf_val * pf_val % p == det_mod_p(vals, p)
 

@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from gorlink.cli import main
+from gorlink.groebner import GradedSpaces
 from gorlink.graph import LinkageGraph, build_graph, emit_dot, glicci_component
 from gorlink.store import (
     load_certificates,
@@ -172,6 +173,23 @@ def test_replay_reports_a_bad_certificate(tmp_path, small_cert, capsys, field, v
     status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
     assert status == 3
     assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1
+
+
+def test_replay_stops_at_the_first_hilbert_function_difference(monkeypatch):
+    # the m[0][1]: 0 forgery cuts out a curve: HF(S/I_G, 2) is 8 against
+    # 1 + 3 + 3, so replay reports it there instead of growing pieces up to
+    # MAX_HF_PROBE to find that the Hilbert function never stabilizes
+    built = []
+    piece = GradedSpaces.piece
+
+    def spy(self, t):
+        built.append(t)
+        return piece(self, t)
+
+    monkeypatch.setattr(GradedSpaces, "piece", spy)
+    cert = parse_certificate(_set_field(open(FIXTURE_7_1).read(), "m[0][1]", "0"))
+    assert replay_certificate(cert) == (False, {}, ())
+    assert built and max(built) <= len(cert.h.entries) + 1
 
 
 def test_bad_modulus_rejected_up_front(small_cert, capsys):

@@ -227,6 +227,50 @@ def test_find_factor_of_degree_matches_full_factorization(poly):
         ), d
 
 
+def _next_irreducible(tail, p, taken):
+    """The first monic irreducible x^e + tail, stepping the tail as a
+    base-p number, that is not in taken."""
+    e = len(tail)
+    value = sum(c * p**i for i, c in enumerate(tail))
+    while True:
+        coeffs = tuple(value // p**i % p for i in range(e)) + (1,)
+        if coeffs not in taken and sympy_ddf.degree_profile(coeffs, p) == [(e, 1)]:
+            return coeffs
+        value = (value + 1) % p**e
+
+
+@st.composite
+def _one_degree_classes(draw):
+    """Distinct monic irreducibles, r >= 2 of one degree e and maybe one of
+    degree e + 1, so that a factor of degree j * e, 0 < j < r, takes the
+    class of degree e in part."""
+    p = draw(st.sampled_from([2, 3, 10007, 2**31 - 1]))
+    e = draw(st.integers(1, 3))
+    available = int(count_irreducible(e).evaluate(p))
+    assume(available >= 2)
+    tails = st.lists(st.integers(0, p - 1), min_size=e, max_size=e)
+    factors = []
+    for _ in range(draw(st.integers(2, min(available, 5)))):
+        factors.append(_next_irreducible(draw(tails), p, factors))
+    if draw(st.booleans()):
+        factors.append(_next_irreducible(draw(tails) + [0], p, factors))
+    return factors, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_degree_classes())
+def test_equal_degree_split_matches_sympy(case):
+    factors, p = case
+    coeffs = sympy_ddf.product(factors, p)
+    assert sympy_ddf.factors(coeffs, p) == sorted(factors, key=lambda g: (len(g), g))
+    f = UniPoly(coeffs, p)
+    for d, taken in enumerate(_least_factors(sympy_ddf.factors(coeffs, p))):
+        g = find_factor_of_degree(f, d)
+        assert (None if g is None else g.coeffs) == (
+            None if taken is None else sympy_ddf.product(taken, p)
+        ), d
+
+
 @settings(max_examples=60)
 @given(st.sampled_from([2, 3, 101, 10007, 2**31 - 1]), st.integers(1, 30), st.data())
 def test_gcd_rows_match_sympy(p, width, data):
