@@ -11,8 +11,8 @@ count, a cancelling generator/relation pair sits in the middle degree
 sigma/2 (this happens for type II with c = 1, e.g. the complete
 intersection (2,2,4) behind {1,3,4,4,3,1}).  The Pfaffians are computed
 on dense coefficient vectors, one level of the Laplace expansion at a
-time, each level's products batched into one matrix product per pair of
-degrees (see submaximal_pfaffians).
+time, each level's products batched into one indexed accumulation per
+pair of degrees (see submaximal_pfaffians).
 
 Reducedness and splitting are tested by projecting: the characteristic
 polynomial of multiplication by ell/x_h on the degree-stable graded
@@ -32,8 +32,6 @@ Every stage takes and returns ideals as gorlink.groebner.GradedSpaces
 objects, so the graded pieces of I_G, I_X and I_Y are each echelonized
 once per attempt and shared by every stage that reads them.
 """
-
-import functools
 
 import numpy as np
 
@@ -247,19 +245,6 @@ class SkewPolyMatrix(Frozen):
         )
 
 
-@functools.cache
-def _scatter(u, v):
-    """0/1 matrix taking the outer product of a degree-u and a degree-v
-    coefficient vector, flattened, to the coefficients of their product:
-    row i * C(v + 3, 3) + j has its 1 at product_positions(u, v)[i, j].
-    Float64, so that _safe_matmul uses it with no copy; cached per (u, v)."""
-    table = product_positions(u, v).ravel()
-    S = np.zeros((len(table), monomial_count(u + v)))
-    S[np.arange(len(table)), table] = 1
-    S.flags.writeable = False
-    return S
-
-
 def _form(row, t, p):
     """The degree-t form with the residues of row over monomials_of_degree(t)."""
     monos = monomials_of_degree(t)
@@ -278,8 +263,9 @@ def submaximal_pfaffians(M):
     nonzero entries.  Pf(S), of degree |S|/2 * sigma - sum of g_i over S,
     is held as its vector over monomials_of_degree.  The sets are computed
     by size from the empty set up: each level groups its terms by (entry
-    degree u, minor degree v), reduces their outer products mod p and maps
-    them to product coefficients by one _safe_matmul with _scatter(u, v).
+    degree u, minor degree v), reduces their outer products mod p and adds
+    them into the product coefficients at product_positions(u, v); the
+    sums of residues below 2^31 stay far below 2^63.
     """
     n = M.size
     if n % 2 == 0:
@@ -319,9 +305,8 @@ def submaximal_pfaffians(M):
         acc = {w: np.zeros((len(S), monomial_count(w)), dtype=np.int64) for w, S in sets.items()}
         for (u, v), terms in groups.items():
             rows, E, F = zip(*terms)
-            outer = np.array(E)[:, :, None] * np.array(F)[:, None, :]
-            outer = _reduce(outer, p).reshape(len(terms), -1)
-            np.add.at(acc[u + v], list(rows), _safe_matmul(outer, _scatter(u, v), p))
+            outer = _reduce(np.array(E)[:, :, None] * np.array(F)[:, None, :], p)
+            np.add.at(acc[u + v], (np.array(rows)[:, None, None], product_positions(u, v)), outer)
         for w, S in sets.items():
             pf.update(zip(S, _reduce(acc[w], p)))
     return [

@@ -36,6 +36,7 @@ from .groebner import groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
     extract_subscheme,
+    generic_degree_matrix,
     is_reduced_and_split,
     random_gorenstein,
     residual,
@@ -260,8 +261,10 @@ def replay_certificate(cert):
     """Recompute every claim in a certificate from its stored witness.
 
     Entirely deterministic: re-checks that h is a Gorenstein h-vector,
-    e = degree(h) - d and gdim = g(h), rebuilds the ideal from the stored
-    matrix, recomputes the characteristic polynomial of the stored projection (square-free,
+    e = degree(h) - d, gdim = g(h) and that the stored matrix has the
+    generic degree layout of h (which bounds the entry degrees before any
+    Pfaffian is taken), rebuilds the ideal from the stored matrix,
+    recomputes the characteristic polynomial of the stored projection (square-free,
     divisible by the stored monic degree-d factor), extracts the subscheme
     from the stored projection data and re-runs all the tests, comparing
     the h-vectors of X and Y as well.  A matrix whose Pfaffians do not cut
@@ -273,6 +276,8 @@ def replay_certificate(cert):
     if cert.e != cert.h.degree - cert.d or parse_gorenstein_type(cert.h) is None:
         return False, {}, ()
     if cert.gdim != family_dim_of(cert.h):
+        return False, {}, ()
+    if cert.matrix.degree_matrix != generic_degree_matrix(cert.h):
         return False, {}, ()
     gens = [f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()]
     ideal = groebner(gens, cert.p)

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from gorlink import tangent
 from gorlink.cli import main
 from gorlink.groebner import GradedSpaces
 from gorlink.graph import LinkageGraph, build_graph, emit_dot, glicci_component
@@ -173,6 +174,38 @@ def test_replay_reports_a_bad_certificate(tmp_path, small_cert, capsys, field, v
     status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
     assert status == 3
     assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1
+
+
+def test_replay_rejects_a_matrix_off_the_generic_layout(tmp_path, small_cert, capsys, monkeypatch):
+    # a 5 x 5 matrix with entries of degree 10 parses, but h = 1,3,3,1
+    # calls for a 3 x 3 one with quadric entries: replay reports the file
+    # before taking Pfaffians of forms of that degree
+    text = open(FIXTURE_7_1).read()
+    head, rest = text.split("size: 3\n")
+    _, tail = rest.split("end_matrix\n")
+    block = ["size: 5", "gen_degrees: 20,20,20,20,20", "socle: 50"]
+    block += ["m[%d][%d]: x%d^10 + %d*x3^10" % (i, j, i % 4, j + 1)
+              for i in range(5) for j in range(i + 1, 5)]
+    save_certificate(small_cert, str(tmp_path))
+    (tmp_path / "bad.cert").write_text(head + "\n".join(block) + "\nend_matrix\n" + tail)
+    certs, errors = load_certificates(str(tmp_path))
+    assert len(certs) == 2 and not errors
+    assert {c.matrix.size for c in certs} == {3, 5}
+    sizes = []
+    pfaffians = tangent.submaximal_pfaffians
+
+    def spy(M):
+        sizes.append(M.size)
+        return pfaffians(M)
+
+    monkeypatch.setattr(tangent, "submaximal_pfaffians", spy)
+    graph, report = build_graph(str(tmp_path), replay=True)
+    assert graph.edges == ((7, 1, "1,3,3,1"),)
+    assert report == ["replay mismatch: d=7 e=1 h=1,3,3,1 seed=2024"]
+    status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
+    assert status == 3
+    assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1
+    assert sizes and set(sizes) == {3}
 
 
 def test_replay_stops_at_the_first_hilbert_function_difference(monkeypatch):
