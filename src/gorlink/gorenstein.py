@@ -46,7 +46,7 @@ from .gf import (
     _reduce,
     _safe_matmul,
 )
-from .mpoly import NVARS, MultiPoly, monomial_count, monomials_of_degree, product_positions
+from .mpoly import NVARS, MultiPoly, monomial_count, product_positions
 from .groebner import GradedSpaces, groebner, has_h_vector, with_std
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, squarefree_gcd_degree
@@ -187,10 +187,8 @@ class SkewPolyMatrix(Frozen):
                 raise ValueError("upper entries need 0 <= i < j < size")
             if not f.is_zero():
                 expected = degree_matrix.entry_degree(i, j)
-                if not f.is_homogeneous() or f.degree != expected:
-                    raise ValueError(
-                        "entry (%d,%d) must be homogeneous of degree %d" % (i, j, expected)
-                    )
+                if f.degree != expected:
+                    raise ValueError("entry (%d,%d) must have degree %d" % (i, j, expected))
                 table[(i, j)] = f
         object.__setattr__(self, "degree_matrix", degree_matrix)
         object.__setattr__(self, "upper", table)
@@ -245,13 +243,6 @@ class SkewPolyMatrix(Frozen):
         )
 
 
-def _form(row, t, p):
-    """The degree-t form with the residues of row over monomials_of_degree(t)."""
-    monos = monomials_of_degree(t)
-    nonzero = np.flatnonzero(row)
-    return MultiPoly(dict(zip([monos[i] for i in nonzero], row[nonzero].tolist())), p)
-
-
 def submaximal_pfaffians(M):
     """Signed Pfaffians of the principal minors deleting one row/column.
 
@@ -261,11 +252,12 @@ def submaximal_pfaffians(M):
     The Laplace expansion along a = min S, Pf(S) = sum over b of
     +-M[a, b] * Pf(S - {a, b}), reaches sorted index sets S through the
     nonzero entries.  Pf(S), of degree |S|/2 * sigma - sum of g_i over S,
-    is held as its vector over monomials_of_degree.  The sets are computed
-    by size from the empty set up: each level groups its terms by (entry
-    degree u, minor degree v), reduces their outer products mod p and adds
-    them into the product coefficients at product_positions(u, v); the
-    sums of residues below 2^31 stay far below 2^63.
+    is held as its vector over monomials_of_degree, as the entries are.  The
+    sets are computed by size from the empty set up: each level groups its
+    terms by (entry degree u, minor degree v), reduces their outer products
+    mod p and adds them into the product coefficients at
+    product_positions(u, v); the sums of residues below 2^31 stay far below
+    2^63.
     """
     n = M.size
     if n % 2 == 0:
@@ -275,12 +267,8 @@ def submaximal_pfaffians(M):
     def degree(S):
         return len(S) // 2 * dm.socle_degree - sum(dm.gen_degrees[i] for i in S)
 
-    entries = {}  # (i, j): the degree of M[i, j], and its vector and its negative's
-    for key, f in M.upper.items():
-        positions, coeffs = f.columns()
-        vec = np.zeros(monomial_count(f.degree), dtype=np.int64)
-        vec[positions] = coeffs
-        entries[key] = f.degree, (vec, -vec % p)
+    # (i, j): the degree of M[i, j], and its vector and its negative's
+    entries = {key: (f.degree, (f.coeffs, -f.coeffs % p)) for key, f in M.upper.items()}
     tops = [tuple(x for x in range(n) if x != i) for i in range(n)]
     levels = [set(tops)]  # the index sets the expansion reaches, by size
     for _ in range(n // 2):
@@ -309,10 +297,7 @@ def submaximal_pfaffians(M):
             np.add.at(acc[u + v], (np.array(rows)[:, None, None], product_positions(u, v)), outer)
         for w, S in sets.items():
             pf.update(zip(S, _reduce(acc[w], p)))
-    return [
-        _form(pf[S] if i % 2 == 0 else -pf[S] % p, degree(S), p)
-        for i, S in enumerate(tops)
-    ]
+    return [MultiPoly(degree(S), pf[S] if i % 2 == 0 else -pf[S], p) for i, S in enumerate(tops)]
 
 
 def random_gorenstein(h, p, stream):
@@ -334,10 +319,8 @@ def random_gorenstein(h, p, stream):
             for j in range(i + 1, dm.size):
                 deg = dm.entry_degree(i, j)
                 if deg >= 1:
-                    terms = {
-                        m: st.below(p) for m in monomials_of_degree(deg)
-                    }
-                    upper[(i, j)] = MultiPoly(terms, p)
+                    coeffs = [st.below(p) for _ in range(monomial_count(deg))]
+                    upper[(i, j)] = MultiPoly(deg, coeffs, p)
         M = SkewPolyMatrix(dm, upper, p)
         gens = [f for f in submaximal_pfaffians(M) if not f.is_zero()]
         if len(gens) < dm.size:
@@ -478,7 +461,8 @@ class _PieceCollector:
     Feed it, for each degree t = 0, 1, ..., a basis (rows of
     standard-monomial coordinates) of the target ideal's piece modulo the
     base ideal; it keeps the members not already generated by earlier
-    pieces, and the echelonized piece of the target ideal itself.
+    pieces, each dense row wrapped as a form, and the echelonized piece of
+    the target ideal itself.
     """
 
     def __init__(self, base):
@@ -495,20 +479,20 @@ class _PieceCollector:
 
     def add_degree(self, t, coord_rows):
         p = self.p
-        monos = monomials_of_degree(t)
+        width = monomial_count(t)
         base_R, base_piv, std = self.base.piece(t)
         # the previous piece times each variable
         prev = self.prev_rows
         table = product_positions(t - 1, 1)
-        rows = np.zeros((NVARS * len(prev), len(monos)), dtype=np.int64)
+        rows = np.zeros((NVARS * len(prev), width), dtype=np.int64)
         for v in range(NVARS):
             rows[v * len(prev) : (v + 1) * len(prev)][:, table[:, v]] = prev
         span, span_piv = rref(reduce_rows(rows, base_R, base_piv, p), p)
-        dense = np.zeros((len(coord_rows), len(monos)), dtype=np.int64)
+        dense = np.zeros((len(coord_rows), width), dtype=np.int64)
         dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
         self.pieces[t] = with_std(*extend_rref(base_R, base_piv, dense, p))
         keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
-        self.generators.extend(_form(row, t, p) for row in keep)
+        self.generators.extend(MultiPoly(t, row, p) for row in keep)
         self.prev_rows = dense
 
 

@@ -8,7 +8,10 @@ of a Groebner basis (Lazard 1983; Faugere's F4, 1999): the pivots of the
 reduced echelon form are the leading monomials of I_t, reduction against
 it is the normal form, and the non-pivot columns are the standard
 monomials.  The reduced echelon form of a row space is unique, so two
-generating sets of one ideal give the same pieces.
+generating sets of one ideal give the same pieces.  A generator is a form
+(gorlink.mpoly.MultiPoly), whose coefficient vector is already a row over
+the monomials of its degree, so the generator rows of a piece are those
+vectors stacked.
 
 Pieces are built lazily and cached, so one object per ideal serves every
 stage that reads it.  The Hilbert function, the h-vector, containment and
@@ -36,7 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
-from .mpoly import MultiPoly, NVARS, monomial_count, monomials_of_degree, product_positions
+from .mpoly import NVARS, monomial_count, monomials_of_degree, product_positions
 
 __all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces"]
 
@@ -100,12 +103,8 @@ class GradedSpaces:
 
     def _generator_rows(self, t):
         """Coefficient rows of the generators of degree t."""
-        gens = [g for g in self.gens if g.degree == t]
-        rows = np.zeros((len(gens), monomial_count(t)), dtype=np.int64)
-        for row, g in zip(rows, gens):
-            positions, coeffs = g.columns()
-            row[positions] = coeffs
-        return rows
+        rows = [g.coeffs for g in self.gens if g.degree == t]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), monomial_count(t))
 
     def _grow(self, t):
         """RREF of piece t from the RREF of piece t - 1 (see piece)."""
@@ -177,17 +176,13 @@ class GradedSpaces:
         return self.hf(0) == 0
 
     def contains(self, f):
-        """Is the polynomial f in the ideal?  Checked per homogeneous part:
-        a form lies in I_t iff its normal form is zero."""
+        """Is the form f in the ideal?  It lies in I_t iff its normal form,
+        its nonzero coefficients against their rows of N_t, is zero."""
         if f.is_zero():
             return True
-        if not f.is_homogeneous():
-            parts = {}
-            for m, c in f.terms.items():
-                parts.setdefault(sum(m), {})[m] = c
-            return all(self.contains(MultiPoly(terms, self.p)) for terms in parts.values())
-        positions, coeffs = f.columns()
-        return not _safe_matmul(coeffs, self.normal_forms(f.degree)[positions], self.p).any()
+        nonzero = np.flatnonzero(f.coeffs)
+        table = self.normal_forms(f.degree)[nonzero]
+        return not _safe_matmul(f.coeffs[nonzero], table, self.p).any()
 
     def max_degree(self):
         return max((g.degree for g in self.gens), default=0)
@@ -246,14 +241,14 @@ class GradedSpaces:
         the table gathered at the products of f's own terms, contracted
         with f's coefficients in one product.
         """
-        positions, coeffs = f.columns()
-        products = product_positions(t, f.degree)[self.piece(t)[2]][:, positions]
+        nonzero = np.flatnonzero(f.coeffs)
+        products = product_positions(t, f.degree)[self.piece(t)[2]][:, nonzero]
         table = self.normal_forms(t + f.degree)
-        return _safe_matmul(coeffs, table[products], self.p)
+        return _safe_matmul(f.coeffs[nonzero], table[products], self.p)
 
 
 def groebner(gens, p=None):
-    """The ideal the given homogeneous polynomials generate."""
+    """The ideal the given forms generate."""
     polys = [g for g in gens if not g.is_zero()]
     if p is None:
         if not polys:
@@ -263,8 +258,6 @@ def groebner(gens, p=None):
     for g in polys:
         if g.p != p:
             raise ValueError("mixed moduli")
-        if not g.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
     return GradedSpaces(polys, p)
 
 

@@ -1,9 +1,15 @@
-"""Homogeneous polynomials in x0..x3 over GF(p), graded reverse lex order.
+"""Homogeneous forms in x0..x3 over GF(p), graded reverse lex order.
 
-A monomial is an exponent 4-tuple; a polynomial is a dict mapping
-monomials to nonzero residues in [1, p).  Grevlex compares total degree
-first, then declares the monomial whose exponent vector has the smaller
-entries late (reading x3, x2, x1) to be the larger one; x0 > x1 > x2 > x3.
+A monomial is an exponent 4-tuple.  Grevlex compares total degree first,
+then declares the monomial whose exponent vector has the smaller entries
+late (reading x3, x2, x1) to be the larger one; x0 > x1 > x2 > x3.
+
+A form of degree t is its vector of residues over monomials_of_degree(t),
+which lists the degree-t monomials in descending grevlex order: one row of
+a Macaulay matrix, as every later stage reads it.  Every polynomial the
+search makes is such a form, from the matrix entries through the
+Pfaffians to the ideal generators.  The zero form has degree -1 and an
+empty vector.
 
 The canonical text form (terms in descending grevlex order, coefficients
 as integers in [0, p), '*' products and '^' powers) is used bit-exactly
@@ -82,16 +88,6 @@ def _pairs(s):
     return (s + 1) * (s + 2) // 2
 
 
-_index_cache = {}
-
-
-def _position_index(t):
-    """{monomial: its position in monomials_of_degree(t)} (cached dict)."""
-    if t not in _index_cache:
-        _index_cache[t] = {m: i for i, m in enumerate(monomials_of_degree(t))}
-    return _index_cache[t]
-
-
 _product_cache = {}
 
 
@@ -117,94 +113,94 @@ def product_positions(a, b):
 
 
 class MultiPoly(Frozen):
-    """Polynomial in x0..x3 over GF(p); terms is a monomial -> coeff dict."""
+    """A homogeneous form in x0..x3 over GF(p): (degree, coeffs, p).
 
-    __slots__ = ("terms", "p", "degree")
+    coeffs is a read-only int64 vector of residues in [0, p), one per
+    monomial of monomials_of_degree(degree).  The zero form has degree -1
+    and an empty vector, so a form of degree t >= 0 has a nonzero term.
+    """
 
-    def __init__(self, terms, p):
-        clean = {}
-        for m, c in terms.items():
-            c = int(c) % p
-            if c:
-                clean[tuple(m)] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ("degree", "coeffs", "p")
+
+    def __init__(self, degree, coeffs, p):
+        coeffs = np.asarray(coeffs, dtype=np.int64) % p
+        if coeffs.shape != (monomial_count(degree),):
+            raise ValueError(
+                "a form of degree %d has %d coefficients" % (degree, monomial_count(degree))
+            )
+        if not coeffs.any():
+            degree, coeffs = -1, np.zeros(0, dtype=np.int64)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "p", p)
-        # total degree, -1 for the zero polynomial
-        object.__setattr__(self, "degree", max(map(monomial_degree, clean), default=-1))
 
-    def columns(self):
-        """(positions, coefficients) of the terms of a homogeneous polynomial:
-        two int arrays in the order of terms, each monomial's position in
-        monomials_of_degree(self.degree) and its coefficient."""
-        index = _position_index(self.degree)
-        positions = np.fromiter(map(index.__getitem__, self.terms), np.intp, len(self.terms))
-        return positions, np.fromiter(self.terms.values(), np.int64, len(self.terms))
+    @classmethod
+    def from_terms(cls, terms, p):
+        """The form with the terms of a {monomial: coefficient} dict.
+
+        Raises ValueError when the nonzero terms have more than one degree
+        or a monomial is not four nonnegative exponents.
+        """
+        terms = {tuple(m): int(c) % p for m, c in terms.items()}
+        terms = {m: c for m, c in terms.items() if c}
+        if any(len(m) != NVARS or min(m) < 0 for m in terms):
+            raise ValueError("a monomial is four nonnegative exponents")
+        degrees = set(map(monomial_degree, terms))
+        if len(degrees) > 1:
+            raise ValueError("terms of degrees %s are not one form" % sorted(degrees))
+        degree = degrees.pop() if degrees else -1
+        coeffs = np.zeros(monomial_count(degree), dtype=np.int64)
+        for m, c in terms.items():
+            coeffs[monomial_position(m)] = c
+        return cls(degree, coeffs, p)
 
     @classmethod
     def zero(cls, p):
-        return cls({}, p)
+        return cls(-1, (), p)
 
     @classmethod
     def constant(cls, c, p):
-        return cls({(0, 0, 0, 0): c}, p)
-
-    @classmethod
-    def variable(cls, i, p):
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): 1}, p)
+        return cls(0, [c], p)
 
     @classmethod
     def linear_form(cls, coeffs, p):
-        """c0*x0 + c1*x1 + c2*x2 + c3*x3."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            e = [0, 0, 0, 0]
-            e[i] = 1
-            terms[tuple(e)] = c
-        return cls(terms, p)
+        """c0*x0 + c1*x1 + c2*x2 + c3*x3 (monomials_of_degree(1) is x0..x3)."""
+        return cls(1, coeffs, p)
 
     def is_zero(self):
-        return not self.terms
+        return self.degree < 0
 
-    def is_homogeneous(self):
-        degs = {monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
+    def _key(self):
+        return (self.degree, self.p, self.coeffs.tobytes())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
+        return isinstance(other, MultiPoly) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.p))
+        return hash(self._key())
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled vector is read-only too
+        return (MultiPoly, (self.degree, self.coeffs, self.p))
 
     # canonical text format -------------------------------------------------
 
     def render(self):
-        if not self.terms:
+        """Terms in the order of monomials_of_degree, descending grevlex."""
+        if self.is_zero():
             return "0"
+        monos = monomials_of_degree(self.degree)
+        nonzero = np.flatnonzero(self.coeffs)
         parts = []
-        for m in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            if c != 1 or monomial_degree(m) == 0:
-                factors.append(str(c))
-            for i in range(NVARS):
-                if m[i] == 1:
-                    factors.append(_VARNAMES[i])
-                elif m[i] > 1:
-                    factors.append("%s^%d" % (_VARNAMES[i], m[i]))
+        for i, c in zip(nonzero.tolist(), self.coeffs[nonzero].tolist()):
+            m = monos[i]
+            factors = [str(c)] if c != 1 or not self.degree else []
+            for name, e in zip(_VARNAMES, m):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append("%s^%d" % (name, e))
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -232,7 +228,7 @@ class MultiPoly(Frozen):
                     seen_coeff = True
             m = tuple(expo)
             terms[m] = (terms.get(m, 0) + coeff) % p
-        return cls(terms, p)
+        return cls.from_terms(terms, p)
 
     def __repr__(self):
         return "MultiPoly(%s mod %d)" % (self.render(), self.p)

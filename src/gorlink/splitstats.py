@@ -84,9 +84,6 @@ class RationalPolynomial(Frozen):
     def degree(self):
         return max(self.coeffs) if self.coeffs else -1
 
-    def leading_coefficient(self):
-        return self.coeffs[self.degree()] if self.coeffs else Fraction(0)
-
     def evaluate(self, q):
         q = Fraction(q)
         return sum((c * q**e for e, c in self.coeffs.items()), Fraction(0))

@@ -80,6 +80,15 @@ def serialize_certificate(cert):
     return "\n".join(lines) + "\n"
 
 
+def _linear_form(fields, key, p):
+    """The form on the `key:` line, which must be a nonzero linear form: a
+    projection witness's ell and x_h are."""
+    f = MultiPoly.parse(fields[key], p)
+    if f.degree != 1:
+        raise ValueError("%s must be a nonzero linear form" % key)
+    return f
+
+
 def parse_certificate(text):
     lines = text.splitlines()
     fields = {}
@@ -112,8 +121,8 @@ def parse_certificate(text):
     if matrix_text is not None:
         matrix = SkewPolyMatrix.deserialize(matrix_text, p)
         witness = ProjectionWitness(
-            MultiPoly.parse(fields["ell"], p),
-            MultiPoly.parse(fields["xh"], p),
+            _linear_form(fields, "ell", p),
+            _linear_form(fields, "xh", p),
             None,
             UniPoly.from_coeff_csv(fields["factor"], p),
         )

@@ -26,11 +26,15 @@ hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, which the program's one
 kernel over S/I_G, restricted per submodule, is compared with.
 
-The ring arithmetic of polynomials (poly_add, poly_sub, poly_neg,
-poly_mul) lives here, since only this engine and the tests use it, and so
-does the cached Laplace expansion of Pfaffians on term dicts
-(submaximal_pfaffians, pfaffian), which the program's level-by-level
-product on dense vectors is compared with.
+The ring arithmetic of forms (poly_add, poly_sub, poly_neg, poly_mul)
+lives here, since only this engine and the tests use it, and so does the
+cached Laplace expansion of Pfaffians (submaximal_pfaffians, pfaffian),
+which the program's level-by-level product on dense vectors is compared
+with.  All of it works on {monomial: coefficient} term dicts: terms(f)
+reads a form's dict, and MultiPoly.from_terms builds a form from one.
+render_by_sort is the renderer that sorts a term dict into descending
+grevlex order, which the program's walk along the coefficient vector is
+compared with.
 """
 
 import heapq
@@ -55,7 +59,39 @@ MAX_HF_PROBE = 80
 
 
 # ---------------------------------------------------------------------------
-# ring arithmetic on term dicts, and the Laplace expansion of Pfaffians
+# term dicts of forms, ring arithmetic, and the Laplace expansion of Pfaffians
+
+
+def terms(f):
+    """The {monomial: coefficient} dict of the nonzero terms of a form."""
+    monos = monomials_of_degree(f.degree)
+    nonzero = np.flatnonzero(f.coeffs)
+    return {monos[i]: c for i, c in zip(nonzero.tolist(), f.coeffs[nonzero].tolist())}
+
+
+def leading_monomial(f):
+    """The grevlex-leading monomial of a nonzero form."""
+    return max(terms(f), key=grevlex_key)
+
+
+def render_by_sort(term_dict):
+    """The canonical text of the form with these nonzero terms, sorted by
+    grevlex_key."""
+    if not term_dict:
+        return "0"
+    parts = []
+    for m in sorted(term_dict, key=grevlex_key, reverse=True):
+        c = term_dict[m]
+        factors = []
+        if c != 1 or monomial_degree(m) == 0:
+            factors.append(str(c))
+        for i in range(NVARS):
+            if m[i] == 1:
+                factors.append("x%d" % i)
+            elif m[i] > 1:
+                factors.append("x%d^%d" % (i, m[i]))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 def _check(f, g):
@@ -65,14 +101,14 @@ def _check(f, g):
 
 def poly_add(f, g):
     _check(f, g)
-    terms = dict(f.terms)
-    for m, c in g.terms.items():
-        terms[m] = terms.get(m, 0) + c
-    return MultiPoly(terms, f.p)
+    out = terms(f)
+    for m, c in terms(g).items():
+        out[m] = out.get(m, 0) + c
+    return MultiPoly.from_terms(out, f.p)
 
 
 def poly_neg(f):
-    return MultiPoly({m: -c for m, c in f.terms.items()}, f.p)
+    return MultiPoly.from_terms({m: -c for m, c in terms(f).items()}, f.p)
 
 
 def poly_sub(f, g):
@@ -82,14 +118,15 @@ def poly_sub(f, g):
 def poly_mul(f, g):
     """f * g; g may be a polynomial or an integer."""
     if isinstance(g, int):
-        return MultiPoly({m: c * g for m, c in f.terms.items()}, f.p)
+        return MultiPoly.from_terms({m: c * g for m, c in terms(f).items()}, f.p)
     _check(f, g)
     out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    right = terms(g)
+    for m1, c1 in terms(f).items():
+        for m2, c2 in right.items():
             m = monomial_mul(m1, m2)
             out[m] = (out.get(m, 0) + c1 * c2) % f.p
-    return MultiPoly(out, f.p)
+    return MultiPoly.from_terms(out, f.p)
 
 
 def skew_entry(M, i, j):
@@ -174,7 +211,9 @@ def term_mul(poly, mono, coeff):
     """poly times coeff * x^mono."""
     p = poly.p
     coeff %= p
-    return MultiPoly({monomial_mul(m, mono): c * coeff % p for m, c in poly.terms.items()}, p)
+    return MultiPoly.from_terms(
+        {monomial_mul(m, mono): c * coeff % p for m, c in terms(poly).items()}, p
+    )
 
 
 def substitute_linear(poly, images):
@@ -182,7 +221,7 @@ def substitute_linear(poly, images):
     out = MultiPoly.zero(poly.p)
     one = MultiPoly.constant(1, poly.p)
     power_cache = [{0: one} for _ in range(NVARS)]
-    for m, c in poly.terms.items():
+    for m, c in terms(poly).items():
         piece = MultiPoly.constant(c, poly.p)
         for i in range(NVARS):
             e = m[i]
@@ -340,7 +379,7 @@ class GroebnerBasis(Frozen):
         object.__setattr__(
             self,
             "_lts",
-            tuple(g.leading_monomial() for g in self.gens),
+            tuple(leading_monomial(g) for g in self.gens),
         )
 
     def leading_monomials(self):
@@ -382,19 +421,17 @@ def groebner(gens, p=None):
     for g in polys:
         if g.p != p:
             raise ValueError("mixed moduli")
-        if not g.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
-    reduced = _buchberger([dict(g.terms) for g in polys], p)
-    return GroebnerBasis([MultiPoly(t, p) for t in reduced], p, _trusted=True)
+    reduced = _buchberger([terms(g) for g in polys], p)
+    return GroebnerBasis([MultiPoly.from_terms(t, p) for t in reduced], p, _trusted=True)
 
 
 def normal_form(f, gb):
     """Unique remainder of f on division by the reduced basis."""
-    basis = [
-        (lt, inv_mod(g.terms[lt], gb.p), g.terms)
-        for lt, g in zip(gb.leading_monomials(), gb.gens)
-    ]
-    return MultiPoly(_reduce_full(dict(f.terms), basis, gb.p), gb.p)
+    basis = []
+    for lt, g in zip(gb.leading_monomials(), gb.gens):
+        g_terms = terms(g)
+        basis.append((lt, inv_mod(g_terms[lt], gb.p), g_terms))
+    return MultiPoly.from_terms(_reduce_full(terms(f), basis, gb.p), gb.p)
 
 
 def hilbert_function(gb, t):
@@ -525,18 +562,18 @@ def _intersect(gb1, gb2, p):
     """Generators of I1 \\cap I2 via t*I1 + (1-t)*I2 and elimination of t."""
     seed = []
     for g in gb1:
-        seed.append({(1,) + m: c for m, c in g.terms.items()})
+        seed.append({(1,) + m: c for m, c in terms(g).items()})
     for g in gb2:
-        d = {(1,) + m: c for m, c in g.terms.items()}
-        for m, c in g.terms.items():
+        d = {(1,) + m: c for m, c in terms(g).items()}
+        for m, c in terms(g).items():
             key = (0,) + m
             d[key] = (d.get(key, 0) - c) % p
         seed.append({m: c for m, c in d.items() if c})
     basis, lts = _e5_buchberger(seed, p)
     out = []
-    for terms, lt in zip(basis, lts):
+    for element, lt in zip(basis, lts):
         if lt[0] == 0:  # block order: t-free leading term means t-free element
-            out.append(MultiPoly({m[1:]: c for m, c in terms.items()}, p))
+            out.append(MultiPoly.from_terms({m[1:]: c for m, c in element.items()}, p))
     return out
 
 
@@ -551,9 +588,10 @@ def _divide_by(polys, f):
 def _exact_divide(g, f):
     """g / f when f divides g exactly (used after intersecting with (f))."""
     p = g.p
-    work = dict(g.terms)
-    ltf = f.leading_monomial()
-    cf = inv_mod(f.terms[ltf], p)
+    work = terms(g)
+    f_terms = terms(f)
+    ltf = leading_monomial(f)
+    cf = inv_mod(f_terms[ltf], p)
     quo = {}
     while work:
         m = max(work, key=grevlex_key)
@@ -562,14 +600,14 @@ def _exact_divide(g, f):
         shift = monomial_div(m, ltf)
         c = work[m] * cf % p
         quo[shift] = c
-        for fm, fc in f.terms.items():
+        for fm, fc in f_terms.items():
             key = monomial_mul(fm, shift)
             v = (work.get(key, 0) - c * fc) % p
             if v:
                 work[key] = v
             else:
                 work.pop(key, None)
-    return MultiPoly(quo, p)
+    return MultiPoly.from_terms(quo, p)
 
 
 def ideal_quotient(gb, other):
@@ -633,10 +671,7 @@ def _matrix_inverse(A, p):
 def _saturate_by_linear(gb, f):
     """I : f^infty for a linear form f, via the grevlex division shortcut."""
     p = gb.p
-    coeffs = [0] * NVARS
-    for m, c in f.terms.items():
-        coeffs[m.index(1)] = c
-    A = _complete_to_basis(coeffs, p)  # y = A x with y3 = f
+    A = _complete_to_basis(f.coeffs.tolist(), p)  # y = A x with y3 = f
     Ainv = _matrix_inverse(A, p)
     # x_i = sum_j Ainv[i][j] y_j ; writing gens in y-coordinates substitutes that
     to_y = [MultiPoly.linear_form(Ainv[i].tolist(), p) for i in range(NVARS)]
@@ -644,11 +679,12 @@ def _saturate_by_linear(gb, f):
     gby = groebner(moved, p)
     divided = []
     for g in gby.gens:
-        k = min(m[3] for m in g.terms)
+        g_terms = terms(g)
+        k = min(m[3] for m in g_terms)
         if k:
-            divided.append(
-                MultiPoly({(m[0], m[1], m[2], m[3] - k): c for m, c in g.terms.items()}, p)
-            )
+            divided.append(MultiPoly.from_terms(
+                {(m[0], m[1], m[2], m[3] - k): c for m, c in g_terms.items()}, p
+            ))
         else:
             divided.append(g)
     back = [MultiPoly.linear_form(A[i].tolist(), p) for i in range(NVARS)]
@@ -660,8 +696,6 @@ def saturate(gb, f):
     """I : f^infty, reached when I : f^(m+1) = I : f^m."""
     if f.is_zero():
         raise ValueError("saturation by zero")
-    if not f.is_homogeneous():
-        raise ValueError("saturation needs a homogeneous polynomial")
     if f.degree == 0 or gb.is_unit():
         return gb
     if f.degree == 1:
@@ -742,9 +776,10 @@ def fill_multiples(out, f, a, shifts=slice(None)):
 
     out is zero on entry, with one column per degree-(a + deg f) monomial.
     """
-    cols = [monomial_position(m) for m in f.terms]
+    f_terms = terms(f)
+    cols = [monomial_position(m) for m in f_terms]
     pos = product_positions(a, f.degree)[shifts][:, cols]
-    out[np.arange(len(pos))[:, None], pos] = list(f.terms.values())
+    out[np.arange(len(pos))[:, None], pos] = list(f_terms.values())
 
 
 def graded_coords(ideal, rows, t):
@@ -764,17 +799,12 @@ def graded_mult_matrix(ideal, f, t):
 
 
 def graded_contains(ideal, f):
-    """Is f in the ideal?  Each homogeneous part reduces to zero."""
-    parts = {}
-    for m, c in f.terms.items():
-        parts.setdefault(monomial_degree(m), {})[m] = c
-    for t, terms in parts.items():
-        row = np.zeros((1, monomial_count(t)), dtype=np.int64)
-        for m, c in terms.items():
-            row[0, monomial_position(m)] = c
-        if graded_coords(ideal, row, t).any():
-            return False
-    return True
+    """Is the form f in the ideal?  Its row reduces to zero."""
+    if f.is_zero():
+        return True
+    row = np.zeros((1, monomial_count(f.degree)), dtype=np.int64)
+    fill_multiples(row, f, 0)
+    return not graded_coords(ideal, row, f.degree).any()
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_criterion_03_exact_a_30_20(capsys):
     t0 = time.time()
     poly = ss.count_squarefree_with_factor(30, 20)
     value = poly.evaluate(ACCEPTANCE_PRIME) / Fraction(ACCEPTANCE_PRIME) ** 30
-    lead = poly.leading_coefficient()
+    lead = poly.coeffs[poly.degree()]
     limit = ss.limit_fraction(30, 20)
     elapsed = time.time() - t0
     ok = (

@@ -4,7 +4,9 @@ The fixture certificates of degree at most 20 serialize back to their own
 bytes.  One corrupted field in a verified certificate of degree at most 9,
 a changed number, a changed verdict or a deleted line, leaves a file that
 either does not parse or fails replay, and so never adds an edge to the
-replayed graph.  The `seed` and `attempt` lines are left alone: they name
+replayed graph.  So does one term-level edit of a polynomial, ell, x_h or
+a matrix entry: a constant term or a term of another degree appended, one
+term deleted, or the whole replaced by 0.  The `seed` and `attempt` lines are left alone: they name
 the run that found the witness, replay does not read them, and a
 certificate with another seed still proves its link.
 """
@@ -14,7 +16,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gorlink.graph import build_graph
 from gorlink.store import load_certificates, parse_certificate, serialize_certificate
@@ -22,6 +24,7 @@ from gorlink.tangent import replay_certificate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixture")
 PROVENANCE = ("seed", "attempt")
+EDITS = ("constant", "degree", "delete", "zero")
 
 
 def _fixture_texts(max_degree):
@@ -45,12 +48,47 @@ def test_fixture_certificates_round_trip():
         assert serialize_certificate(parse_certificate(text)) == text
 
 
+def _edit_terms(value, edit, drop=0):
+    """A polynomial's text after one term-level edit: a constant term or a
+    term of one degree more appended, term `drop` deleted, or the whole
+    replaced by 0."""
+    terms = value.split(" + ")
+    if edit == "constant":
+        return value + " + 1"
+    if edit == "degree":
+        degree = sum(int(e or 1) for e in re.findall(r"x\d(?:\^(\d+))?", terms[0]))
+        return value + " + x3^%d" % (degree + 1)
+    if edit == "delete":
+        return " + ".join(terms[:drop] + terms[drop + 1:]) or "0"
+    return "0"
+
+
+def _is_polynomial(line):
+    key, _, value = line.partition(": ")
+    return (key in ("ell", "xh") or key.startswith("m[")) and value != "0"
+
+
+def _ell_plus_one():
+    """A constant term appended to ell, which a replay once raised on."""
+    text = SMALL[0]
+    (ell,) = [line for line in text.splitlines() if line.startswith("ell: ")]
+    return text, text.replace(ell, ell + " + 1")
+
+
 @st.composite
 def _corruptions(draw):
     """(original, corrupted) texts differing in one field: a `key: value`
-    line, matrix entries included, other than the provenance lines."""
+    line, matrix entries included, other than the provenance lines; or one
+    term-level edit (EDITS) of a nonzero polynomial line."""
     text = draw(st.sampled_from(SMALL))
     lines = text.splitlines()
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if _is_polynomial(line)]))
+        key, _, value = lines[i].partition(": ")
+        edit = draw(st.sampled_from(EDITS))
+        drop = draw(st.integers(0, value.count(" + ")))
+        lines[i] = "%s: %s" % (key, _edit_terms(value, edit, drop))
+        return text, "\n".join(lines) + "\n"
     fields = [
         i for i, line in enumerate(lines)
         if ": " in line and line.partition(": ")[0] not in PROVENANCE
@@ -74,6 +112,7 @@ def _corruptions(draw):
 
 @settings(max_examples=120)
 @given(_corruptions())
+@example(_ell_plus_one())
 def test_corrupted_certificate_never_becomes_an_edge(case):
     original, corrupted = case
     with tempfile.TemporaryDirectory() as store:

@@ -36,18 +36,19 @@ def test_certificate_roundtrip(small_cert):
 
 
 def test_pickle_roundtrip_keeps_values_and_bytes(small_cert):
-    """--jobs workers send certificates back by pickle.  Reading a
-    polynomial's term columns, or replaying the certificate, leaves its
-    pickled state and bytes as they were."""
+    """--jobs workers send certificates back by pickle.  A form pickles as
+    its degree, coefficient vector and modulus, and comes back read-only;
+    replaying the certificate leaves its pickled bytes as they were."""
     cert = parse_certificate(serialize_certificate(small_cert))  # nothing cached
     f = cert.matrix.upper[(0, 1)]
     before = pickle.dumps(f)
     cert_bytes = pickle.dumps(cert)
-    f.columns()
-    assert f.__getstate__() == (f.terms, f.p, f.degree)
-    assert pickle.dumps(f) == before
+    degree, coeffs, p = f.__reduce__()[1]
+    assert (degree, p) == (f.degree, f.p) and coeffs is f.coeffs
+    assert not f.coeffs.flags.writeable
     back = pickle.loads(before)
     assert back == f and hash(back) == hash(f) and back.render() == f.render()
+    assert not back.coeffs.flags.writeable
     assert pickle.dumps(back) == before
     assert replay_certificate(cert)[0]
     assert pickle.dumps(cert) == cert_bytes
@@ -174,6 +175,33 @@ def test_replay_reports_a_bad_certificate(tmp_path, small_cert, capsys, field, v
     status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
     assert status == 3
     assert out.count("replay=MISMATCH") == 1 and out.count("replay=ok") == 1
+
+
+def test_forged_witness_forms_are_unparsed(tmp_path, capsys):
+    # ell and x_h must be nonzero linear forms: one with a constant term,
+    # the zero form and a quadric are each refused when the file is read,
+    # and the good certificate beside them still replays
+    text = open(FIXTURE_7_1).read()
+    ell = next(line for line in text.splitlines() if line.startswith("ell: "))
+    forgeries = {
+        "constant": text.replace(ell, ell + " + 1"),
+        "zero": _set_field(text, "ell", "0"),
+        "quadric": _set_field(text, "xh", "x0^2"),
+    }
+    (tmp_path / "good.cert").write_text(text)
+    for name, forged in forgeries.items():
+        (tmp_path / ("%s.cert" % name)).write_text(forged)
+    certs, errors = load_certificates(str(tmp_path))
+    assert len(certs) == 1 and sorted(name for name, _ in errors) == [
+        "constant.cert", "quadric.cert", "zero.cert"]
+    graph, report = build_graph(str(tmp_path), replay=True)
+    assert graph.edges == ((7, 1, "1,3,3,1"),)
+    assert len(report) == 3 and all(line.startswith("unparsed") for line in report)
+    status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
+    assert status == 3
+    for name in forgeries:
+        assert "unparsed %s.cert" % name in out
+    assert out.count("replay=ok") == 1 and "MISMATCH" not in out
 
 
 def test_replay_rejects_a_matrix_off_the_generic_layout(tmp_path, small_cert, capsys, monkeypatch):

@@ -150,7 +150,7 @@ def test_leading_coefficient_is_limit():
         for k in range(0, n + 1):
             poly = count_squarefree_with_factor(n, k)
             assert poly.degree() == n
-            assert poly.leading_coefficient() == limit_fraction(n, k), (n, k)
+            assert poly.coeffs[n] == limit_fraction(n, k), (n, k)
 
 
 def test_complement_symmetry():
