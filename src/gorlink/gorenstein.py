@@ -210,7 +210,10 @@ class SkewPolyMatrix(Frozen):
         return "\n".join(lines)
 
     @classmethod
-    def deserialize(cls, text, p):
+    def deserialize(cls, text, p, max_degree):
+        """The matrix a serialize() block writes.  Entry degrees above
+        max_degree are refused before any entry is parsed, and each entry
+        is parsed at its degree, so a forged exponent costs no memory."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         fields = {}
         entries = {}
@@ -226,12 +229,15 @@ class SkewPolyMatrix(Frozen):
         )
         # serialize() writes the size and every upper entry, zeros too
         n = int(fields["size"])
-        if n != dm.size or set(entries) != {
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        }:
+        if n != dm.size or len(entries) != n * (n - 1) // 2 or not all(
+            0 <= i < j < n for i, j in entries
+        ):
             raise ValueError("matrix block needs size %d and every m[i][j], i < j" % dm.size)
+        if any(dm.entry_degree(i, j) > max_degree for i, j in entries):
+            raise ValueError("matrix entries have degree at most %d" % max_degree)
         upper = {
-            key: MultiPoly.parse(value, p) for key, value in entries.items()
+            (i, j): MultiPoly.parse(value, p, dm.entry_degree(i, j))
+            for (i, j), value in entries.items()
         }
         return cls(dm, upper, p)
 

@@ -205,7 +205,10 @@ class MultiPoly(Frozen):
         return " + ".join(parts)
 
     @classmethod
-    def parse(cls, text, p):
+    def parse(cls, text, p, degree=None):
+        """The form a render() text writes.  With a degree given, a term of
+        another degree raises ValueError before any vector is built: the
+        single term x0^t names a vector of C(t+3, 3) coefficients."""
         text = text.strip()
         if text == "0":
             return cls.zero(p)
@@ -227,6 +230,8 @@ class MultiPoly(Frozen):
                     coeff = int(factor)
                     seen_coeff = True
             m = tuple(expo)
+            if degree is not None and monomial_degree(m) != degree:
+                raise ValueError("term %r is not of degree %d" % (chunk, degree))
             terms[m] = (terms.get(m, 0) + coeff) % p
         return cls.from_terms(terms, p)
 

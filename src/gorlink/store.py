@@ -83,8 +83,8 @@ def serialize_certificate(cert):
 def _linear_form(fields, key, p):
     """The form on the `key:` line, which must be a nonzero linear form: a
     projection witness's ell and x_h are."""
-    f = MultiPoly.parse(fields[key], p)
-    if f.degree != 1:
+    f = MultiPoly.parse(fields[key], p, 1)
+    if f.is_zero():
         raise ValueError("%s must be a nonzero linear form" % key)
     return f
 
@@ -119,7 +119,9 @@ def parse_certificate(text):
     hom_ix = hom_iy = hom_sg = h_x = h_y = None
     gdim = None
     if matrix_text is not None:
-        matrix = SkewPolyMatrix.deserialize(matrix_text, p)
+        # a presentation of h has socle degree len(h) + 2 and generators of
+        # positive degree, so entries of degree at most len(h)
+        matrix = SkewPolyMatrix.deserialize(matrix_text, p, len(h.entries))
         witness = ProjectionWitness(
             _linear_form(fields, "ell", p),
             _linear_form(fields, "xh", p),

@@ -110,7 +110,7 @@ def _corruptions(draw):
     return text, "\n".join(lines) + "\n"
 
 
-@settings(max_examples=120)
+@settings(max_examples=240)
 @given(_corruptions())
 @example(_ell_plus_one())
 def test_corrupted_certificate_never_becomes_an_edge(case):

@@ -396,5 +396,5 @@ def test_matrix_serialization_roundtrip():
     p = 10007
     dm = generic_degree_matrix((1, 3, 6, 6, 3, 1))
     M = _random_skew(dm, p, st)
-    back = SkewPolyMatrix.deserialize(M.serialize(), p)
+    back = SkewPolyMatrix.deserialize(M.serialize(), p, 6)
     assert back == M

@@ -1,5 +1,6 @@
 import os
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -180,23 +181,37 @@ def test_replay_reports_a_bad_certificate(tmp_path, small_cert, capsys, field, v
 def test_forged_witness_forms_are_unparsed(tmp_path, capsys):
     # ell and x_h must be nonzero linear forms: one with a constant term,
     # the zero form and a quadric are each refused when the file is read,
-    # and the good certificate beside them still replays
+    # and the good certificate beside them still replays.  x0^400 alone
+    # names a vector of C(403, 3) coefficients, 87 MB: as an ell, as a
+    # matrix entry off its degree, or as one whose forged socle degree
+    # matches it (above len(h), which bounds the entry degrees of a
+    # presentation of h), it is refused before that vector is built
     text = open(FIXTURE_7_1).read()
     ell = next(line for line in text.splitlines() if line.startswith("ell: "))
     forgeries = {
         "constant": text.replace(ell, ell + " + 1"),
         "zero": _set_field(text, "ell", "0"),
         "quadric": _set_field(text, "xh", "x0^2"),
+        "ell_400": _set_field(text, "ell", "x0^400"),
+        "entry_400": _set_field(text, "m[0][1]", "x0^400"),
+        "socle_404": _set_field(_set_field(text, "socle", "404"), "m[0][1]", "x0^400"),
     }
     (tmp_path / "good.cert").write_text(text)
     for name, forged in forgeries.items():
         (tmp_path / ("%s.cert" % name)).write_text(forged)
-    certs, errors = load_certificates(str(tmp_path))
-    assert len(certs) == 1 and sorted(name for name, _ in errors) == [
-        "constant.cert", "quadric.cert", "zero.cert"]
+    tracemalloc.start()
+    try:
+        certs, errors = load_certificates(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 1 and sorted(name for name, _ in errors) == sorted(
+        "%s.cert" % name for name in forgeries)
+    assert peak < 4 << 20
     graph, report = build_graph(str(tmp_path), replay=True)
     assert graph.edges == ((7, 1, "1,3,3,1"),)
-    assert len(report) == 3 and all(line.startswith("unparsed") for line in report)
+    assert len(report) == len(forgeries)
+    assert all(line.startswith("unparsed") for line in report)
     status, out = _run_cli(["link", "replay", "--store", str(tmp_path)], capsys)
     assert status == 3
     for name in forgeries:
@@ -205,14 +220,14 @@ def test_forged_witness_forms_are_unparsed(tmp_path, capsys):
 
 
 def test_replay_rejects_a_matrix_off_the_generic_layout(tmp_path, small_cert, capsys, monkeypatch):
-    # a 5 x 5 matrix with entries of degree 10 parses, but h = 1,3,3,1
-    # calls for a 3 x 3 one with quadric entries: replay reports the file
-    # before taking Pfaffians of forms of that degree
+    # a 5 x 5 matrix with quartic entries parses, but h = 1,3,3,1 calls
+    # for a 3 x 3 one with quadric entries: replay reports the file before
+    # taking Pfaffians of forms of that degree
     text = open(FIXTURE_7_1).read()
     head, rest = text.split("size: 3\n")
     _, tail = rest.split("end_matrix\n")
-    block = ["size: 5", "gen_degrees: 20,20,20,20,20", "socle: 50"]
-    block += ["m[%d][%d]: x%d^10 + %d*x3^10" % (i, j, i % 4, j + 1)
+    block = ["size: 5", "gen_degrees: 1,1,1,1,1", "socle: 6"]
+    block += ["m[%d][%d]: x%d^4 + %d*x3^4" % (i, j, i % 4, j + 1)
               for i in range(5) for j in range(i + 1, 5)]
     save_certificate(small_cert, str(tmp_path))
     (tmp_path / "bad.cert").write_text(head + "\n".join(block) + "\nend_matrix\n" + tail)
