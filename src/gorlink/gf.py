@@ -14,6 +14,13 @@ p = 2**31 - 1 for K < 64), exact while K < 2**16.  Residues are reduced
 with a floor division by p, which numpy does several times faster than
 its remainder.
 
+Importing this module sets numpy's OpenBLAS to one thread for the whole
+process, spawned workers included, since each imports it too.  The
+products are small (a graded piece is at most a few hundred monomials
+wide), so a second thread burns CPU time without shortening the run, and
+exactness does not depend on how a product's sums are split across
+threads.
+
 Pivoting takes the first nonzero entry in a column (arithmetic is exact,
 no magnitude concerns), and the reduced row echelon form of a row space
 is unique, so every echelon form here is canonical, whatever the order of
@@ -35,6 +42,7 @@ v is v[pivots[i]], untouched by the other rows, and the reduction of the
 rows of V is the single product V - V[:, pivots] @ R.
 """
 
+import ctypes
 import functools
 
 import numpy as np
@@ -354,3 +362,27 @@ def _safe_matmul(A, B, p):
         C += acc << b
         acc = _reduce(C, p)
     return acc
+
+
+def _one_blas_thread(path):
+    """Set the OpenBLAS that the shared library at `path` links to one thread.
+
+    dlsym through a library's handle also searches the libraries it
+    depends on, so this finds the OpenBLAS numpy loaded: the wheel's
+    scipy_openblas (symbols suffixed 64_ for 64-bit integers) or one linked
+    from the system.  A numpy built on another BLAS exports none of these
+    setters, and nothing is done.
+    """
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            setter = getattr(lib, prefix + "_set_num_threads" + suffix, None)
+            if setter is not None:
+                setter(1)
+                return
+
+
+_one_blas_thread(np.linalg._umath_linalg.__file__)

@@ -172,9 +172,6 @@ class GradedSpaces:
     def scheme_degree(self):
         return self.stable_degree()[1]
 
-    def is_unit(self):
-        return self.hf(0) == 0
-
     def contains(self, f):
         """Is the form f in the ideal?  It lies in I_t iff its normal form,
         its nonzero coefficients against their rows of N_t, is zero."""
@@ -204,10 +201,6 @@ class GradedSpaces:
 
     def __repr__(self):
         return "GradedSpaces(%d gens mod %d)" % (len(self.gens), self.p)
-
-    def std_monomials(self, t):
-        monos = monomials_of_degree(t)
-        return [monos[i] for i in self.piece(t)[2]]
 
     def normal_forms(self, t):
         """N_t: row j holds the coordinates in (S/I)_t of the normal form of

@@ -271,11 +271,6 @@ class LinkCandidate(Frozen):
     def line(self):
         return "%s %d %d %d %s" % (self.h.csv(), self.d, self.e, self.gdim, self.status)
 
-    @classmethod
-    def from_line(cls, line):
-        hcsv, d, e, gdim, status = line.split()
-        return cls(HVector.from_csv(hcsv), int(d), int(e), int(gdim), status)
-
     def __eq__(self, other):
         return isinstance(other, LinkCandidate) and (
             self.h,

@@ -53,7 +53,6 @@ __all__ = [
     "UniPoly",
     "NotSquarefreeError",
     "is_squarefree",
-    "gcd_degree",
     "squarefree_gcd_degree",
     "factor_degree_profiles",
     "degree_sums",
@@ -215,15 +214,8 @@ def is_squarefree(f):
     return _gcd_degrees([(f.coeffs, _derivative(f.coeffs, p))], p)[0] == 0
 
 
-def gcd_degree(f, g):
-    """deg gcd(f, g) for f and g over one GF(p); -1 when both are zero."""
-    if f.p != g.p:
-        raise ValueError("mixed moduli %d and %d" % (f.p, g.p))
-    return _gcd_degrees([(f.coeffs, g.coeffs)], _field(f.p))[0]
-
-
 def squarefree_gcd_degree(f, g):
-    """(is_squarefree(f), gcd_degree(f, g)) from one Euclid over the two
+    """(is_squarefree(f), deg gcd(f, g)) from one Euclid over the two
     pairs (f, f') and (f, g); requires f nonzero."""
     if f.is_zero():
         raise ValueError("zero polynomial has no square-free test")

@@ -21,7 +21,8 @@ from scratch, every multiple of every generator and then one rref, which
 the program's pieces, grown from the piece one degree below, are compared
 with.  graded_coords, graded_mult_matrix and graded_contains read (S/I)
 coordinates by filling the product rows and reducing them against a
-piece, which the program's normal-form tables are compared with.
+piece, which the program's normal-form tables are compared with;
+graded_is_unit and graded_std_monomials read a piece for the tests.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, which the program's one
 kernel over S/I_G, restricted per submodule, is compared with.
@@ -845,3 +846,14 @@ def hom_dim_by_frames(M, den, num):
         A[rows[j] : rows[j + 1], cols[k] : cols[k + 1]] = mult_map(f, gens[j])
         A[rows[k] : rows[k + 1], cols[j] : cols[j + 1]] = -mult_map(f, gens[k]) % p
     return int(rows[-1]) - rank(A.T, p)
+
+
+def graded_is_unit(ideal):
+    """Is the GradedSpaces ideal all of S?  Its degree-0 piece is."""
+    return ideal.hf(0) == 0
+
+
+def graded_std_monomials(ideal, t):
+    """The standard monomials of degree t, in the piece's column order."""
+    monos = monomials_of_degree(t)
+    return [monos[i] for i in ideal.piece(t)[2]]

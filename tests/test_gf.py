@@ -1,11 +1,15 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from gorlink._workers import worker_pool
 from gorlink.gf import (
     _LEAF,
+    _one_blas_thread,
     _safe_matmul,
     charpoly_mod_p,
     extend_rref,
@@ -40,6 +44,51 @@ def test_field_inverse_examples():
     assert inv_mod(2, 10007) == 5004
     assert inv_mod(-5, 7) == 4  # residues are taken first
     assert 2 * 5004 % 10007 == 1
+
+
+def _openblas(verb):
+    """numpy's own OpenBLAS `get` or `set` of its thread count, found
+    through the library numpy loaded; skips under another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            call = getattr(lib, "%s_%s_num_threads%s" % (prefix, verb, suffix), None)
+            if call is not None:
+                return call
+    pytest.skip("numpy is not built on OpenBLAS")
+
+
+def _worker_blas_threads():
+    return _openblas("get")()
+
+
+def test_import_runs_one_blas_thread():
+    # numpy's OpenBLAS starts a pool as wide as the machine
+    assert _openblas("get")() == 1
+
+
+def test_blas_pin_without_openblas_does_nothing(tmp_path):
+    get, set_threads = _openblas("get"), _openblas("set")
+    set_threads(2)
+    try:
+        threads = get()
+        # a library that links no OpenBLAS, and a path with no library
+        for path in (np.random._generator.__file__, str(tmp_path / "libopenblas.so")):
+            _one_blas_thread(path)
+            assert get() == threads
+        _one_blas_thread(np.linalg._umath_linalg.__file__)
+        assert get() == 1
+    finally:
+        set_threads(1)
+
+
+def test_worker_pool_workers_run_one_blas_thread(monkeypatch):
+    _openblas("get")
+    # a spawned worker's OpenBLAS starts as wide as this asks, up to the
+    # core count; importing gf in the worker pins it to one thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with worker_pool(2) as pool:
+        assert pool.submit(_worker_blas_threads).result() == 1
 
 
 def test_inverse_of_zero_raises():

@@ -424,8 +424,8 @@ def test_cli_link_search_small(tmp_path, capsys):
 
 
 def test_cli_link_search_jobs_matches_serial(capsys, monkeypatch):
-    """--jobs spawns workers with one BLAS thread each and prints what the
-    serial search prints; the caller's thread setting is left as it was."""
+    """--jobs prints what the serial search prints, and the caller's BLAS
+    thread setting is left as it was."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     argv = ["link", "search", "--smax", "1", "--p", "101", "--seed", "1",
             "--max-attempts", "25"]

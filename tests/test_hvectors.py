@@ -179,7 +179,9 @@ def test_candidate_exclusion_statuses():
 
 def test_candidate_line_roundtrip():
     for cand in enumerate_candidates(3):
-        assert LinkCandidate.from_line(cand.line()) == cand
+        hcsv, d, e, gdim, status = cand.line().split()
+        read = LinkCandidate(HVector.from_csv(hcsv), int(d), int(e), int(gdim), status)
+        assert read == cand
 
 
 def test_hvector_validation():

@@ -208,8 +208,8 @@ def test_montecarlo_deterministic_and_worker_independent(monkeypatch):
     assert a == b
     c = montecarlo_split_fraction(8, 4, 101, 60, seed=6)
     assert a != c  # overwhelmingly likely
-    # scheduling across workers must not change the count, and the workers'
-    # one-thread BLAS setting must not outlive them
+    # scheduling across workers must not change the count, and the pool
+    # leaves the caller's BLAS thread setting as it was
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     parallel = montecarlo_split_fraction(8, 4, 101, 60, seed=5, workers=2)
     assert parallel == a

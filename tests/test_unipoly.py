@@ -14,7 +14,6 @@ from gorlink.unipoly import (
     degree_sums,
     factor_degree_profiles,
     find_factor_of_degree,
-    gcd_degree,
     is_squarefree,
     random_monic,
     squarefree_gcd_degree,
@@ -63,8 +62,6 @@ def test_entry_points_reject_bad_modulus(p):
         factor_degree_profiles([f])
     with pytest.raises(ValueError):
         find_factor_of_degree(f, 2)
-    with pytest.raises(ValueError):
-        gcd_degree(f, f)
     with pytest.raises(ValueError):
         squarefree_gcd_degree(f, f)
 
