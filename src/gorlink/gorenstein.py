@@ -22,15 +22,17 @@ cuts out a degree-d subscheme defined over GF(p).
 
 The subscheme is extracted degreewise: a form of degree t lies in I_X
 iff its normal form, pushed into the stable piece by a power of x_h,
-falls in the row space of f_d(T) where T is the multiplication operator;
-that row space is exactly the space of functions on G vanishing along X.
-The result equals I_G + (homogenized factor) with x_h divided out (the
-saturation by x_h) and is verified through its postconditions (degree,
-containment, and the liaison involution I_G : (I_G : I_X) = I_X).
+falls in the row space of W = f_d(T) where T is the multiplication
+operator; that row space is exactly the space of functions on G vanishing
+along X.  The result equals I_G + (homogenized factor) with x_h divided
+out (the saturation by x_h) and is verified through its postconditions
+(degree, and the liaison involution I_G : I_Y = I_X).  The residual Y is
+cut out by the complementary factor in the same way, with the same T:
+the functions vanishing along Y form the left kernel of W (see residual).
 
-Every stage takes and returns ideals as gorlink.groebner.GradedSpaces
-objects, so the graded pieces of I_G, I_X and I_Y are each echelonized
-once per attempt and shared by every stage that reads them.
+I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
+ideal made after the split contains it and is a SubIdeal over it, whose
+pieces span at most n = deg G standard monomials of S/I_G per degree.
 """
 
 import numpy as np
@@ -39,15 +41,14 @@ from ._frozen import Frozen
 from .gf import (
     charpoly_mod_p,
     check_modulus,
-    extend_rref,
     kernel_basis_array,
     rref,
     reduce_rows,
     _reduce,
     _safe_matmul,
 )
-from .mpoly import NVARS, MultiPoly, monomial_count, product_positions
-from .groebner import GradedSpaces, groebner, has_h_vector, with_std
+from .mpoly import MultiPoly, monomial_count, product_positions
+from .groebner import SubIdeal, groebner, has_h_vector
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, squarefree_gcd_degree
 
@@ -461,45 +462,13 @@ def witness_splits(ideal, witness, d):
 # subscheme extraction and residuals (degreewise linear algebra)
 
 
-class _PieceCollector:
-    """Collects ideal generators degree by degree above a base ideal.
-
-    Feed it, for each degree t = 0, 1, ..., a basis (rows of
-    standard-monomial coordinates) of the target ideal's piece modulo the
-    base ideal; it keeps the members not already generated by earlier
-    pieces, each dense row wrapped as a form, and the echelonized piece of
-    the target ideal itself.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.p = base.p
-        self.prev_rows = np.zeros((0, 1), dtype=np.int64)  # dense rows fed at t - 1
-        self.generators = []
-        self.pieces = {}
-
-    def ideal(self):
-        """The target ideal, with every piece fed so far already in place."""
-        gens = self.base.gens + tuple(self.generators)
-        return GradedSpaces(gens, self.p, self.pieces)
-
-    def add_degree(self, t, coord_rows):
-        p = self.p
-        width = monomial_count(t)
-        base_R, base_piv, std = self.base.piece(t)
-        # the previous piece times each variable
-        prev = self.prev_rows
-        table = product_positions(t - 1, 1)
-        rows = np.zeros((NVARS * len(prev), width), dtype=np.int64)
-        for v in range(NVARS):
-            rows[v * len(prev) : (v + 1) * len(prev)][:, table[:, v]] = prev
-        span, span_piv = rref(reduce_rows(rows, base_R, base_piv, p), p)
-        dense = np.zeros((len(coord_rows), width), dtype=np.int64)
-        dense[:, std] = np.asarray(coord_rows, dtype=np.int64) % p
-        self.pieces[t] = with_std(*extend_rref(base_R, base_piv, dense, p))
-        keep, _ = rref(reduce_rows(dense, span, span_piv, p), p)
-        self.generators.extend(MultiPoly(t, row, p) for row in keep)
-        self.prev_rows = dense
+def _left_kernel(M, p):
+    """RREF (R, pivots) of {c : c M = 0}, in rank(M) pivot steps.  With
+    M.T's columns reversed, the kernel vector of a free column f is 1 at f,
+    0 at the other free columns and elsewhere nonzero only at pivot columns
+    q > f, so read back in natural order the vectors are already the RREF."""
+    K = kernel_basis_array(M.T[:, ::-1], p)[::-1, ::-1]
+    return K, (K != 0).argmax(axis=1).tolist()
 
 
 def _matrix_poly(coeffs, A, p):
@@ -514,59 +483,70 @@ def _matrix_poly(coeffs, A, p):
 
 
 def extract_subscheme(ideal, ell, xh, f_d):
-    """Ideal of the subscheme the degree-d factor cuts out.
+    """Ideal of the subscheme the degree-d factor cuts out, over I_G.
 
-    Equals (I_G + (F_d)) : x_h^infinity with F_d the x_h-homogenization of
-    f_d(ell/x_h); computed degreewise instead: a degree-t form g lies in
-    I_X iff the coordinates of g * x_h^(sigma0 - t) on the stable piece
-    fall in the row space of f_d(T).  Raises ExtractionError when the
+    Equals (I_G + (F_d)) : x_h^infinity, F_d the x_h-homogenization of
+    f_d(ell/x_h), computed degreewise: a degree-t form g lies in I_X iff
+    g * x_h^(sigma0 - t) falls in the row space of W = f_d(T) on the stable
+    piece.  I_X keeps (W, x_h, pushes) as `factor_image`: the left kernel
+    ker f_d(T) = im f_e(T), for a square-free f = f_d f_e (so coprime
+    factors), cuts out Y in residual.  d = 0 and d = n give the unit ideal
+    and I_G, with none.  Raises ExtractionError when W's rank or the
     resulting degree disagrees with deg f_d.
     """
     p = ideal.p
     d = f_d.degree
     sigma0, n = ideal.stable_degree()
     if d == 0:
-        return groebner([MultiPoly.constant(1, p)], p)
+        return SubIdeal.unit(ideal)
     if d == n:
-        return ideal
+        return SubIdeal(ideal)
     if d > n:
         raise ValueError("factor degree exceeds the scheme degree")
     T = multiplication_operator(ideal, ell, xh, sigma0)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)
-    RW, pivW = rref(W, p)
-    if len(pivW) != n - d:
-        raise ExtractionError(
-            "factor image has rank %d, expected %d" % (len(pivW), n - d)
-        )
     pushes = _xh_pushes(ideal, xh, sigma0)
-    collector = _PieceCollector(ideal)
-    hf_hist = []
-    cap = sigma0 + n + 2
-    t = 0
-    while True:
-        if t <= sigma0:
-            # push degree-t forms into the stable piece and compare with W
-            residual_map = reduce_rows(pushes[t], RW, pivW, p)
-        else:
-            # above the stable degree the vanishing space is W moved up by
-            # x_h^(t - sigma0), one more step of x_h each degree
-            W = _safe_matmul(W, ideal.mult_matrix(xh, t - 1), p)
-            RW_t, pivW_t = rref(W, p)
-            residual_map = reduce_rows(
-                np.eye(ideal.hf(t), dtype=np.int64), RW_t, pivW_t, p
-            )
-        kernel = kernel_basis_array(residual_map.T, p)
-        collector.add_degree(t, kernel)
-        hf_hist.append(ideal.hf(t) - len(kernel))
-        if _points_hf_done(hf_hist, d):
-            break
-        if t > cap:
-            raise ExtractionError("subscheme pieces did not stabilize")
-        t += 1
-    ideal_x = collector.ideal()
-    if ideal_x.scheme_degree() != d:
-        raise ExtractionError("extracted subscheme has the wrong degree")
+    ideal_x = _vanishing_ideal(ideal, xh, pushes, W, d)
+    ideal_x.factor_image = (W, xh, pushes)
     return ideal_x
+
+
+def residual(ideal_g, ideal_x):
+    """I_Y, the rest of G, from the I_X that extract_subscheme returned.
+
+    T's char poly f = f_d f_e is square-free, so f_d and f_e are coprime and
+    V = ker f_d(T) (+) ker f_e(T); f_d(T) f_e(T) = f(T) = 0 then gives
+    ker f_d(T) = im f_e(T): the functions vanishing along Y are the left
+    kernel of I_X's W, with no cofactor, char poly or colon.  Raises
+    ValueError for an ideal_x without a factor_image from ideal_g.
+    """
+    if getattr(ideal_x, "base", None) is not ideal_g or not hasattr(ideal_x, "factor_image"):
+        raise ValueError("residual needs an I_X that extract_subscheme took from I_G")
+    W, xh, pushes = ideal_x.factor_image
+    vanishing, _ = _left_kernel(W, ideal_g.p)
+    return _vanishing_ideal(ideal_g, xh, pushes, vanishing, ideal_g.scheme_degree() - len(vanishing))
+
+
+def _vanishing_ideal(ideal, xh, pushes, V, degree):
+    """The ideal of the degree-`degree` subscheme along which the rows of V,
+    of rank n - degree, vanish: the forms pushed into their row space."""
+    p = ideal.p
+    sigma0, n = ideal.stable_degree()
+    RV, pivV = rref(V, p)
+    if len(pivV) != n - degree:
+        raise ExtractionError("factor image has rank %d, expected %d" % (len(pivV), n - degree))
+
+    def piece(t, below):
+        if t <= sigma0:
+            # push degree-t forms into the stable piece and compare with V
+            return _left_kernel(reduce_rows(pushes[t], RV, pivV, p), p)
+        # above the stable degree x_h is a bijection onto the next piece
+        return rref(_safe_matmul(below[0], ideal.mult_matrix(xh, t - 1), p), p)
+
+    sub = _fed_ideal(ideal, piece, degree)
+    if sub.scheme_degree() != degree:
+        raise ExtractionError("extracted subscheme has the wrong degree")
+    return sub
 
 
 def _xh_pushes(ideal, xh, top):
@@ -578,16 +558,22 @@ def _xh_pushes(ideal, xh, top):
     return pushes[::-1]
 
 
-def _points_hf_done(hist, expected):
-    """Stop once the quotient Hilbert function sits at the expected degree
-    for two consecutive degrees plus one safety degree."""
-    if len(hist) < 3:
-        return False
-    return hist[-1] == hist[-2] == hist[-3] == expected
+def _fed_ideal(ideal, piece, expected=None):
+    """The SubIdeal over `ideal` with relative pieces piece(t, piece t - 1)
+    for t = 0, 1, ... until the quotient's Hilbert function sits at one
+    value (`expected`, if given) for three degrees in a row."""
+    sigma0, n = ideal.stable_degree()
+    pieces, hist = {}, []
+    for t in range(sigma0 + n + 4):
+        pieces[t] = piece(t, pieces.get(t - 1))
+        hist.append(ideal.hf(t) - len(pieces[t][1]))
+        if hist[-3:] == [hist[-1]] * 3 and expected in (None, hist[-1]):
+            return SubIdeal(ideal, pieces)
+    raise ExtractionError("pieces did not stabilize")
 
 
 def point_ideal_quotient(ideal, other_gens):
-    """I : J for the ideal I of a zero-scheme cone, degreewise.
+    """I : J for the ideal I of a zero-scheme cone, degreewise, over I.
 
     I must equal its own saturation.  Then the quotient does too and is
     Cohen-Macaulay of dimension <= 1, so its Hilbert function stabilizes
@@ -595,38 +581,17 @@ def point_ideal_quotient(ideal, other_gens):
     runs two degrees further as a consistency window.  Generators of J
     that already lie in I do not change the quotient and are skipped.
     """
-    p = ideal.p
     gens_j = [g for g in other_gens if not g.is_zero()]
     if not gens_j:
         raise ValueError("quotient by the zero ideal")
     if any(g.degree == 0 for g in gens_j):
-        return ideal
+        return SubIdeal(ideal)
     gens_j = [g for g in gens_j if not ideal.contains(g)]
     if not gens_j:
-        return groebner([MultiPoly.constant(1, p)], p)
-    sigma0, n = ideal.stable_degree()
-    collector = _PieceCollector(ideal)
-    hist = []
-    cap = sigma0 + n + 2
-    t = 0
-    while True:
+        return SubIdeal.unit(ideal)
+
+    def piece(t, below):
         blocks = [ideal.mult_matrix(f, t) for f in gens_j]
-        stacked = np.concatenate(blocks, axis=1)
-        kernel = kernel_basis_array(stacked.T, p)
-        if t == 0 and len(kernel):
-            return groebner([MultiPoly.constant(1, p)], p)
-        collector.add_degree(t, kernel)
-        hist.append(ideal.hf(t) - len(kernel))
-        if len(hist) >= 3 and hist[-1] == hist[-2] == hist[-3]:
-            break
-        if t > cap:
-            raise RuntimeError("quotient pieces did not stabilize")
-        t += 1
-    return collector.ideal()
+        return _left_kernel(np.concatenate(blocks, axis=1), ideal.p)
 
-
-def residual(ideal_g, ideal_x):
-    """I_Y = I_G : I_X, the ideal of the residual subscheme."""
-    if not all(ideal_x.contains(g) for g in ideal_g.gens):
-        raise ValueError("residual needs I_G contained in I_X")
-    return point_ideal_quotient(ideal_g, list(ideal_x.gens))
+    return _fed_ideal(ideal, piece)

@@ -17,6 +17,9 @@ Pieces are built lazily and cached, so one object per ideal serves every
 stage that reads it.  The Hilbert function, the h-vector, containment and
 equality are all read off the pieces.
 
+An ideal J containing such an ideal I is held as J/I in S/I (SubIdeal):
+per degree, the RREF of (J/I)_t over the hf_I(t) standard monomials of I_t.
+
 A piece above the lowest generator degree grows from the one below, as
 I_t = S_1 I_{t-1} plus the generators of degree t.  The leading monomials
 of the multiples are read off before any elimination, as in the symbolic
@@ -38,10 +41,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
-from .mpoly import NVARS, monomial_count, monomials_of_degree, product_positions
+from .gf import _safe_matmul, check_modulus, extend_rref, reduce_rows, rref, rref_unit_triangular
+from .mpoly import NVARS, MultiPoly, monomial_count, monomials_of_degree, product_positions
 
-__all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces"]
+__all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces", "SubIdeal"]
 
 # A piece is a dense matrix over all C(t+3, 3) degree-t monomials, so the
 # Hilbert-function scan gives up at degree 20 (1771 monomials).  Every
@@ -49,6 +52,11 @@ __all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces"]
 MAX_HF_PROBE = 20
 
 _PAIRS = frozenset(frozenset(pair) for pair in combinations(range(NVARS), 2))
+
+
+def _same_rref(a, b):
+    """Are two (R, pivots, ...) echelon forms the same?"""
+    return a[1] == b[1] and np.array_equal(a[0], b[0])
 
 
 def with_std(R, pivots):
@@ -64,19 +72,17 @@ class GradedSpaces:
     For each degree t this holds the row space of I_t over the degree-t
     monomials in descending grevlex order (so echelon pivots are leading
     monomials and reduction against them is the normal form), plus the
-    standard-monomial coordinate frame of (S/I)_t.  A caller that has
-    already echelonized some pieces (as the degreewise quotient and
-    extraction do) hands them in as `pieces`, a dict keyed by degree.
+    standard-monomial coordinate frame of (S/I)_t.
 
     Every reader of (S/I) coordinates (coords, mult_matrix, contains) goes
     through the normal-form table of a piece (normal_forms), which the
     reduced echelon form gives with no elimination.
     """
 
-    def __init__(self, gens, p, pieces=()):
+    def __init__(self, gens, p):
         self.gens = tuple(gens)
         self.p = p
-        self._pieces = dict(pieces)
+        self._pieces = {}
         self._tables = {}
         self._stable = None
 
@@ -185,17 +191,13 @@ class GradedSpaces:
         return max((g.degree for g in self.gens), default=0)
 
     def __eq__(self, other):
-        """Same ideal: equal pieces up to the larger generator degree."""
-        if not isinstance(other, GradedSpaces):
+        """Same ideal (or SubIdeal): equal pieces up to the larger generator degree."""
+        if not isinstance(other, (GradedSpaces, SubIdeal)):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        for t in range(max(self.max_degree(), other.max_degree()) + 1):
-            R, pivots, _ = self.piece(t)
-            R2, pivots2, _ = other.piece(t)
-            if pivots != pivots2 or not np.array_equal(R, R2):
-                return False
-        return True
+        top = max(self.max_degree(), other.max_degree())
+        return self.p == other.p and all(
+            _same_rref(self.piece(t)[:2], other.piece(t)[:2]) for t in range(top + 1)
+        )
 
     __hash__ = None
 
@@ -225,6 +227,12 @@ class GradedSpaces:
         """Standard-monomial coordinates of degree-t rows of residues."""
         return _safe_matmul(np.asarray(rows, dtype=np.int64), self.normal_forms(t), self.p)
 
+    def lift(self, rows, t):
+        """The forms, over all degree-t monomials, with these coordinates."""
+        out = np.zeros((len(rows), monomial_count(t)), dtype=np.int64)
+        out[:, self.piece(t)[2]] = rows
+        return out
+
     def mult_matrix(self, f, t):
         """Matrix of multiplication by f: (S/I)_t -> (S/I)_{t + deg f}.
 
@@ -238,6 +246,106 @@ class GradedSpaces:
         products = product_positions(t, f.degree)[self.piece(t)[2]][:, nonzero]
         table = self.normal_forms(t + f.degree)
         return _safe_matmul(f.coeffs[nonzero], table[products], self.p)
+
+
+class SubIdeal:
+    """An ideal J containing a GradedSpaces ideal I, its base, held as J/I.
+
+    relative(t) is the RREF of (J/I)_t over the base's standard monomials.
+    `pieces` hands in those of degrees 0..top, where J's generators lie;
+    above top, (J/I)_t is S_1 (J/I)_{t-1}.  Generators and full pieces of J
+    are read off on demand.
+    """
+
+    def __init__(self, base, pieces=()):
+        self.base = base
+        self.p = base.p
+        self._pieces = dict(pieces)
+        self._top = max(self._pieces, default=-1)
+        self._gens = None
+        self._stable = None
+
+    @classmethod
+    def unit(cls, base):
+        """S itself, over base."""
+        return cls(base, {0: rref(base.coords([[1]], 0), base.p)})
+
+    def _multiples(self, t):
+        """RREF of S_1 (J/I)_{t-1}.  x_v r has coordinates sum_j r_j N_t[x_v s_j],
+        s_j the standard monomials of degree t - 1, so every multiple of every
+        row is one product with the base's N_t gathered at those products."""
+        width = self.base.hf(t)
+        rows = np.zeros((0, width), dtype=np.int64)
+        if t > 0:
+            below, _ = self.relative(t - 1)
+            std = self.base.piece(t - 1)[2]
+            table = self.base.normal_forms(t)[product_positions(t - 1, 1)[std]]
+            rows = _safe_matmul(below, table.reshape(len(std), NVARS * width), self.p)
+            rows = rows.reshape(NVARS * len(below), width)
+        return rref(rows, self.p)
+
+    def relative(self, t):
+        """(R, pivots) of (J/I)_t."""
+        if t not in self._pieces:
+            self._pieces[t] = self._multiples(t)
+        return self._pieces[t]
+
+    @property
+    def gens(self):
+        """The base's generators, then J's own: in each degree handed in,
+        the rows of the piece that the multiples of the piece below do not
+        span, lifted onto the standard monomials."""
+        if self._gens is None:
+            new = []
+            for t in range(self._top + 1):
+                keep, _ = rref(reduce_rows(self.relative(t)[0], *self._multiples(t), self.p), self.p)
+                new += [MultiPoly(t, row, self.p) for row in self.base.lift(keep, t)]
+            self._gens = self.base.gens + tuple(new)
+        return self._gens
+
+    def max_degree(self):
+        """A bound on the generator degrees: the highest handed in."""
+        return max(self.base.max_degree(), self._top)
+
+    def piece(self, t):
+        """(R, pivots, std_positions) of J_t, the base's piece extended by
+        the lifted relative rows; not cached, and not read by the search."""
+        R, pivots, _ = self.base.piece(t)
+        lifted = self.base.lift(self.relative(t)[0], t)
+        return with_std(*extend_rref(R, pivots, lifted, self.p))
+
+    def hf(self, t):
+        """dim (S/J)_t."""
+        return self.base.hf(t) - len(self.relative(t)[1]) if t >= 0 else 0
+
+    def stable_degree(self):
+        """As GradedSpaces.stable_degree; the base's certificate of Krull
+        dimension <= 1 holds for its quotient S/J, so the first repeat ends it."""
+        if self._stable is None:
+            self.base.stable_degree()
+            t = next((t for t in range(1, MAX_HF_PROBE) if self.hf(t) == self.hf(t - 1)), None)
+            if t is None:
+                raise ValueError("Hilbert function did not stabilize")
+            self._stable = (t - 1, self.hf(t))
+        return self._stable
+
+    def contains(self, f):
+        """Is the form f in J?  Its S/I coordinates reduce to 0 against (J/I)_t."""
+        if f.is_zero():
+            return True
+        coords = self.base.coords(f.coeffs[None], f.degree)
+        return not reduce_rows(coords, *self.relative(f.degree), self.p).any()
+
+    def __eq__(self, other):
+        """Same ideal: over the same base, equal relative pieces up to the
+        larger max_degree; otherwise as GradedSpaces.__eq__."""
+        if getattr(other, "base", None) is not self.base:
+            return GradedSpaces.__eq__(self, other)
+        top = max(self.max_degree(), other.max_degree())
+        return all(_same_rref(self.relative(t), other.relative(t)) for t in range(top + 1))
+
+    scheme_degree = GradedSpaces.scheme_degree
+    __hash__ = None
 
 
 def groebner(gens, p=None):

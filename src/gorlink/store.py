@@ -11,6 +11,7 @@ import os
 import tempfile
 
 from .gf import check_modulus
+from .groebner import MAX_HF_PROBE
 from .hvectors import HVector
 from .mpoly import MultiPoly
 from .gorenstein import ProjectionWitness, SkewPolyMatrix
@@ -119,8 +120,10 @@ def parse_certificate(text):
     hom_ix = hom_iy = hom_sg = h_x = h_y = None
     gdim = None
     if matrix_text is not None:
-        # a presentation of h has socle degree len(h) + 2 and generators of
-        # positive degree, so entries of degree at most len(h)
+        # replay needs HF(S/I_G) to repeat at degree len(h) < MAX_HF_PROBE, and
+        # a presentation of h has entries of degree at most len(h)
+        if len(h.entries) >= MAX_HF_PROBE:
+            raise ValueError("h longer than the %d entries replay checks" % (MAX_HF_PROBE - 1))
         matrix = SkewPolyMatrix.deserialize(matrix_text, p, len(h.entries))
         witness = ProjectionWitness(
             _linear_form(fields, "ell", p),

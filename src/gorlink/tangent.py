@@ -10,10 +10,11 @@ matrix over GF(p).
 For an ideal J containing I_G, J/I_G is a submodule of S/I_G, so a
 relation vanishes in J/I_G exactly when it vanishes in S/I_G: the maps
 into J/I_G are the maps in K whose generator images lie in (J/I_G)_g.
-Reducing each generator's block of K modulo an echelon basis of
-(J/I_G)_g is linear, so dim Hom(I_G, J/I_G)_0 is dim K minus the rank of
-the reduced blocks.  One kernel per attempt serves S/I_G, I_X/I_G and
-I_Y/I_G.
+J is held as a gorlink.groebner.SubIdeal over I_G, whose pieces are
+echelon bases of (J/I_G)_g in the same coordinates as K.  Reducing each
+generator's block of K modulo that basis is linear, so
+dim Hom(I_G, J/I_G)_0 is dim K minus the rank of the reduced blocks.  One
+kernel per attempt serves S/I_G, I_X/I_G and I_Y/I_G.
 
 The dominance criterion for a candidate split deg G = d + e: with
 gdim the dimension of the family of Gorenstein cones for this h-vector,
@@ -31,7 +32,7 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import check_modulus, kernel_basis_array, rank, reduce_rows, rref
+from .gf import check_modulus, kernel_basis_array, rank, reduce_rows
 from .groebner import groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
@@ -74,11 +75,12 @@ def hom_dim_zero(M, ideal_g, subs):
     images in S/I_G, one element per generator degree; the constraints say
     every row of the skew matrix maps to zero.  The maps into J/I_G are
     those whose generator images lie in J/I_G, so each J only restricts the
-    one kernel.  Raises ValueError for a J that does not contain I_G.
+    one kernel.  Each J must be a SubIdeal over ideal_g itself, which is
+    how it contains I_G; raises ValueError otherwise.
     """
     for J in subs:
-        if not all(J.contains(f) for f in ideal_g.gens):
-            raise ValueError("hom_dim_zero needs I_G contained in each J")
+        if getattr(J, "base", None) is not ideal_g:
+            raise ValueError("hom_dim_zero needs each J held over I_G")
     dm = M.degree_matrix
     gens = dm.gen_degrees
     sigma = dm.socle_degree
@@ -99,10 +101,9 @@ def hom_dim_zero(M, ideal_g, subs):
     K = kernel_basis_array(A.T, p)
     dims = []
     for J in subs:
-        # each generator's image modulo an echelon basis of (J/I_G)_g
-        frames = {g: rref(ideal_g.coords(J.piece(g)[0], g), p) for g in set(gens)}
+        # each generator's image modulo the echelon basis of (J/I_G)_g
         blocks = [
-            reduce_rows(K[:, offsets[j] : offsets[j + 1]], *frames[g], p)
+            reduce_rows(K[:, offsets[j] : offsets[j + 1]], *J.relative(g), p)
             for j, g in enumerate(gens)
         ]
         dims.append(len(K) - rank(np.hstack(blocks), p))
@@ -163,8 +164,6 @@ def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     }
     ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
     ideal_y = residual(ideal_g, ideal_x)
-    if ideal_y.scheme_degree() != e:
-        raise ExtractionError("residual degree mismatch")
     if point_ideal_quotient(ideal_g, list(ideal_y.gens)) != ideal_x:
         raise ExtractionError("liaison involution failed")
     h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
@@ -237,33 +236,17 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
             return last
     if last is not None:
         return last
-    return EdgeCertificate(
-        h=h,
-        d=d,
-        e=e,
-        p=p,
-        seed=seed,
-        attempt=max_attempts,
-        matrix=None,
-        witness=None,
-        hom_IX=None,
-        hom_IY=None,
-        hom_SG=None,
-        gdim=gdim,
-        tests={"reduced_split": False},
-        verdict="inconclusive",
-        h_x=None,
-        h_y=None,
-    )
+    return EdgeCertificate(h=h, d=d, e=e, p=p, seed=seed, attempt=max_attempts, gdim=gdim,
+                           tests={"reduced_split": False}, verdict="inconclusive")
 
 
 def replay_certificate(cert):
     """Recompute every claim in a certificate from its stored witness.
 
-    Entirely deterministic: re-checks that h is a Gorenstein h-vector,
-    e = degree(h) - d, gdim = g(h) and that the stored matrix has the
-    generic degree layout of h (which bounds the entry degrees before any
-    Pfaffian is taken), rebuilds the ideal from the stored matrix,
+    Entirely deterministic: re-checks that 0 < d < degree(h), that h is a
+    Gorenstein h-vector, e = degree(h) - d, gdim = g(h) and that the stored
+    matrix has the generic degree layout of h (which bounds the entry
+    degrees before any Pfaffian is taken), rebuilds the ideal from the stored matrix,
     recomputes the characteristic polynomial of the stored projection (square-free,
     divisible by the stored monic degree-d factor), extracts the subscheme
     from the stored projection data and re-runs all the tests, comparing
@@ -273,7 +256,8 @@ def replay_certificate(cert):
     """
     if cert.matrix is None:
         return cert.verdict == "inconclusive", {}, ()
-    if cert.e != cert.h.degree - cert.d or parse_gorenstein_type(cert.h) is None:
+    if not 0 < cert.d < cert.h.degree or cert.e != cert.h.degree - cert.d or (
+            parse_gorenstein_type(cert.h) is None):
         return False, {}, ()
     if cert.gdim != family_dim_of(cert.h):
         return False, {}, ()

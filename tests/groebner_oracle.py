@@ -44,6 +44,7 @@ import numpy as np
 
 from gorlink._frozen import Frozen
 from gorlink.gf import inv_mod, rank, reduce_rows, rref
+from gorlink.gorenstein import point_ideal_quotient
 from gorlink.mpoly import (
     NVARS,
     MultiPoly,
@@ -639,6 +640,15 @@ def ideal_quotient(gb, other):
     if result is None:
         result = groebner([MultiPoly.constant(1, p)], p)
     return result
+
+
+def residual(ideal_g, ideal_x):
+    """Reference I_Y = I_G : I_X, the degreewise colon ideal (a SubIdeal
+    over I_G), for gorenstein.residual, which reads Y off the kernel of
+    f_d(T) instead."""
+    if not all(ideal_x.contains(g) for g in ideal_g.gens):
+        raise ValueError("residual needs I_G contained in I_X")
+    return point_ideal_quotient(ideal_g, list(ideal_x.gens))
 
 
 # saturation -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from gorlink.mpoly import MultiPoly, monomials_of_degree
-from gorlink.groebner import groebner, h_vector
+from gorlink.groebner import SubIdeal, groebner, h_vector
 from gorlink.gorenstein import (
     BadPositionError,
     DegeneracyError,
@@ -308,9 +308,15 @@ def test_extraction_trivial_cases():
     _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 8, SplitStream(8).child("full"))
     assert w is not None and w.factor.degree == 8
-    assert extract_subscheme(gb, w.ell, w.xh, w.factor) == gb
+    whole = extract_subscheme(gb, w.ell, w.xh, w.factor)
     unit = extract_subscheme(gb, w.ell, w.xh, UniPoly.one(p))
-    assert oracle.graded_is_unit(unit)
+    # both are sub-ideals over I_G, with no factor image to take Y from
+    for sub in (whole, unit):
+        assert isinstance(sub, SubIdeal) and sub.base is gb
+        with pytest.raises(ValueError):
+            residual(gb, sub)
+    assert whole == gb and gb == whole and whole == SubIdeal(gb)
+    assert oracle.graded_is_unit(unit) and unit == SubIdeal.unit(gb)
 
 
 def test_extraction_matches_saturation_formula():
@@ -333,13 +339,43 @@ def test_extraction_matches_saturation_formula():
 
 def test_residual_two_points():
     p = 101
-    # G = two points, X = one of them, Y = the other
+    # G = two points, X = one of them, Y = the other: x1/x0 is 0 at
+    # (1:0:0:0) and 1 at (1:1:0:0), so its char poly is t(t - 1) and the
+    # factor t cuts out X
     gb = groebner([P("x2", p), P("x3", p), P("x1^2 + 100*x0*x1", p)], p)
-    gbx = groebner([P("x1", p), P("x2", p), P("x3", p)], p)
+    gbx = extract_subscheme(gb, P("x1", p), P("x0", p), UniPoly([0, 1], p))
+    assert gbx == groebner([P("x1", p), P("x2", p), P("x3", p)], p)
     gby = residual(gb, gbx)
     # Y = (1:1:0:0): ideal (x1 - x0, x2, x3)
-    assert gby.contains(P("x1 + 100*x0", p))
+    assert gby.contains(P("x1 + 100*x0", p)) and not gby.contains(P("x1", p))
     assert gby.scheme_degree() == 1
+    assert gby == oracle.residual(gb, gbx)
+    # residual reads the factor image that extract_subscheme keeps
+    with pytest.raises(ValueError):
+        residual(gb, groebner([P("x1", p), P("x2", p), P("x3", p)], p))
+
+
+@pytest.mark.parametrize("p", [10007, 32003, (1 << 31) - 1])
+def test_residual_matches_colon_reference(p):
+    """Y from the left kernel of f_d(T) equals the colon I_G : I_X on drawn
+    witnesses, as sub-ideals over I_G, and the involution returns I_X."""
+    checked = 0
+    for h, d in (((1, 3, 3, 1), 3), ((1, 3, 3, 1), 6), ((1, 3, 6, 6, 3, 1), 8)):
+        for attempt in range(10):
+            st = SplitStream(41).child("colon", p, attempt)
+            _, gb = random_gorenstein(h, p, st.child("g"))
+            w = is_reduced_and_split(gb, d, st.child("s"))
+            if w is None:
+                continue
+            gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+            gby = residual(gb, gbx)
+            assert isinstance(gby, SubIdeal) and gby.base is gb
+            assert gby.scheme_degree() == sum(h) - d
+            assert gby == oracle.residual(gb, gbx), (h, d, p, attempt)
+            assert point_ideal_quotient(gb, list(gby.gens)) == gbx
+            checked += 1
+            break
+    assert checked == 3
 
 
 def test_end_to_end_split_30_points():
@@ -387,8 +423,14 @@ def test_residual_agrees_with_elimination_quotient():
 
 
 def test_residual_of_whole_scheme_is_unit():
+    # by the colon, I_G : I_G is the unit ideal, a sub-ideal over I_G; and
+    # a degree-0 generator gives I_G : S = I_G
     _, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(9).child("gorenstein"))
-    assert oracle.graded_is_unit(residual(gb, gb))
+    unit = oracle.residual(gb, gb)
+    assert isinstance(unit, SubIdeal) and unit.base is gb
+    assert oracle.graded_is_unit(unit) and unit == SubIdeal.unit(gb)
+    same = point_ideal_quotient(gb, [P("3", 101)])
+    assert isinstance(same, SubIdeal) and same.base is gb and same == gb
 
 
 def test_matrix_serialization_roundtrip():

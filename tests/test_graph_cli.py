@@ -185,7 +185,9 @@ def test_forged_witness_forms_are_unparsed(tmp_path, capsys):
     # names a vector of C(403, 3) coefficients, 87 MB: as an ell, as a
     # matrix entry off its degree, or as one whose forged socle degree
     # matches it (above len(h), which bounds the entry degrees of a
-    # presentation of h), it is refused before that vector is built
+    # presentation of h), it is refused before that vector is built.  An h
+    # of 400 ones would lift that bound to 400, but replay checks no h
+    # longer than groebner.MAX_HF_PROBE - 1, so the reader refuses it first
     text = open(FIXTURE_7_1).read()
     ell = next(line for line in text.splitlines() if line.startswith("ell: "))
     forgeries = {
@@ -195,6 +197,9 @@ def test_forged_witness_forms_are_unparsed(tmp_path, capsys):
         "ell_400": _set_field(text, "ell", "x0^400"),
         "entry_400": _set_field(text, "m[0][1]", "x0^400"),
         "socle_404": _set_field(_set_field(text, "socle", "404"), "m[0][1]", "x0^400"),
+        "h_400": _set_field(
+            _set_field(_set_field(text, "h", ",".join(["1"] * 400)), "socle", "404"),
+            "m[0][1]", "x0^400"),
     }
     (tmp_path / "good.cert").write_text(text)
     for name, forged in forgeries.items():

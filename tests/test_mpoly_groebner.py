@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from gorlink.gf import rref
 from gorlink.mpoly import (
     MultiPoly,
     grevlex_key,
@@ -11,11 +12,12 @@ from gorlink.mpoly import (
     monomials_of_degree,
     product_positions,
 )
-from gorlink.groebner import groebner, h_vector
+from gorlink.groebner import SubIdeal, groebner, h_vector
 from gorlink.gorenstein import (
     _xh_pushes,
     extract_subscheme,
     is_reduced_and_split,
+    point_ideal_quotient,
     random_gorenstein,
     residual,
 )
@@ -488,8 +490,9 @@ def test_pieces_match_macaulay_build_examples():
 
 
 def test_collector_ideals_match_macaulay_build():
-    """I_X and I_Y carry pieces handed in by the degreewise collector;
-    the pieces above them grow from the highest of those."""
+    """I_X and I_Y carry the relative pieces the degreewise collector fed
+    in; the pieces above them grow from the highest of those, and every
+    full piece, lifted onto I_G's, equals the Macaulay build."""
     p = 101
     _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
@@ -499,3 +502,48 @@ def test_collector_ideals_match_macaulay_build():
     for ideal in (gbx, gby):
         assert 0 < max(ideal._pieces) < PIECE_TOP
         assert_pieces_match_macaulay(ideal)
+
+
+@pytest.mark.parametrize("h, d, p", [((1, 3, 3, 1), 5, 101), ((1, 3, 6, 6, 3, 1), 8, 32003)])
+def test_sub_ideals_match_graded_spaces(h, d, p):
+    """I_X, I_Y and the colon ideal, held over I_G, against GradedSpaces
+    built from the same generators: Hilbert function, stable degree,
+    containment, equality both ways and the lifted full pieces."""
+    for attempt in range(10):
+        st = SplitStream(12).child("sub", attempt)
+        _, gb = random_gorenstein(h, p, st.child("g"))
+        w = is_reduced_and_split(gb, d, st.child("s"))
+        if w is not None:
+            break
+    assert w is not None
+    gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+    gby = residual(gb, gbx)
+    colon = point_ideal_quotient(gb, list(gby.gens))
+    rng = np.random.default_rng(12)
+    for sub in (gbx, gby, colon):
+        assert isinstance(sub, SubIdeal) and sub.base is gb
+        full = groebner(sub.gens, p)
+        assert sub.stable_degree() == full.stable_degree()
+        for t in range(PIECE_TOP + 1):
+            assert sub.hf(t) == full.hf(t), t
+            # relative pieces are reduced echelon forms, whether fed in or grown
+            R, pivots = sub.relative(t)
+            R2, pivots2 = rref(R, p)
+            assert pivots == pivots2 and np.array_equal(R, R2), t
+            R, pivots, std = sub.piece(t)
+            R2, pivots2, std2 = full.piece(t)
+            assert (pivots, std) == (pivots2, std2) and np.array_equal(R, R2), t
+        forms = list(sub.gens) + list(gb.gens) + [MultiPoly.constant(1, p)]
+        for deg in (1, 2, 3, 4):
+            monos = monomials_of_degree(deg)
+            forms.append(MultiPoly(deg, rng.integers(0, p, len(monos)), p))
+            forms.append(MultiPoly(deg, gb.lift(rng.integers(0, p, (1, gb.hf(deg))), deg)[0], p))
+            # a combination of the rows of J_deg lies in J
+            R = sub.piece(deg)[0]
+            member = MultiPoly(deg, rng.integers(0, p, len(R)) @ R % p, p)
+            assert sub.contains(member)
+            forms.append(member)
+        for f in forms:
+            assert sub.contains(f) == full.contains(f), f
+        assert sub == full and full == sub
+    assert colon == gbx and gbx != gby and gby != groebner(gbx.gens, p)

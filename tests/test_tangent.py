@@ -1,17 +1,24 @@
+import numpy as np
 import pytest
 
-from gorlink.gf import rank
+from gorlink.gf import charpoly_mod_p, rank
 from gorlink.mpoly import MultiPoly
-from gorlink.groebner import groebner
+from gorlink.groebner import SubIdeal, groebner
 from gorlink.gorenstein import (
+    ProjectionWitness,
     extract_subscheme,
     is_reduced_and_split,
+    multiplication_operator,
     random_gorenstein,
     residual,
+    submaximal_pfaffians,
+    witness_splits,
 )
 from gorlink.hvectors import additivity_shift, family_dim_of
 from gorlink.rng import SplitStream
+from gorlink.unipoly import UniPoly
 from gorlink.tangent import (
+    EdgeCertificate,
     generic_hilbert_function_test,
     hom_dim_zero,
     replay_certificate,
@@ -30,10 +37,14 @@ def test_graded_piece_trivial_and_small():
     # ideal's pieces are the whole of S/I_G
     p = 101
     M, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(3).child("gorenstein"))
-    unit = groebner([P("1", p)], p)
-    assert hom_dim_zero(M, gb, (gb, unit)) == (0, 21, 21)
-    with pytest.raises(ValueError):
-        hom_dim_zero(M, gb, (groebner([P("x0", p)], p),))  # does not contain I_G
+    assert hom_dim_zero(M, gb, (SubIdeal(gb), SubIdeal.unit(gb))) == (0, 21, 21)
+    # J = (x0) does not contain I_G, whether held over its own ideal or as
+    # an ideal of its own; nor is an ideal over an equal copy of I_G taken
+    x0 = groebner([P("x0", p)], p)
+    copy = groebner(gb.gens, p)
+    for J in (SubIdeal(x0), x0, gb, SubIdeal.unit(copy)):
+        with pytest.raises(ValueError):
+            hom_dim_zero(M, gb, (J,))
 
 
 def _twenty_in_thirty(seed, label):
@@ -51,9 +62,13 @@ def _twenty_in_thirty(seed, label):
 def test_graded_piece_twenty_in_thirty():
     _, gb, gbx = _twenty_in_thirty(31, "gp")
     # (I_X/I_G)_t, spanned by the coordinates of (I_X)_t in (S/I_G)_t, has
-    # dimension HF_G(t) - HF_X(t): 26 - 20 at t = 4
+    # dimension HF_G(t) - HF_X(t): 26 - 20 at t = 4.  The sub-ideal holds
+    # it directly; the lifted full piece gives the same span
     for t, dim in ((4, 26 - 20), (5, 29 - 20)):
+        R, pivots = gbx.relative(t)
+        assert R.shape == (dim, gb.hf(t)) and len(pivots) == dim
         assert rank(gb.coords(gbx.piece(t)[0], t), gb.p) == gb.hf(t) - gbx.hf(t) == dim
+        assert rank(np.vstack([gb.coords(gbx.piece(t)[0], t), R]), gb.p) == dim
 
 
 def test_hom_into_quotient_of_complete_intersection():
@@ -174,6 +189,22 @@ def test_replay_is_deterministic_and_bit_exact():
     assert ok1 and ok2
     assert tests1 == tests2 == cert.tests
     assert dims1 == dims2 == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
+
+
+def test_replay_refuses_a_split_with_an_empty_side():
+    # d = 0 with the factor 1, or d = deg G with the whole char poly, passes
+    # the witness check, but such a split has no residual to take: replay
+    # reports a mismatch before extracting
+    cert = verify_edge((1, 3, 3, 1), 6, 101, seed=4)
+    n, w = cert.h.degree, cert.witness
+    ideal = groebner([f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()], 101)
+    T = multiplication_operator(ideal, w.ell, w.xh, ideal.stable_degree()[0])
+    for d, factor in ((0, UniPoly.one(101)), (n, UniPoly(charpoly_mod_p(T, 101), 101))):
+        witness = ProjectionWitness(w.ell, w.xh, None, factor)
+        assert witness_splits(ideal, witness, d)
+        fields = {name: getattr(cert, name) for name in EdgeCertificate.__slots__}
+        fields.update(d=d, e=n - d, witness=witness)
+        assert replay_certificate(EdgeCertificate(**fields)) == (False, {}, ())
 
 
 def test_hom_into_subquotient_dimensions():
