@@ -30,6 +30,19 @@ out (the saturation by x_h) and is verified through its postconditions
 cut out by the complementary factor in the same way, with the same T:
 the functions vanishing along Y form the left kernel of W (see residual).
 
+T comes from one frame per (I_G, x_h), held on I_G: T_i = x_i/x_h on the
+stable piece (S/I_G)_sigma0, and T = sum ell_i T_i.  The projection,
+extraction and the involution check all read it.  The involution is
+checked in the stable degree alone (see point_ideal_quotient).  x_h is a
+nonzerodivisor on S/I_G, which the frame checks, so it is one on S/I_X
+and on S/(I_G : I_Y) too, and each of those ideals is pulled back from
+its sigma0 piece as I_X is from the row space of W: x_h^(sigma0 - t)
+carries degree t into sigma0, and above sigma0 each piece is x_h times
+the one below.  So I_G : I_Y = I_X iff the two sigma0 pieces agree, and
+the colon's piece is the functions g with g y(T_0, ..., T_3) = 0 for
+every generator y of I_Y: one left kernel, with no piece of I_G above
+sigma0 + 1.
+
 I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
 ideal made after the split contains it and is a SubIdeal over it, whose
 pieces span at most n = deg G standard monomials of S/I_G per degree.
@@ -47,7 +60,7 @@ from .gf import (
     _reduce,
     _safe_matmul,
 )
-from .mpoly import MultiPoly, monomial_count, product_positions
+from .mpoly import NVARS, MultiPoly, monomial_count, product_positions
 from .groebner import SubIdeal, groebner, has_h_vector
 from .hvectors import parse_gorenstein_type, _entries
 from .unipoly import NotSquarefreeError, UniPoly, find_factor_of_degree, squarefree_gcd_degree
@@ -363,7 +376,22 @@ def _random_linear(stream, p):
             return MultiPoly.linear_form(coeffs, p)
 
 
-def multiplication_operator(ideal, ell, xh, sigma0):
+def _stable_operators(ideal, xh):
+    """ideal.stable_operators(xh), T_0..T_3 on the stable piece; raises
+    BadPositionError when x_h is not invertible there."""
+    T = ideal.stable_operators(xh)
+    if T is None:
+        raise BadPositionError("x_h is not invertible on the stable piece")
+    return T
+
+
+def _linear_operator(T, ell, p):
+    """sum ell_i T_i: multiplication by ell/x_h, from the stacked T_i."""
+    n = T.shape[1]
+    return _safe_matmul(ell.coeffs[None], T.reshape(NVARS, n * n), p).reshape(n, n)
+
+
+def multiplication_operator(ideal, ell, xh):
     """Matrix of multiplication by ell/x_h on the stable graded piece.
 
     Row-vector convention: coordinates map through v -> v @ T.  Requires
@@ -373,24 +401,16 @@ def multiplication_operator(ideal, ell, xh, sigma0):
     Cohen-Macaulay of dimension 1: a zero-divisor x_h vanishes at a point
     of the scheme, and its annihilator (I : x_h)/I is nonzero in every
     degree from sigma0 on, because the residual scheme of I : x_h has
-    smaller degree.
+    smaller degree.  T is sum ell_i T_i over the frame T_0..T_3 that the
+    ideal holds per x_h (GradedSpaces.stable_operators), which extraction
+    and the involution check read too.
     """
-    p = ideal.p
-    L = ideal.mult_matrix(ell, sigma0)
-    X = ideal.mult_matrix(xh, sigma0)
-    n = L.shape[0]
-    aug = np.concatenate([X, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise BadPositionError("x_h is not invertible on the stable piece")
-    Xinv = R[:, n:]
-    return _safe_matmul(L, Xinv, p)
+    return _linear_operator(_stable_operators(ideal, xh), ell, ideal.p)
 
 
 def _projection_char_poly(ideal, ell, xh):
     """Characteristic polynomial of ell/x_h on the stable piece of S/I."""
-    T = multiplication_operator(ideal, ell, xh, ideal.stable_degree()[0])
-    return UniPoly(charpoly_mod_p(T, ideal.p), ideal.p)
+    return UniPoly(charpoly_mod_p(multiplication_operator(ideal, ell, xh), ideal.p), ideal.p)
 
 
 def char_poly_of_projection(ideal, stream):
@@ -503,7 +523,7 @@ def extract_subscheme(ideal, ell, xh, f_d):
         return SubIdeal(ideal)
     if d > n:
         raise ValueError("factor degree exceeds the scheme degree")
-    T = multiplication_operator(ideal, ell, xh, sigma0)
+    T = _linear_operator(_stable_operators(ideal, xh), ell, p)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)
     pushes = _xh_pushes(ideal, xh, sigma0)
     ideal_x = _vanishing_ideal(ideal, xh, pushes, W, d)
@@ -529,21 +549,29 @@ def residual(ideal_g, ideal_x):
 
 def _vanishing_ideal(ideal, xh, pushes, V, degree):
     """The ideal of the degree-`degree` subscheme along which the rows of V,
-    of rank n - degree, vanish: the forms pushed into their row space."""
+    of rank n - degree, vanish: the forms pushed into their row space, as a
+    SubIdeal whose relative pieces are handed in for t = 0, 1, ... until
+    the quotient's Hilbert function sits at `degree` for three degrees in a
+    row."""
     p = ideal.p
     sigma0, n = ideal.stable_degree()
     RV, pivV = rref(V, p)
     if len(pivV) != n - degree:
         raise ExtractionError("factor image has rank %d, expected %d" % (len(pivV), n - degree))
-
-    def piece(t, below):
+    pieces, hist = {}, []
+    for t in range(sigma0 + n + 4):
         if t <= sigma0:
             # push degree-t forms into the stable piece and compare with V
-            return _left_kernel(reduce_rows(pushes[t], RV, pivV, p), p)
-        # above the stable degree x_h is a bijection onto the next piece
-        return rref(_safe_matmul(below[0], ideal.mult_matrix(xh, t - 1), p), p)
-
-    sub = _fed_ideal(ideal, piece, degree)
+            pieces[t] = _left_kernel(reduce_rows(pushes[t], RV, pivV, p), p)
+        else:
+            # above the stable degree x_h is a bijection onto the next piece
+            pieces[t] = rref(_safe_matmul(pieces[t - 1][0], ideal.mult_matrix(xh, t - 1), p), p)
+        hist.append(ideal.hf(t) - len(pieces[t][1]))
+        if hist[-3:] == [degree] * 3:
+            break
+    else:
+        raise ExtractionError("pieces did not stabilize")
+    sub = SubIdeal(ideal, pieces)
     if sub.scheme_degree() != degree:
         raise ExtractionError("extracted subscheme has the wrong degree")
     return sub
@@ -558,40 +586,71 @@ def _xh_pushes(ideal, xh, top):
     return pushes[::-1]
 
 
-def _fed_ideal(ideal, piece, expected=None):
-    """The SubIdeal over `ideal` with relative pieces piece(t, piece t - 1)
-    for t = 0, 1, ... until the quotient's Hilbert function sits at one
-    value (`expected`, if given) for three degrees in a row."""
-    sigma0, n = ideal.stable_degree()
-    pieces, hist = {}, []
-    for t in range(sigma0 + n + 4):
-        pieces[t] = piece(t, pieces.get(t - 1))
-        hist.append(ideal.hf(t) - len(pieces[t][1]))
-        if hist[-3:] == [hist[-1]] * 3 and expected in (None, hist[-1]):
-            return SubIdeal(ideal, pieces)
-    raise ExtractionError("pieces did not stabilize")
+def _first_factors(k):
+    """(row, var) over the monomials of degree k + 1: monomial i is
+    monomials_of_degree(k)[row[i]] times x_var[i], its first factorization
+    in product_positions(k, 1)."""
+    _, first = np.unique(product_positions(k, 1), return_index=True)
+    return np.divmod(first, NVARS)
 
 
-def point_ideal_quotient(ideal, other_gens):
-    """I : J for the ideal I of a zero-scheme cone, degreewise, over I.
+def point_ideal_quotient(ideal, other_gens, xh):
+    """((I : J)/I) in the stable degree sigma0 of I, as the RREF (R, pivots)
+    over I's standard monomials; J is generated by other_gens.
 
-    I must equal its own saturation.  Then the quotient does too and is
-    Cohen-Macaulay of dimension <= 1, so its Hilbert function stabilizes
-    and generators live below the stabilization degree plus one; the loop
-    runs two degrees further as a consistency window.  Generators of J
-    that already lie in I do not change the quotient and are skipped.
+    I must be saturated with x_h a nonzerodivisor on S/I, which the frame
+    T_0..T_3 of x_h checks (BadPositionError otherwise).  Then x_h is a
+    nonzerodivisor on S/(I : J) too, whose associated primes lie among
+    those of S/I, and x_h^k maps (S/I)_sigma0 onto (S/I)_(sigma0 + k).  So
+    a g in (S/I)_sigma0 kills a generator y of degree k exactly when
+    g * y / x_h^k, which is g @ y(T_0, ..., T_3), is 0: the piece is the
+    left kernel of the block row [y_1(T) | y_2(T) | ...], one y(T) per
+    generator.  A y in I has y(T) = 0 and adds no block.
+
+    The operators m(T) of the monomials are built level by level, m' x_v
+    from m'(T) T_v (the T_v commute), in one stacked product per variable
+    per level, up to one degree below the highest generator.  The
+    generators of degree k + 1 are contracted with level k: y(T) is the sum
+    over v of y_v(T) T_v, where y_v sums c_m m' over the terms c_m m of y
+    whose first factorization is m' x_v.
+
+    The piece decides the whole ideal.  For any ideal Q containing I with
+    x_h a nonzerodivisor on S/Q, as I : J and a saturated I_X containing I
+    are, (Q/I)_t is {g : g x_h^(sigma0 - t) in (Q/I)_sigma0} for
+    t <= sigma0 and x_h (Q/I)_(t - 1) above it, since x_h is bijective on
+    S/I from sigma0 on.  So I : J = I_X if and only if their sigma0 pieces
+    agree, and no piece of I above sigma0 + 1 is read.
     """
-    gens_j = [g for g in other_gens if not g.is_zero()]
-    if not gens_j:
+    gens = {}
+    for g in other_gens:
+        if not g.is_zero():
+            gens.setdefault(g.degree, []).append(g.coeffs)
+    if not gens:
         raise ValueError("quotient by the zero ideal")
-    if any(g.degree == 0 for g in gens_j):
-        return SubIdeal(ideal)
-    gens_j = [g for g in gens_j if not ideal.contains(g)]
-    if not gens_j:
-        return SubIdeal.unit(ideal)
-
-    def piece(t, below):
-        blocks = [ideal.mult_matrix(f, t) for f in gens_j]
-        return _left_kernel(np.concatenate(blocks, axis=1), ideal.p)
-
-    return _fed_ideal(ideal, piece)
+    p = ideal.p
+    T = _stable_operators(ideal, xh)
+    n = T.shape[1]
+    if 0 in gens:  # J is the unit ideal, and I : J is I
+        return np.zeros((0, n), dtype=np.int64), []
+    level = np.eye(n, dtype=np.int64)[None]  # m(T) for the monomials m of degree k
+    blocks = []
+    for k in range(max(gens)):
+        row, var = _first_factors(k)
+        if k + 1 in gens:
+            split = np.zeros((NVARS, len(gens[k + 1]), len(level)), dtype=np.int64)
+            split[var, :, row] = np.array(gens[k + 1]).T
+            flat = level.reshape(len(level), n * n).astype(np.float64)
+            Y = sum(
+                _safe_matmul(_safe_matmul(split[v], flat, p).reshape(-1, n, n), T[v], p)
+                for v in range(NVARS)
+            )
+            blocks += [y for y in _reduce(Y, p) if y.any()]
+        if k + 1 < max(gens):
+            nxt = np.empty((len(row), n, n), dtype=np.int64)
+            for v in range(NVARS):
+                at = var == v
+                nxt[at] = _safe_matmul(level[row[at]], T[v], p)
+            level = nxt
+    if not blocks:
+        return np.eye(n, dtype=np.int64), list(range(n))
+    return _left_kernel(np.concatenate(blocks, axis=1), p)

@@ -74,9 +74,10 @@ class GradedSpaces:
     monomials and reduction against them is the normal form), plus the
     standard-monomial coordinate frame of (S/I)_t.
 
-    Every reader of (S/I) coordinates (coords, mult_matrix, contains) goes
-    through the normal-form table of a piece (normal_forms), which the
-    reduced echelon form gives with no elimination.
+    Every reader of (S/I) coordinates (coords, mult_matrix, contains,
+    stable_operators) goes through the normal-form table of a piece
+    (normal_forms), which the reduced echelon form gives with no
+    elimination.
     """
 
     def __init__(self, gens, p):
@@ -84,6 +85,7 @@ class GradedSpaces:
         self.p = p
         self._pieces = {}
         self._tables = {}
+        self._operators = {}
         self._stable = None
 
     def piece(self, t):
@@ -247,6 +249,31 @@ class GradedSpaces:
         table = self.normal_forms(t + f.degree)
         return _safe_matmul(f.coeffs[nonzero], table[products], self.p)
 
+    def stable_operators(self, xh):
+        """(T_0, ..., T_3), stacked in shape (4, n, n): multiplication by
+        x_i / x_h on the stable piece (S/I)_sigma0, in the row convention of
+        mult_matrix; None when multiplication by the linear form x_h from
+        sigma0 to sigma0 + 1 is not bijective.
+
+        T_i = mult(x_i) mult(x_h)^-1, where mult(x_i) is N_{sigma0 + 1}
+        gathered at x_i times each standard monomial, and the inverse comes
+        from one RREF of [mult(x_h) | 1].  Multiplication by ell / x_h is then
+        sum ell_i T_i.  Built once per x_h and held, as the pieces and tables
+        are, so one frame serves every reader of the same (I, x_h).
+        """
+        key = xh.coeffs.tobytes()
+        if key not in self._operators:
+            sigma0, n = self.stable_degree()
+            X = self.mult_matrix(xh, sigma0)
+            R, pivots = rref(np.concatenate([X, np.eye(n, dtype=np.int64)], axis=1), self.p)
+            T = None
+            if pivots[:n] == list(range(n)):
+                products = product_positions(sigma0, 1)[self.piece(sigma0)[2]]
+                L = self.normal_forms(sigma0 + 1)[products].transpose(1, 0, 2)
+                T = _safe_matmul(L.astype(np.int64), R[:, n:], self.p)
+            self._operators[key] = T
+        return self._operators[key]
+
 
 class SubIdeal:
     """An ideal J containing a GradedSpaces ideal I, its base, held as J/I.
@@ -291,17 +318,22 @@ class SubIdeal:
         return self._pieces[t]
 
     @property
-    def gens(self):
-        """The base's generators, then J's own: in each degree handed in,
-        the rows of the piece that the multiples of the piece below do not
-        span, lifted onto the standard monomials."""
+    def own_gens(self):
+        """J's generators beyond the base's: in each degree handed in, the
+        rows of the piece that the multiples of the piece below do not span,
+        lifted onto the standard monomials."""
         if self._gens is None:
             new = []
             for t in range(self._top + 1):
                 keep, _ = rref(reduce_rows(self.relative(t)[0], *self._multiples(t), self.p), self.p)
                 new += [MultiPoly(t, row, self.p) for row in self.base.lift(keep, t)]
-            self._gens = self.base.gens + tuple(new)
+            self._gens = tuple(new)
         return self._gens
+
+    @property
+    def gens(self):
+        """The base's generators, then J's own."""
+        return self.base.gens + self.own_gens
 
     def max_degree(self):
         """A bound on the generator degrees: the highest handed in."""

@@ -88,6 +88,10 @@ def _pairs(s):
     return (s + 1) * (s + 2) // 2
 
 
+# degree -> {monomial: its position}, for the monomials from_terms has placed
+_positions_seen = {}
+
+
 _product_cache = {}
 
 
@@ -128,6 +132,11 @@ class MultiPoly(Frozen):
             raise ValueError(
                 "a form of degree %d has %d coefficients" % (degree, monomial_count(degree))
             )
+        self._hold(degree, coeffs, p)
+
+    def _hold(self, degree, coeffs, p):
+        """Set the fields, keeping coeffs, a new vector of residues of the
+        right length that nothing else refers to."""
         if not coeffs.any():
             degree, coeffs = -1, np.zeros(0, dtype=np.int64)
         coeffs.flags.writeable = False
@@ -140,20 +149,31 @@ class MultiPoly(Frozen):
         """The form with the terms of a {monomial: coefficient} dict.
 
         Raises ValueError when the nonzero terms have more than one degree
-        or a monomial is not four nonnegative exponents.
+        or a monomial is not four nonnegative exponents.  Each term's
+        position is one dict lookup among the monomials of its degree seen
+        before; a monomial not seen yet is checked and placed by
+        monomial_position once.  The terms then go into the one vector the
+        form keeps, in one step.
         """
-        terms = {tuple(m): int(c) % p for m, c in terms.items()}
-        terms = {m: c for m, c in terms.items() if c}
-        if any(len(m) != NVARS or min(m) < 0 for m in terms):
-            raise ValueError("a monomial is four nonnegative exponents")
-        degrees = set(map(monomial_degree, terms))
-        if len(degrees) > 1:
-            raise ValueError("terms of degrees %s are not one form" % sorted(degrees))
-        degree = degrees.pop() if degrees else -1
+        items = [(m, int(c) % p) for m, c in terms.items()]
+        items = [(m, c) for m, c in items if c]
+        degree = sum(items[0][0]) if items else -1
+        seen = _positions_seen.setdefault(degree, {})
+        try:
+            positions = [seen[m] for m, _ in items]
+        except KeyError:
+            if any(len(m) != NVARS or min(m) < 0 for m, _ in items):
+                raise ValueError("a monomial is four nonnegative exponents") from None
+            degrees = sorted({sum(m) for m, _ in items})
+            if len(degrees) > 1:
+                raise ValueError("terms of degrees %s are not one form" % degrees) from None
+            seen.update((m, monomial_position(m)) for m, _ in items)
+            positions = [seen[m] for m, _ in items]
         coeffs = np.zeros(monomial_count(degree), dtype=np.int64)
-        for m, c in terms.items():
-            coeffs[monomial_position(m)] = c
-        return cls(degree, coeffs, p)
+        coeffs[positions] = [c for _, c in items]
+        form = cls.__new__(cls)
+        form._hold(degree, coeffs, p)
+        return form
 
     @classmethod
     def zero(cls, p):

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .gf import check_modulus, kernel_basis_array, rank, reduce_rows
-from .groebner import groebner, h_vector, has_h_vector
+from .groebner import _same_rref, groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
     extract_subscheme,
@@ -164,7 +164,10 @@ def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     }
     ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
     ideal_y = residual(ideal_g, ideal_x)
-    if point_ideal_quotient(ideal_g, list(ideal_y.gens)) != ideal_x:
+    # the involution I_G : I_Y = I_X, decided by the pieces at sigma0; I_G's
+    # own generators lie in I_G, so I_Y's others give the same colon
+    colon = point_ideal_quotient(ideal_g, ideal_y.own_gens, witness.xh)
+    if not _same_rref(colon, ideal_x.relative(ideal_g.stable_degree()[0])):
         raise ExtractionError("liaison involution failed")
     h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
     tests["generic_hf_X"] = generic_hilbert_function_test(ideal_x, d)

@@ -23,6 +23,8 @@ with.  graded_coords, graded_mult_matrix and graded_contains read (S/I)
 coordinates by filling the product rows and reducing them against a
 piece, which the program's normal-form tables are compared with;
 graded_is_unit and graded_std_monomials read a piece for the tests.
+degreewise_colon computes I : J with one left kernel in every degree, which
+the program's one annihilator in the stable degree is compared with.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, which the program's one
 kernel over S/I_G, restricted per submodule, is compared with.
@@ -43,8 +45,8 @@ import heapq
 import numpy as np
 
 from gorlink._frozen import Frozen
-from gorlink.gf import inv_mod, rank, reduce_rows, rref
-from gorlink.gorenstein import point_ideal_quotient
+from gorlink.gf import inv_mod, kernel_basis_array, rank, reduce_rows, rref
+from gorlink.groebner import SubIdeal
 from gorlink.mpoly import (
     NVARS,
     MultiPoly,
@@ -642,13 +644,43 @@ def ideal_quotient(gb, other):
     return result
 
 
+def degreewise_colon(ideal, other_gens):
+    """Reference I : J for the saturated ideal I of a zero-scheme cone (a
+    GradedSpaces), J generated by other_gens: one left kernel per degree t,
+    of the blocks of multiplication by each generator of J from (S/I)_t,
+    as a SubIdeal over I.  The quotient is saturated too, so its generators
+    lie below its stabilization degree plus one; the loop runs two degrees
+    further as a consistency window.  gorenstein.point_ideal_quotient,
+    which reads the colon off the stable degree alone, is compared with
+    this.
+    """
+    gens_j = [g for g in other_gens if not g.is_zero()]
+    if not gens_j:
+        raise ValueError("quotient by the zero ideal")
+    if any(g.degree == 0 for g in gens_j):
+        return SubIdeal(ideal)
+    gens_j = [g for g in gens_j if not ideal.contains(g)]
+    if not gens_j:
+        return SubIdeal.unit(ideal)
+    p = ideal.p
+    sigma0, n = ideal.stable_degree()
+    pieces, hist = {}, []
+    for t in range(sigma0 + n + 4):
+        blocks = np.concatenate([ideal.mult_matrix(f, t) for f in gens_j], axis=1)
+        pieces[t] = rref(kernel_basis_array(blocks.T, p), p)
+        hist.append(ideal.hf(t) - len(pieces[t][1]))
+        if hist[-3:] == [hist[-1]] * 3:
+            return SubIdeal(ideal, pieces)
+    raise ValueError("pieces did not stabilize")
+
+
 def residual(ideal_g, ideal_x):
     """Reference I_Y = I_G : I_X, the degreewise colon ideal (a SubIdeal
     over I_G), for gorenstein.residual, which reads Y off the kernel of
     f_d(T) instead."""
     if not all(ideal_x.contains(g) for g in ideal_g.gens):
         raise ValueError("residual needs I_G contained in I_X")
-    return point_ideal_quotient(ideal_g, list(ideal_x.gens))
+    return degreewise_colon(ideal_g, list(ideal_x.gens))
 
 
 # saturation -----------------------------------------------------------------

@@ -35,6 +35,14 @@ def P(s, p):
     return MultiPoly.parse(s, p)
 
 
+def involution_holds(gb, gbx, gby, xh):
+    """I_G : I_Y = I_X by the check the search runs: the colon's piece in
+    the stable degree against I_X's."""
+    R, pivots = point_ideal_quotient(gb, gby.gens, xh)
+    R2, pivots2 = gbx.relative(gb.stable_degree()[0])
+    return pivots == pivots2 and np.array_equal(R, R2)
+
+
 def test_numerator_examples():
     assert numerator_polynomial((1,)) == [1, -3, 3, -1]
     assert numerator_polynomial((1, 3, 6, 10, 6, 3, 1)) == [1, 0, 0, 0, -9, 9, 0, 0, 0, -1]
@@ -213,7 +221,7 @@ def test_char_poly_single_point():
     gb = groebner([P("x1", p), P("x2", p), P("x3", p)], p)
     sigma0, n = gb.stable_degree()
     assert (sigma0, n) == (0, 1)
-    T = multiplication_operator(gb, P("x1", p), P("x0", p), sigma0)
+    T = multiplication_operator(gb, P("x1", p), P("x0", p))
     from gorlink.gf import charpoly_mod_p
 
     assert charpoly_mod_p(T, p) == [0, 1]  # f = t
@@ -225,7 +233,7 @@ def test_char_poly_two_points():
     gb = groebner([P("x2", p), P("x3", p), P("x1^2 + 100*x0*x1", p)], p)
     sigma0, n = gb.stable_degree()
     assert n == 2
-    T = multiplication_operator(gb, P("x1", p), P("x0", p), sigma0)
+    T = multiplication_operator(gb, P("x1", p), P("x0", p))
     from gorlink.gf import charpoly_mod_p
 
     # f = t(t-1) = t^2 - t
@@ -249,7 +257,6 @@ def test_bad_position_matches_artinian_reduction():
             for seed in range(3):
                 st = SplitStream(seed).child("nzd", p, h)
                 _, gb = random_gorenstein(h, p, st.child("gorenstein"))
-                sigma0 = gb.stable_degree()[0]
                 ell = MultiPoly.linear_form([1, 2, 3, 4], p)
                 for k in range(10):
                     xs = st.child("xh", k)
@@ -257,7 +264,7 @@ def test_bad_position_matches_artinian_reduction():
                     if xh.is_zero():
                         continue
                     try:
-                        multiplication_operator(gb, ell, xh, sigma0)
+                        multiplication_operator(gb, ell, xh)
                         bad = False
                     except BadPositionError:
                         bad = True
@@ -372,7 +379,8 @@ def test_residual_matches_colon_reference(p):
             assert isinstance(gby, SubIdeal) and gby.base is gb
             assert gby.scheme_degree() == sum(h) - d
             assert gby == oracle.residual(gb, gbx), (h, d, p, attempt)
-            assert point_ideal_quotient(gb, list(gby.gens)) == gbx
+            assert oracle.degreewise_colon(gb, list(gby.gens)) == gbx
+            assert involution_holds(gb, gbx, gby, w.xh)
             checked += 1
             break
     assert checked == 3
@@ -395,15 +403,17 @@ def test_end_to_end_split_30_points():
         assert gby.scheme_degree() == 10
         assert h_vector(gby) == (1, 3, 6)
         # liaison involution
-        assert point_ideal_quotient(gb, list(gby.gens)) == gbx
-        assert point_ideal_quotient(gb, list(gbx.gens)) == gby
+        assert oracle.degreewise_colon(gb, list(gby.gens)) == gbx
+        assert oracle.degreewise_colon(gb, list(gbx.gens)) == gby
+        assert involution_holds(gb, gbx, gby, w.xh) and involution_holds(gb, gby, gbx, w.xh)
         break
     assert found
 
 
 def test_residual_agrees_with_elimination_quotient():
-    # dual-route check: the degreewise point quotient behind residual()
-    # must match the general elimination-based ideal_quotient
+    # dual-route check: the degreewise colon behind the reference residual
+    # must match the general elimination-based ideal_quotient, and the
+    # stable-degree colon must be its piece there
     checked = 0
     for h, d, seeds in (((1, 1, 1), 2, range(1, 6)), ((1, 3, 3, 1), 6, range(6, 12))):
         for seed in seeds:
@@ -412,11 +422,14 @@ def test_residual_agrees_with_elimination_quotient():
             if w is None:
                 continue
             gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-            fast = point_ideal_quotient(gb, list(gbx.gens))
+            fast = oracle.degreewise_colon(gb, list(gbx.gens))
             slow = oracle.ideal_quotient(
                 oracle.groebner(gb.gens, 101), oracle.groebner(gbx.gens, 101)
             )
             assert oracle.groebner(fast.gens, 101) == slow
+            R, pivots = point_ideal_quotient(gb, gbx.gens, w.xh)
+            R2, pivots2 = fast.relative(gb.stable_degree()[0])
+            assert pivots == pivots2 and np.array_equal(R, R2)
             checked += 1
             break
     assert checked == 2
@@ -429,8 +442,91 @@ def test_residual_of_whole_scheme_is_unit():
     unit = oracle.residual(gb, gb)
     assert isinstance(unit, SubIdeal) and unit.base is gb
     assert oracle.graded_is_unit(unit) and unit == SubIdeal.unit(gb)
-    same = point_ideal_quotient(gb, [P("3", 101)])
+    same = oracle.degreewise_colon(gb, [P("3", 101)])
     assert isinstance(same, SubIdeal) and same.base is gb and same == gb
+    # the same two colons in the stable degree: all of (S/I_G)_sigma0, and 0
+    _, xh, _ = char_poly_of_projection(gb, SplitStream(9).child("xh"))
+    n = gb.scheme_degree()
+    R, pivots = point_ideal_quotient(gb, gb.gens, xh)
+    assert pivots == list(range(n)) and np.array_equal(R, np.eye(n))
+    R, pivots = point_ideal_quotient(gb, [P("3", 101)], xh)
+    assert pivots == [] and R.shape == (0, n)
+    with pytest.raises(ValueError):
+        point_ideal_quotient(gb, [MultiPoly.zero(101)], xh)
+
+
+def test_stable_colon_needs_a_nonzerodivisor():
+    p = 101
+    # two points (1:0:0:0) and (1:1:0:0); x1 vanishes at the first
+    gb = groebner([P("x2", p), P("x3", p), P("x1^2 + 100*x0*x1", p)], p)
+    with pytest.raises(BadPositionError):
+        point_ideal_quotient(gb, [P("x1", p)], P("x1", p))
+    R, pivots = point_ideal_quotient(gb, [P("x1", p)], P("x0", p))
+    # x1 kills the functions vanishing at (1:1:0:0), which x1 - x0 spans
+    assert pivots == [0] and R.tolist() == [[1, p - 1]]
+
+
+def _exact_product(A, B, p):
+    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [10007, (1 << 31) - 1])
+def test_stable_frame(p):
+    """The frame T_0..T_3 of x_h: T_i = mult(x_i) mult(x_h)^-1, the T_i
+    commute, sum ell_i T_i is multiplication_operator's T, and the frame is
+    built once per x_h."""
+    _, gb = random_gorenstein((1, 3, 6, 6, 3, 1), p, SplitStream(44).child("g"))
+    ell, xh, f = char_poly_of_projection(gb, SplitStream(44).child("proj"))
+    sigma0, n = gb.stable_degree()
+    T = gb.stable_operators(xh)
+    assert T.shape == (4, n, n) and gb.stable_operators(xh) is T
+    inverse = oracle._matrix_inverse(gb.mult_matrix(xh, sigma0), p)
+    for i in range(4):
+        x_i = MultiPoly.linear_form([int(i == j) for j in range(4)], p)
+        assert np.array_equal(T[i], _exact_product(gb.mult_matrix(x_i, sigma0), inverse, p))
+        for j in range(i):
+            assert np.array_equal(_exact_product(T[i], T[j], p), _exact_product(T[j], T[i], p))
+    reference = _exact_product(gb.mult_matrix(ell, sigma0), inverse, p)
+    combined = sum(c * T[i].astype(object) for i, c in enumerate(ell.coeffs.tolist())) % p
+    assert np.array_equal(combined.astype(np.int64), reference)
+    assert np.array_equal(multiplication_operator(gb, ell, xh), reference)
+
+
+@pytest.mark.parametrize("p", [101, 10007, 32003, (1 << 31) - 1])
+def test_stable_colon_matches_degreewise_colon(p):
+    """The involution check in the stable degree against the degreewise
+    reference colon, on true pairs (X, Y) of one split and on mismatched
+    pairs, X from one split and Y from a split of another degree of the
+    same G.  The check builds no piece of I_G."""
+    true_pairs = mismatched = 0
+    for h, ds in (((1, 3, 3, 1), (3, 5)), ((1, 3, 6, 6, 3, 1), (8, 12))):
+        for attempt in range(10):
+            st = SplitStream(43).child("stable colon", p, h, attempt)
+            _, gb = random_gorenstein(h, p, st.child("g"))
+            witnesses = [is_reduced_and_split(gb, d, st.child("s", d)) for d in ds]
+            if None not in witnesses:
+                break
+        assert None not in witnesses
+        splits = []
+        for w in witnesses:
+            gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+            splits.append((w.xh, gbx, residual(gb, gbx)))
+        sigma0 = gb.stable_degree()[0]
+        checks = []
+        for xh, gbx, _ in splits:
+            for _, _, gby in splits:
+                built = set(gb._pieces)
+                checks.append((gbx, gby, point_ideal_quotient(gb, gby.gens, xh),
+                               involution_holds(gb, gbx, gby, xh)))
+                assert set(gb._pieces) == built
+        for gbx, gby, (R, pivots), holds in checks:
+            slow = oracle.degreewise_colon(gb, list(gby.gens))
+            R2, pivots2 = slow.relative(sigma0)
+            assert pivots == pivots2 and np.array_equal(R, R2)
+            assert holds == (slow == gbx)
+            true_pairs += holds
+            mismatched += not holds
+    assert (true_pairs, mismatched) == (4, 4)
 
 
 def test_matrix_serialization_roundtrip():

@@ -17,7 +17,6 @@ from gorlink.gorenstein import (
     _xh_pushes,
     extract_subscheme,
     is_reduced_and_split,
-    point_ideal_quotient,
     random_gorenstein,
     residual,
 )
@@ -90,6 +89,21 @@ def test_form_codec_matches_sorting_renderer(case):
         for mixed in (text + " + " + other, other + " + " + text):
             with pytest.raises(ValueError):
                 MultiPoly.parse(mixed, p)
+
+
+def test_from_terms_checks_its_monomials():
+    p = 7
+    # coefficients are reduced mod p, and zero terms dropped before any check
+    f = MultiPoly.from_terms({(1, 0, 0, 0): 7, (0, 2, 0, 0): 0, (0, 0, 1, 0): 10}, p)
+    assert f == MultiPoly.linear_form([0, 0, 3, 0], p)
+    assert MultiPoly.from_terms({(0, 0, 0, 5): 14}, p) == MultiPoly.zero(p)
+    f = MultiPoly.from_terms({(0, 0, 0, 2): 9}, p)
+    assert f.coeffs.tolist() == [0] * 9 + [2] and not f.coeffs.flags.writeable
+    for bad in ({(1, 0, 0): 1}, {(2, -1, 0, 0): 1}, {(1, 0, 0, 0): 1, (0, 1, 0): 1}):
+        with pytest.raises(ValueError, match="four nonnegative"):
+            MultiPoly.from_terms(bad, p)
+    with pytest.raises(ValueError, match="not one form"):
+        MultiPoly.from_terms({(1, 0, 0, 0): 1, (0, 2, 0, 0): 1}, p)
 
 
 def test_product_positions_and_multiples():
@@ -518,7 +532,7 @@ def test_sub_ideals_match_graded_spaces(h, d, p):
     assert w is not None
     gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
     gby = residual(gb, gbx)
-    colon = point_ideal_quotient(gb, list(gby.gens))
+    colon = oracle.degreewise_colon(gb, list(gby.gens))
     rng = np.random.default_rng(12)
     for sub in (gbx, gby, colon):
         assert isinstance(sub, SubIdeal) and sub.base is gb

@@ -198,7 +198,7 @@ def test_replay_refuses_a_split_with_an_empty_side():
     cert = verify_edge((1, 3, 3, 1), 6, 101, seed=4)
     n, w = cert.h.degree, cert.witness
     ideal = groebner([f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()], 101)
-    T = multiplication_operator(ideal, w.ell, w.xh, ideal.stable_degree()[0])
+    T = multiplication_operator(ideal, w.ell, w.xh)
     for d, factor in ((0, UniPoly.one(101)), (n, UniPoly(charpoly_mod_p(T, 101), 101))):
         witness = ProjectionWitness(w.ell, w.xh, None, factor)
         assert witness_splits(ideal, witness, d)
