@@ -33,15 +33,20 @@ the functions vanishing along Y form the left kernel of W (see residual).
 T comes from one frame per (I_G, x_h), held on I_G: T_i = x_i/x_h on the
 stable piece (S/I_G)_sigma0, and T = sum ell_i T_i.  The projection,
 extraction and the involution check all read it.  The involution is
-checked in the stable degree alone (see point_ideal_quotient).  x_h is a
+checked in the stable degree alone (see involution_holds).  x_h is a
 nonzerodivisor on S/I_G, which the frame checks, so it is one on S/I_X
 and on S/(I_G : I_Y) too, and each of those ideals is pulled back from
 its sigma0 piece as I_X is from the row space of W: x_h^(sigma0 - t)
 carries degree t into sigma0, and above sigma0 each piece is x_h times
 the one below.  So I_G : I_Y = I_X iff the two sigma0 pieces agree, and
 the colon's piece is the functions g with g y(T_0, ..., T_3) = 0 for
-every generator y of I_Y: one left kernel, with no piece of I_G above
-sigma0 + 1.
+every y in a generating set of I_Y modulo I_G: one left kernel, with no
+piece of I_G above sigma0 + 1.  That set is one piece of I_Y, held
+already: x_h avoids Y and is a nonzerodivisor on S/I_Y, so I_Y is
+saturated and reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of
+Syzygies, ch. 4), which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is
+saturated, so I_G : I_Y = I_G : (I_Y)_(>= t), which the lifted rows of
+(I_Y/I_G)_t generate modulo I_G.
 
 I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
 ideal made after the split contains it and is a SubIdeal over it, whose
@@ -78,6 +83,7 @@ __all__ = [
     "extract_subscheme",
     "residual",
     "point_ideal_quotient",
+    "involution_holds",
     "is_reduced_and_split",
     "witness_splits",
     "DegeneracyError",
@@ -620,6 +626,10 @@ def point_ideal_quotient(ideal, other_gens, xh):
     t <= sigma0 and x_h (Q/I)_(t - 1) above it, since x_h is bijective on
     S/I from sigma0 on.  So I : J = I_X if and only if their sigma0 pieces
     agree, and no piece of I above sigma0 + 1 is read.
+
+    Any generating set of J modulo I gives the colon, and as I is
+    saturated, I : J = I : J_(>= t) for every t; so involution_holds
+    passes one piece of I_Y, in degree reg(I_Y) (see the module docstring).
     """
     gens = {}
     for g in other_gens:
@@ -654,3 +664,15 @@ def point_ideal_quotient(ideal, other_gens, xh):
     if not blocks:
         return np.eye(n, dtype=np.int64), list(range(n))
     return _left_kernel(np.concatenate(blocks, axis=1), p)
+
+
+def involution_holds(ideal_g, ideal_x, ideal_y, xh):
+    """Does the liaison involution I_G : I_Y = I_X hold?  I_X and I_Y are
+    SubIdeals over I_G, x_h a nonzerodivisor on S/I_G.  The colon is taken
+    by the lifted rows of (I_Y/I_G)_t, t = sigma0_Y + 1 (see the module
+    docstring), which _vanishing_ideal handed in, so no piece is grown."""
+    t = ideal_y.stable_degree()[0] + 1
+    rows = ideal_g.lift(ideal_y.relative(t)[0], t)
+    R, pivots = point_ideal_quotient(ideal_g, [MultiPoly(t, row, ideal_g.p) for row in rows], xh)
+    R_x, pivots_x = ideal_x.relative(ideal_g.stable_degree()[0])
+    return pivots == pivots_x and np.array_equal(R, R_x)

@@ -14,11 +14,13 @@ the monomials of its degree, so the generator rows of a piece are those
 vectors stacked.
 
 Pieces are built lazily and cached, so one object per ideal serves every
-stage that reads it.  The Hilbert function, the h-vector, containment and
-equality are all read off the pieces.
+stage that reads it.  The Hilbert function and the h-vector are read off
+the pieces.
 
 An ideal J containing such an ideal I is held as J/I in S/I (SubIdeal):
 per degree, the RREF of (J/I)_t over the hf_I(t) standard monomials of I_t.
+J's own generators and full pieces are never formed; the search reads J
+through these relative pieces alone.
 
 A piece above the lowest generator degree grows from the one below, as
 I_t = S_1 I_{t-1} plus the generators of degree t.  The leading monomials
@@ -41,8 +43,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import _safe_matmul, check_modulus, extend_rref, reduce_rows, rref, rref_unit_triangular
-from .mpoly import NVARS, MultiPoly, monomial_count, monomials_of_degree, product_positions
+from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
+from .mpoly import NVARS, monomial_count, monomials_of_degree, product_positions
 
 __all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces", "SubIdeal"]
 
@@ -54,18 +56,6 @@ MAX_HF_PROBE = 20
 _PAIRS = frozenset(frozenset(pair) for pair in combinations(range(NVARS), 2))
 
 
-def _same_rref(a, b):
-    """Are two (R, pivots, ...) echelon forms the same?"""
-    return a[1] == b[1] and np.array_equal(a[0], b[0])
-
-
-def with_std(R, pivots):
-    """The cached form of a piece: (R, pivots, std_positions)."""
-    is_std = np.ones(R.shape[1], dtype=bool)
-    is_std[pivots] = False
-    return R, pivots, is_std.nonzero()[0].tolist()
-
-
 class GradedSpaces:
     """A homogeneous ideal: its generators and its echelonized graded pieces.
 
@@ -74,8 +64,8 @@ class GradedSpaces:
     monomials and reduction against them is the normal form), plus the
     standard-monomial coordinate frame of (S/I)_t.
 
-    Every reader of (S/I) coordinates (coords, mult_matrix, contains,
-    stable_operators) goes through the normal-form table of a piece
+    Every reader of (S/I) coordinates (mult_matrix, stable_operators and
+    SubIdeal's grown pieces) goes through the normal-form table of a piece
     (normal_forms), which the reduced echelon form gives with no
     elimination.
     """
@@ -106,7 +96,9 @@ class GradedSpaces:
                 R, pivots = self._grow(t)
             else:
                 R, pivots = rref(self._generator_rows(t), self.p)
-            self._pieces[t] = with_std(R, pivots)
+            is_std = np.ones(R.shape[1], dtype=bool)
+            is_std[pivots] = False
+            self._pieces[t] = R, pivots, is_std.nonzero()[0].tolist()
         return self._pieces[t]
 
     def _generator_rows(self, t):
@@ -180,29 +172,6 @@ class GradedSpaces:
     def scheme_degree(self):
         return self.stable_degree()[1]
 
-    def contains(self, f):
-        """Is the form f in the ideal?  It lies in I_t iff its normal form,
-        its nonzero coefficients against their rows of N_t, is zero."""
-        if f.is_zero():
-            return True
-        nonzero = np.flatnonzero(f.coeffs)
-        table = self.normal_forms(f.degree)[nonzero]
-        return not _safe_matmul(f.coeffs[nonzero], table, self.p).any()
-
-    def max_degree(self):
-        return max((g.degree for g in self.gens), default=0)
-
-    def __eq__(self, other):
-        """Same ideal (or SubIdeal): equal pieces up to the larger generator degree."""
-        if not isinstance(other, (GradedSpaces, SubIdeal)):
-            return NotImplemented
-        top = max(self.max_degree(), other.max_degree())
-        return self.p == other.p and all(
-            _same_rref(self.piece(t)[:2], other.piece(t)[:2]) for t in range(top + 1)
-        )
-
-    __hash__ = None
-
     def __repr__(self):
         return "GradedSpaces(%d gens mod %d)" % (len(self.gens), self.p)
 
@@ -224,10 +193,6 @@ class GradedSpaces:
             table[pivots] = -R[:, std] % self.p
             self._tables[t] = table
         return self._tables[t]
-
-    def coords(self, rows, t):
-        """Standard-monomial coordinates of degree-t rows of residues."""
-        return _safe_matmul(np.asarray(rows, dtype=np.int64), self.normal_forms(t), self.p)
 
     def lift(self, rows, t):
         """The forms, over all degree-t monomials, with these coordinates."""
@@ -280,22 +245,23 @@ class SubIdeal:
 
     relative(t) is the RREF of (J/I)_t over the base's standard monomials.
     `pieces` hands in those of degrees 0..top, where J's generators lie;
-    above top, (J/I)_t is S_1 (J/I)_{t-1}.  Generators and full pieces of J
-    are read off on demand.
+    above top, (J/I)_t is S_1 (J/I)_{t-1}, grown on demand.  J is read
+    through these pieces alone: its Hilbert function is the base's less
+    their ranks.
     """
 
     def __init__(self, base, pieces=()):
         self.base = base
         self.p = base.p
         self._pieces = dict(pieces)
-        self._top = max(self._pieces, default=-1)
-        self._gens = None
         self._stable = None
 
     @classmethod
     def unit(cls, base):
-        """S itself, over base."""
-        return cls(base, {0: rref(base.coords([[1]], 0), base.p)})
+        """S itself, over base: (J/I)_0 is spanned by the standard monomial 1,
+        unless I is the unit ideal and (S/I)_0 is 0."""
+        n = base.hf(0)
+        return cls(base, {0: (np.eye(n, dtype=np.int64), list(range(n)))})
 
     def _multiples(self, t):
         """RREF of S_1 (J/I)_{t-1}.  x_v r has coordinates sum_j r_j N_t[x_v s_j],
@@ -317,35 +283,6 @@ class SubIdeal:
             self._pieces[t] = self._multiples(t)
         return self._pieces[t]
 
-    @property
-    def own_gens(self):
-        """J's generators beyond the base's: in each degree handed in, the
-        rows of the piece that the multiples of the piece below do not span,
-        lifted onto the standard monomials."""
-        if self._gens is None:
-            new = []
-            for t in range(self._top + 1):
-                keep, _ = rref(reduce_rows(self.relative(t)[0], *self._multiples(t), self.p), self.p)
-                new += [MultiPoly(t, row, self.p) for row in self.base.lift(keep, t)]
-            self._gens = tuple(new)
-        return self._gens
-
-    @property
-    def gens(self):
-        """The base's generators, then J's own."""
-        return self.base.gens + self.own_gens
-
-    def max_degree(self):
-        """A bound on the generator degrees: the highest handed in."""
-        return max(self.base.max_degree(), self._top)
-
-    def piece(self, t):
-        """(R, pivots, std_positions) of J_t, the base's piece extended by
-        the lifted relative rows; not cached, and not read by the search."""
-        R, pivots, _ = self.base.piece(t)
-        lifted = self.base.lift(self.relative(t)[0], t)
-        return with_std(*extend_rref(R, pivots, lifted, self.p))
-
     def hf(self, t):
         """dim (S/J)_t."""
         return self.base.hf(t) - len(self.relative(t)[1]) if t >= 0 else 0
@@ -361,23 +298,7 @@ class SubIdeal:
             self._stable = (t - 1, self.hf(t))
         return self._stable
 
-    def contains(self, f):
-        """Is the form f in J?  Its S/I coordinates reduce to 0 against (J/I)_t."""
-        if f.is_zero():
-            return True
-        coords = self.base.coords(f.coeffs[None], f.degree)
-        return not reduce_rows(coords, *self.relative(f.degree), self.p).any()
-
-    def __eq__(self, other):
-        """Same ideal: over the same base, equal relative pieces up to the
-        larger max_degree; otherwise as GradedSpaces.__eq__."""
-        if getattr(other, "base", None) is not self.base:
-            return GradedSpaces.__eq__(self, other)
-        top = max(self.max_degree(), other.max_degree())
-        return all(_same_rref(self.relative(t), other.relative(t)) for t in range(top + 1))
-
     scheme_degree = GradedSpaces.scheme_degree
-    __hash__ = None
 
 
 def groebner(gens, p=None):

@@ -33,15 +33,15 @@ import numpy as np
 
 from ._frozen import Frozen
 from .gf import check_modulus, kernel_basis_array, rank, reduce_rows
-from .groebner import _same_rref, groebner, h_vector, has_h_vector
+from .groebner import groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
     extract_subscheme,
     generic_degree_matrix,
+    involution_holds,
     is_reduced_and_split,
     random_gorenstein,
     residual,
-    point_ideal_quotient,
     submaximal_pfaffians,
     witness_splits,
     DegeneracyError,
@@ -164,10 +164,7 @@ def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     }
     ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
     ideal_y = residual(ideal_g, ideal_x)
-    # the involution I_G : I_Y = I_X, decided by the pieces at sigma0; I_G's
-    # own generators lie in I_G, so I_Y's others give the same colon
-    colon = point_ideal_quotient(ideal_g, ideal_y.own_gens, witness.xh)
-    if not _same_rref(colon, ideal_x.relative(ideal_g.stable_degree()[0])):
+    if not involution_holds(ideal_g, ideal_x, ideal_y, witness.xh):
         raise ExtractionError("liaison involution failed")
     h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
     tests["generic_hf_X"] = generic_hilbert_function_test(ideal_x, d)

@@ -19,15 +19,23 @@ the Hilbert function in every degree, that the projection's check in a
 single degree is compared with.  macaulay_piece builds a graded piece
 from scratch, every multiple of every generator and then one rref, which
 the program's pieces, grown from the piece one degree below, are compared
-with.  graded_coords, graded_mult_matrix and graded_contains read (S/I)
-coordinates by filling the product rows and reducing them against a
-piece, which the program's normal-form tables are compared with;
-graded_is_unit and graded_std_monomials read a piece for the tests.
+with.  graded_coords and graded_mult_matrix read (S/I) coordinates by
+filling the product rows and reducing them against a piece, which the
+program's normal-form tables are compared with; graded_is_unit and
+graded_std_monomials read a piece for the tests.
+
+The program holds an ideal J over I_G as its relative pieces (J/I_G)_t
+alone (gorlink.groebner.SubIdeal), with no generators or full pieces of
+J.  ideal_gens gives a generating set of either kind of ideal, unreduced;
+full_piece builds J_t from it with macaulay_piece, and graded_contains
+and same_ideal read those pieces.  lifted_piece reads J_t off the
+program's own relative piece instead, for the tests that compare the two.
 degreewise_colon computes I : J with one left kernel in every degree, which
 the program's one annihilator in the stable degree is compared with.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
-constraint matrix over echelon frames of I_X/I_G, which the program's one
-kernel over S/I_G, restricted per submodule, is compared with.
+constraint matrix over echelon frames of I_X/I_G, built on full_piece,
+which the program's one kernel over S/I_G, restricted per submodule, is
+compared with.
 
 The ring arithmetic of forms (poly_add, poly_sub, poly_neg, poly_mul)
 lives here, since only this engine and the tests use it, and so does the
@@ -659,7 +667,7 @@ def degreewise_colon(ideal, other_gens):
         raise ValueError("quotient by the zero ideal")
     if any(g.degree == 0 for g in gens_j):
         return SubIdeal(ideal)
-    gens_j = [g for g in gens_j if not ideal.contains(g)]
+    gens_j = [g for g in gens_j if not graded_contains(ideal, g)]
     if not gens_j:
         return SubIdeal.unit(ideal)
     p = ideal.p
@@ -678,9 +686,9 @@ def residual(ideal_g, ideal_x):
     """Reference I_Y = I_G : I_X, the degreewise colon ideal (a SubIdeal
     over I_G), for gorenstein.residual, which reads Y off the kernel of
     f_d(T) instead."""
-    if not all(ideal_x.contains(g) for g in ideal_g.gens):
+    if not all(graded_contains(ideal_x, g) for g in ideal_g.gens):
         raise ValueError("residual needs I_G contained in I_X")
-    return degreewise_colon(ideal_g, list(ideal_x.gens))
+    return degreewise_colon(ideal_g, ideal_gens(ideal_x))
 
 
 # saturation -----------------------------------------------------------------
@@ -841,13 +849,59 @@ def graded_mult_matrix(ideal, f, t):
     return graded_coords(ideal, rows, t + f.degree)
 
 
+# ---------------------------------------------------------------------------
+# full pieces of an ideal, GradedSpaces or SubIdeal, from a generating set
+
+
+def ideal_gens(ideal):
+    """A generating set of a GradedSpaces ideal or of a SubIdeal J: the
+    base's generators and, for each relative piece J holds, its rows lifted
+    onto the base's standard monomials, unreduced.  The handed-in pieces
+    alone generate J, and the pieces grown from them lie in J."""
+    if not isinstance(ideal, SubIdeal):
+        return list(ideal.gens)
+    base = ideal.base
+    gens = list(base.gens)
+    for t, (R, _) in sorted(ideal._pieces.items()):
+        gens += [MultiPoly(t, row, ideal.p) for row in base.lift(R, t)]
+    return gens
+
+
+def full_piece(ideal, t):
+    """(R, pivots) of the ideal's degree-t piece, by macaulay_piece over
+    ideal_gens."""
+    return macaulay_piece(ideal_gens(ideal), t, ideal.p)
+
+
+def lifted_piece(sub, t):
+    """(R, pivots) of J_t as the SubIdeal's relative piece gives it: the
+    base's piece and the lifted rows of (J/I)_t, in one rref."""
+    base = sub.base
+    rows = np.vstack([base.piece(t)[0], base.lift(sub.relative(t)[0], t)])
+    return rref(rows, sub.p)
+
+
 def graded_contains(ideal, f):
-    """Is the form f in the ideal?  Its row reduces to zero."""
+    """Is the form f in the ideal?  Its row reduces to zero against
+    full_piece."""
     if f.is_zero():
         return True
-    row = np.zeros((1, monomial_count(f.degree)), dtype=np.int64)
-    fill_multiples(row, f, 0)
-    return not graded_coords(ideal, row, f.degree).any()
+    R, pivots = full_piece(ideal, f.degree)
+    return not reduce_rows(f.coeffs[None], R, pivots, ideal.p).any()
+
+
+def same_ideal(a, b):
+    """Are a and b the same ideal?  Their full pieces agree up to the
+    highest degree of either generating set, which both ideals are
+    generated within."""
+    gens_a, gens_b = ideal_gens(a), ideal_gens(b)
+    top = max((g.degree for g in gens_a + gens_b), default=0)
+    for t in range(top + 1):
+        R, pivots = macaulay_piece(gens_a, t, a.p)
+        R2, pivots2 = macaulay_piece(gens_b, t, a.p)
+        if pivots != pivots2 or not np.array_equal(R, R2):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +922,7 @@ def hom_dim_by_frames(M, den, num):
 
     def frame(t):
         if t not in frames:
-            frames[t] = rref(graded_coords(den, num.piece(t)[0], t), p)
+            frames[t] = rref(graded_coords(den, full_piece(num, t)[0], t), p)
         return frames[t]
 
     def mult_map(f, t):

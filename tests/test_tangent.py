@@ -63,12 +63,13 @@ def test_graded_piece_twenty_in_thirty():
     _, gb, gbx = _twenty_in_thirty(31, "gp")
     # (I_X/I_G)_t, spanned by the coordinates of (I_X)_t in (S/I_G)_t, has
     # dimension HF_G(t) - HF_X(t): 26 - 20 at t = 4.  The sub-ideal holds
-    # it directly; the lifted full piece gives the same span
+    # it directly; the full piece, built by the oracle, gives the same span
     for t, dim in ((4, 26 - 20), (5, 29 - 20)):
         R, pivots = gbx.relative(t)
         assert R.shape == (dim, gb.hf(t)) and len(pivots) == dim
-        assert rank(gb.coords(gbx.piece(t)[0], t), gb.p) == gb.hf(t) - gbx.hf(t) == dim
-        assert rank(np.vstack([gb.coords(gbx.piece(t)[0], t), R]), gb.p) == dim
+        coords = oracle.graded_coords(gb, oracle.full_piece(gbx, t)[0], t)
+        assert rank(coords, gb.p) == gb.hf(t) - gbx.hf(t) == dim
+        assert rank(np.vstack([coords, R]), gb.p) == dim
 
 
 def test_hom_into_quotient_of_complete_intersection():
