@@ -284,6 +284,15 @@ def kernel_basis_array(A, p):
     return basis
 
 
+def _left_kernel(M, p):
+    """RREF (R, pivots) of {c : c M = 0}, in rank(M) pivot steps.  With
+    M.T's columns reversed, the kernel vector of a free column f is 1 at f,
+    0 at the other free columns and elsewhere nonzero only at pivot columns
+    q > f, so read back in natural order the vectors are already the RREF."""
+    K = kernel_basis_array(M.T[:, ::-1], p)[::-1, ::-1]
+    return K, (K != 0).argmax(axis=1).tolist()
+
+
 def charpoly_mod_p(A, p):
     """Characteristic polynomial det(tI - A) mod p.
 

@@ -20,15 +20,15 @@ piece of S/I_G is the polynomial of the image scheme on a line; a
 square-free value certifies that G is reduced, and a degree-d factor
 cuts out a degree-d subscheme defined over GF(p).
 
-The subscheme is extracted degreewise: a form of degree t lies in I_X
-iff its normal form, pushed into the stable piece by a power of x_h,
-falls in the row space of W = f_d(T) where T is the multiplication
-operator; that row space is exactly the space of functions on G vanishing
-along X.  The result equals I_G + (homogenized factor) with x_h divided
-out (the saturation by x_h) and is verified through its postconditions
-(degree, and the liaison involution I_G : I_Y = I_X).  The residual Y is
-cut out by the complementary factor in the same way, with the same T:
-the functions vanishing along Y form the left kernel of W (see residual).
+The subscheme is extracted as a gorlink.groebner.SubIdeal over I_G,
+pulled back along x_h from the row space of W = f_d(T), T the
+multiplication operator, which is exactly the space of functions on G
+vanishing along X: a form of degree t lies in I_X iff its normal form
+times x_h^(sigma0 - t) falls in it.  The result equals I_G + (homogenized
+factor) with x_h divided out (the saturation by x_h) and is verified
+through its postconditions (degree, and the liaison involution
+I_G : I_Y = I_X).  The residual Y is pulled back in the same way, along
+the same x_h, from the left kernel of W (see residual).
 
 T comes from one frame per (I_G, x_h), held on I_G: T_i = x_i/x_h on the
 stable piece (S/I_G)_sigma0, and T = sum ell_i T_i.  The projection,
@@ -36,16 +36,17 @@ extraction and the involution check all read it.  The involution is
 checked in the stable degree alone (see involution_holds).  x_h is a
 nonzerodivisor on S/I_G, which the frame checks, so it is one on S/I_X
 and on S/(I_G : I_Y) too, and each of those ideals is pulled back from
-its sigma0 piece as I_X is from the row space of W: x_h^(sigma0 - t)
-carries degree t into sigma0, and above sigma0 each piece is x_h times
-the one below.  So I_G : I_Y = I_X iff the two sigma0 pieces agree, and
-the colon's piece is the functions g with g y(T_0, ..., T_3) = 0 for
-every y in a generating set of I_Y modulo I_G: one left kernel, with no
-piece of I_G above sigma0 + 1.  That set is one piece of I_Y, held
-already: x_h avoids Y and is a nonzerodivisor on S/I_Y, so I_Y is
-saturated and reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of
-Syzygies, ch. 4), which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is
-saturated, so I_G : I_Y = I_G : (I_Y)_(>= t), which the lifted rows of
+its sigma0 piece, as the SubIdeal I_X is from the row space of W:
+x_h^(sigma0 - t) carries degree t into sigma0, and above sigma0 each
+piece is x_h times the one below.  So I_G : I_Y = I_X iff the two
+sigma0 pieces agree, and the colon's piece is the functions g with
+g y(T_0, ..., T_3) = 0 for every y in a generating set of I_Y modulo I_G:
+one left kernel, with no piece of I_G above sigma0 + 1.  That set is one
+piece of I_Y, built already when sigma0_Y was read: x_h avoids Y and is
+a nonzerodivisor on S/I_Y, so I_Y is saturated and
+reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of Syzygies,
+ch. 4), which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is saturated,
+so I_G : I_Y = I_G : (I_Y)_(>= t), which the lifted rows of
 (I_Y/I_G)_t generate modulo I_G.
 
 I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
@@ -56,15 +57,7 @@ pieces span at most n = deg G standard monomials of S/I_G per degree.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import (
-    charpoly_mod_p,
-    check_modulus,
-    kernel_basis_array,
-    rref,
-    reduce_rows,
-    _reduce,
-    _safe_matmul,
-)
+from .gf import _left_kernel, _reduce, _safe_matmul, charpoly_mod_p, check_modulus
 from .mpoly import NVARS, MultiPoly, monomial_count, product_positions
 from .groebner import SubIdeal, groebner, has_h_vector
 from .hvectors import parse_gorenstein_type, _entries
@@ -488,15 +481,6 @@ def witness_splits(ideal, witness, d):
 # subscheme extraction and residuals (degreewise linear algebra)
 
 
-def _left_kernel(M, p):
-    """RREF (R, pivots) of {c : c M = 0}, in rank(M) pivot steps.  With
-    M.T's columns reversed, the kernel vector of a free column f is 1 at f,
-    0 at the other free columns and elsewhere nonzero only at pivot columns
-    q > f, so read back in natural order the vectors are already the RREF."""
-    K = kernel_basis_array(M.T[:, ::-1], p)[::-1, ::-1]
-    return K, (K != 0).argmax(axis=1).tolist()
-
-
 def _matrix_poly(coeffs, A, p):
     """Evaluate a univariate polynomial at a square matrix (Horner)."""
     n = A.shape[0]
@@ -512,28 +496,21 @@ def extract_subscheme(ideal, ell, xh, f_d):
     """Ideal of the subscheme the degree-d factor cuts out, over I_G.
 
     Equals (I_G + (F_d)) : x_h^infinity, F_d the x_h-homogenization of
-    f_d(ell/x_h), computed degreewise: a degree-t form g lies in I_X iff
-    g * x_h^(sigma0 - t) falls in the row space of W = f_d(T) on the stable
-    piece.  I_X keeps (W, x_h, pushes) as `factor_image`: the left kernel
-    ker f_d(T) = im f_e(T), for a square-free f = f_d f_e (so coprime
-    factors), cuts out Y in residual.  d = 0 and d = n give the unit ideal
-    and I_G, with none.  Raises ExtractionError when W's rank or the
-    resulting degree disagrees with deg f_d.
+    f_d(ell/x_h): the SubIdeal pulled back along x_h from the row space of
+    W = f_d(T) on the stable piece, T the multiplication operator.  W
+    commutes with every T_i = x_i/x_h, since T is a combination of them,
+    so its row space is invariant under them, as a SubIdeal needs.  I_X
+    keeps W as `factor_image`: the left kernel ker f_d(T) = im f_e(T), for
+    a square-free f = f_d f_e (so coprime factors), cuts out Y in residual.
+    d = 0 gives W = 1 and the unit ideal, d = deg G gives W = f(T) = 0 and
+    I_G.  Raises ExtractionError when W's rank or the resulting degree
+    disagrees with deg f_d.
     """
     p = ideal.p
-    d = f_d.degree
-    sigma0, n = ideal.stable_degree()
-    if d == 0:
-        return SubIdeal.unit(ideal)
-    if d == n:
-        return SubIdeal(ideal)
-    if d > n:
-        raise ValueError("factor degree exceeds the scheme degree")
     T = _linear_operator(_stable_operators(ideal, xh), ell, p)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)
-    pushes = _xh_pushes(ideal, xh, sigma0)
-    ideal_x = _vanishing_ideal(ideal, xh, pushes, W, d)
-    ideal_x.factor_image = (W, xh, pushes)
+    ideal_x = _vanishing_ideal(ideal, xh, W, f_d.degree)
+    ideal_x.factor_image = W
     return ideal_x
 
 
@@ -543,53 +520,29 @@ def residual(ideal_g, ideal_x):
     T's char poly f = f_d f_e is square-free, so f_d and f_e are coprime and
     V = ker f_d(T) (+) ker f_e(T); f_d(T) f_e(T) = f(T) = 0 then gives
     ker f_d(T) = im f_e(T): the functions vanishing along Y are the left
-    kernel of I_X's W, with no cofactor, char poly or colon.  Raises
-    ValueError for an ideal_x without a factor_image from ideal_g.
+    kernel of I_X's W, with no cofactor, char poly or colon.  That kernel
+    commutes with the T_i as W does.  Raises ValueError for an ideal_x
+    without a factor_image from ideal_g.
     """
     if getattr(ideal_x, "base", None) is not ideal_g or not hasattr(ideal_x, "factor_image"):
         raise ValueError("residual needs an I_X that extract_subscheme took from I_G")
-    W, xh, pushes = ideal_x.factor_image
-    vanishing, _ = _left_kernel(W, ideal_g.p)
-    return _vanishing_ideal(ideal_g, xh, pushes, vanishing, ideal_g.scheme_degree() - len(vanishing))
+    vanishing, _ = _left_kernel(ideal_x.factor_image, ideal_g.p)
+    degree = ideal_g.scheme_degree() - len(vanishing)
+    return _vanishing_ideal(ideal_g, ideal_x.xh, vanishing, degree)
 
 
-def _vanishing_ideal(ideal, xh, pushes, V, degree):
-    """The ideal of the degree-`degree` subscheme along which the rows of V,
-    of rank n - degree, vanish: the forms pushed into their row space, as a
-    SubIdeal whose relative pieces are handed in for t = 0, 1, ... until
-    the quotient's Hilbert function sits at `degree` for three degrees in a
-    row."""
-    p = ideal.p
+def _vanishing_ideal(ideal, xh, V, degree):
+    """The ideal of the degree-`degree` subscheme along which the rows of V
+    vanish: the SubIdeal pulled back from their row space, whose rank must
+    be n - degree and whose scheme must have that degree."""
+    sub = SubIdeal(ideal, xh, V)
     sigma0, n = ideal.stable_degree()
-    RV, pivV = rref(V, p)
-    if len(pivV) != n - degree:
-        raise ExtractionError("factor image has rank %d, expected %d" % (len(pivV), n - degree))
-    pieces, hist = {}, []
-    for t in range(sigma0 + n + 4):
-        if t <= sigma0:
-            # push degree-t forms into the stable piece and compare with V
-            pieces[t] = _left_kernel(reduce_rows(pushes[t], RV, pivV, p), p)
-        else:
-            # above the stable degree x_h is a bijection onto the next piece
-            pieces[t] = rref(_safe_matmul(pieces[t - 1][0], ideal.mult_matrix(xh, t - 1), p), p)
-        hist.append(ideal.hf(t) - len(pieces[t][1]))
-        if hist[-3:] == [degree] * 3:
-            break
-    else:
-        raise ExtractionError("pieces did not stabilize")
-    sub = SubIdeal(ideal, pieces)
+    rank = len(sub.relative(sigma0)[1])
+    if rank != n - degree:
+        raise ExtractionError("factor image has rank %d, expected %d" % (rank, n - degree))
     if sub.scheme_degree() != degree:
         raise ExtractionError("extracted subscheme has the wrong degree")
     return sub
-
-
-def _xh_pushes(ideal, xh, top):
-    """Multiplication by x_h^(top - t) from (S/I)_t into (S/I)_top, for
-    t = 0..top: a chain of the one-step maps of x_h, from the top down."""
-    pushes = [np.eye(ideal.hf(top), dtype=np.int64)]
-    for s in range(top - 1, -1, -1):
-        pushes.append(_safe_matmul(ideal.mult_matrix(xh, s), pushes[-1], ideal.p))
-    return pushes[::-1]
 
 
 def _first_factors(k):
@@ -670,7 +623,7 @@ def involution_holds(ideal_g, ideal_x, ideal_y, xh):
     """Does the liaison involution I_G : I_Y = I_X hold?  I_X and I_Y are
     SubIdeals over I_G, x_h a nonzerodivisor on S/I_G.  The colon is taken
     by the lifted rows of (I_Y/I_G)_t, t = sigma0_Y + 1 (see the module
-    docstring), which _vanishing_ideal handed in, so no piece is grown."""
+    docstring), a piece that reading sigma0_Y has built already."""
     t = ideal_y.stable_degree()[0] + 1
     rows = ideal_g.lift(ideal_y.relative(t)[0], t)
     R, pivots = point_ideal_quotient(ideal_g, [MultiPoly(t, row, ideal_g.p) for row in rows], xh)

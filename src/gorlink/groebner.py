@@ -18,9 +18,13 @@ stage that reads it.  The Hilbert function and the h-vector are read off
 the pieces.
 
 An ideal J containing such an ideal I is held as J/I in S/I (SubIdeal):
-per degree, the RREF of (J/I)_t over the hf_I(t) standard monomials of I_t.
-J's own generators and full pieces are never formed; the search reads J
-through these relative pieces alone.
+per degree, the RREF of (J/I)_t over the hf_I(t) standard monomials of I_t,
+built when first read from one subspace V of the stable piece
+(S/I)_sigma0.  With x_h a nonzerodivisor on S/J (so on S/I), as for the
+saturated ideal of points that x_h avoids, c in (S/I)_t lies in J/I iff
+c x_h^(sigma0 - t) does, and above sigma0 (J/I)_t = x_h (J/I)_(t-1), x_h
+being bijective there on S/I (Eisenbud, The Geometry of Syzygies, 2005,
+ch. 4).  J's own generators and full pieces are never formed.
 
 A piece above the lowest generator degree grows from the one below, as
 I_t = S_1 I_{t-1} plus the generators of degree t.  The leading monomials
@@ -43,7 +47,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import _safe_matmul, check_modulus, extend_rref, rref, rref_unit_triangular
+from .gf import _left_kernel, _safe_matmul, check_modulus, extend_rref, reduce_rows
+from .gf import rref, rref_unit_triangular
 from .mpoly import NVARS, monomial_count, monomials_of_degree, product_positions
 
 __all__ = ["groebner", "h_vector", "has_h_vector", "GradedSpaces", "SubIdeal"]
@@ -65,7 +70,7 @@ class GradedSpaces:
     standard-monomial coordinate frame of (S/I)_t.
 
     Every reader of (S/I) coordinates (mult_matrix, stable_operators and
-    SubIdeal's grown pieces) goes through the normal-form table of a piece
+    stable_pushes) goes through the normal-form table of a piece
     (normal_forms), which the reduced echelon form gives with no
     elimination.
     """
@@ -76,6 +81,7 @@ class GradedSpaces:
         self._pieces = {}
         self._tables = {}
         self._operators = {}
+        self._pushes = {}
         self._stable = None
 
     def piece(self, t):
@@ -239,48 +245,54 @@ class GradedSpaces:
             self._operators[key] = T
         return self._operators[key]
 
+    def stable_pushes(self, xh):
+        """_xh_pushes(self, xh, sigma0), held per x_h as stable_operators
+        is, so the SubIdeals pulled back along one x_h share it."""
+        key = xh.coeffs.tobytes()
+        if key not in self._pushes:
+            self._pushes[key] = _xh_pushes(self, xh, self.stable_degree()[0])
+        return self._pushes[key]
+
+
+def _xh_pushes(ideal, xh, top):
+    """Multiplication by x_h^(top - t) from (S/I)_t into (S/I)_top, for
+    t = 0..top: a chain of the one-step maps of x_h, from the top down."""
+    pushes = [np.eye(ideal.hf(top), dtype=np.int64)]
+    for s in range(top - 1, -1, -1):
+        pushes.append(_safe_matmul(ideal.mult_matrix(xh, s), pushes[-1], ideal.p))
+    return pushes[::-1]
+
 
 class SubIdeal:
-    """An ideal J containing a GradedSpaces ideal I, its base, held as J/I.
+    """An ideal J containing a GradedSpaces ideal I, its base, held as J/I
+    and pulled back along x_h from the row space of V in (S/I)_sigma0.
 
-    relative(t) is the RREF of (J/I)_t over the base's standard monomials.
-    `pieces` hands in those of degrees 0..top, where J's generators lie;
-    above top, (J/I)_t is S_1 (J/I)_{t-1}, grown on demand.  J is read
-    through these pieces alone: its Hilbert function is the base's less
-    their ranks.
+    x_h must be a nonzerodivisor on S/I and row V invariant under each
+    T_i = x_i / x_h (stable_operators), so that J is an ideal.
+    relative(t), the RREF of (J/I)_t, is built when first read: for
+    t <= sigma0 one left kernel of the push x_h^(sigma0 - t)
+    (stable_pushes) reduced against RREF(V), above it the RREF of x_h times
+    the piece below.  J's Hilbert function is the base's less their ranks.
     """
 
-    def __init__(self, base, pieces=()):
+    def __init__(self, base, xh, V):
         self.base = base
+        self.xh = xh
         self.p = base.p
-        self._pieces = dict(pieces)
+        self._image = rref(V, base.p)
+        self._pieces = {}
         self._stable = None
-
-    @classmethod
-    def unit(cls, base):
-        """S itself, over base: (J/I)_0 is spanned by the standard monomial 1,
-        unless I is the unit ideal and (S/I)_0 is 0."""
-        n = base.hf(0)
-        return cls(base, {0: (np.eye(n, dtype=np.int64), list(range(n)))})
-
-    def _multiples(self, t):
-        """RREF of S_1 (J/I)_{t-1}.  x_v r has coordinates sum_j r_j N_t[x_v s_j],
-        s_j the standard monomials of degree t - 1, so every multiple of every
-        row is one product with the base's N_t gathered at those products."""
-        width = self.base.hf(t)
-        rows = np.zeros((0, width), dtype=np.int64)
-        if t > 0:
-            below, _ = self.relative(t - 1)
-            std = self.base.piece(t - 1)[2]
-            table = self.base.normal_forms(t)[product_positions(t - 1, 1)[std]]
-            rows = _safe_matmul(below, table.reshape(len(std), NVARS * width), self.p)
-            rows = rows.reshape(NVARS * len(below), width)
-        return rref(rows, self.p)
 
     def relative(self, t):
         """(R, pivots) of (J/I)_t."""
         if t not in self._pieces:
-            self._pieces[t] = self._multiples(t)
+            base, p = self.base, self.p
+            if t <= base.stable_degree()[0]:
+                push = base.stable_pushes(self.xh)[t]
+                self._pieces[t] = _left_kernel(reduce_rows(push, *self._image, p), p)
+            else:
+                below = _safe_matmul(self.relative(t - 1)[0], base.mult_matrix(self.xh, t - 1), p)
+                self._pieces[t] = rref(below, p)
         return self._pieces[t]
 
     def hf(self, t):

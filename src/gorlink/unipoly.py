@@ -28,7 +28,7 @@ takes a class it needs whole as it is and splits only a class it takes in
 part, by randomized equal-degree (Cantor-Zassenhaus) splitting (14.3):
 a^((p^e - 1)/2) mod c, or at p = 2 the trace map, is row 0 of powers of
 the matrix of multiplication by a mod c, by repeated squaring through
-gf._safe_matmul.
+gf._safe_matmul, and its gcd with c comes from the same Euclid.
 
 Which degrees a factor can have is read off the factor-degree profile
 [(degree, count)] by degree_sums(), a bitmask of the reachable degree
@@ -73,7 +73,7 @@ def _field(p):
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list helpers of the class products and the split's gcds
+# raw coefficient-list helpers of the class products and the split
 # (ascending degree, normalized: no trailing 0)
 
 
@@ -109,16 +109,6 @@ def _divmod(a, b, p):
             r[k + i] = (r[k + i] - c * b[i]) % p
         _trim(r)
     return _trim(q), r
-
-
-def _gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    if a and a[-1] != 1:
-        inv = inv_mod(a[-1], p)
-        a = [x * inv % p for x in a]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +327,14 @@ def _gcd_rows(A, B, p):
         _lead(A, da)
 
 
+def _monic(row, deg, p):
+    """Ascending coefficients, made monic, of a degree-deg row that
+    descends from its leading term at column 0, as _gcd_rows gives it."""
+    g = row[deg::-1].tolist()
+    inv = inv_mod(g[-1], p)
+    return [x * inv % p for x in g]
+
+
 def _lead(X, deg):
     """Shift each descending row of X left past its leading zeros, in place,
     lowering its degree in deg; a zero row gets degree -1."""
@@ -466,9 +464,9 @@ def _equal_degree_split(c, d, p, stream):
         else:
             b = _power_row(A, (pow(p, d) - 1) // 2, p)
             b[0] -= 1
-        g = _gcd(c, _trim((b % p).tolist()), p)
-        if 1 < len(g) < len(c):
-            return g
+        degrees, rows = _gcd_rows(np.array([c], dtype=np.int64), np.append(b % p, 0)[None], p)
+        if 0 < degrees[0] < n:
+            return _monic(rows[0], degrees[0], p)
     raise RuntimeError("equal-degree splitting failed after %d tries" % _EDF_RETRIES)
 
 
@@ -482,7 +480,7 @@ def _equal_degree_factor(c, d, p, stream):
     )
 
 
-def find_factor_of_degree(f, d, stream=None):
+def find_factor_of_degree(f, d):
     """Product of irreducible factors of f with degrees summing to d.
 
     f must be monic and square-free; NotSquarefreeError, a ValueError,
@@ -516,8 +514,7 @@ def find_factor_of_degree(f, d, stream=None):
     reach = [degree_sums(profile[i:]) for i in range(len(profile) + 1)]
     if not (reach[0] >> d) & 1:
         return None
-    if stream is None:
-        stream = SplitStream(0x5EED).child("unipoly-factor")
+    stream = SplitStream(0x5EED).child("unipoly-factor")
     m = len(D) - 1
     products = {}
 
@@ -526,9 +523,7 @@ def find_factor_of_degree(f, d, stream=None):
         # above n/2 is f over every other class
         if e not in products:
             if e <= m:
-                g = rows[0, e, D[e] :: -1].tolist()
-                inv = inv_mod(g[-1], p)
-                g = [x * inv % p for x in g]
+                g = _monic(rows[0, e], D[e], p)
             else:
                 g = list(f.coeffs)
             for low, _ in profile:

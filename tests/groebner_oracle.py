@@ -25,13 +25,15 @@ program's normal-form tables are compared with; graded_is_unit and
 graded_std_monomials read a piece for the tests.
 
 The program holds an ideal J over I_G as its relative pieces (J/I_G)_t
-alone (gorlink.groebner.SubIdeal), with no generators or full pieces of
-J.  ideal_gens gives a generating set of either kind of ideal, unreduced;
-full_piece builds J_t from it with macaulay_piece, and graded_contains
-and same_ideal read those pieces.  lifted_piece reads J_t off the
-program's own relative piece instead, for the tests that compare the two.
-degreewise_colon computes I : J with one left kernel in every degree, which
-the program's one annihilator in the stable degree is compared with.
+alone (gorlink.groebner.SubIdeal), pulled back from its piece in the
+stable degree, with no generators or full pieces of J.  ideal_gens gives
+a generating set of either kind of ideal, unreduced; full_piece builds
+J_t from it with macaulay_piece, and graded_contains and same_ideal read
+those pieces.  lifted_piece reads J_t off the program's own relative
+piece instead, for the tests that compare the two.  degreewise_colon
+computes I : J with one left kernel in every degree, held as HeldPieces,
+which the program's one annihilator in the stable degree is compared
+with.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, built on full_piece,
 which the program's one kernel over S/I_G, restricted per submodule, is
@@ -54,7 +56,7 @@ import numpy as np
 
 from gorlink._frozen import Frozen
 from gorlink.gf import inv_mod, kernel_basis_array, rank, reduce_rows, rref
-from gorlink.groebner import SubIdeal
+from gorlink.groebner import GradedSpaces
 from gorlink.mpoly import (
     NVARS,
     MultiPoly,
@@ -652,38 +654,57 @@ def ideal_quotient(gb, other):
     return result
 
 
+class HeldPieces:
+    """A reference ideal J containing a GradedSpaces ideal I, its base, held
+    as J/I: piece(t) gives the RREF of (J/I)_t over the base's standard
+    monomials, computed once per degree when first read.  It offers what
+    the tests read of a gorlink.groebner.SubIdeal: base, relative, hf and
+    stable_degree."""
+
+    def __init__(self, base, piece):
+        self.base = base
+        self.p = base.p
+        self._piece = piece
+        self._pieces = {}
+
+    def relative(self, t):
+        if t not in self._pieces:
+            self._pieces[t] = self._piece(t)
+        return self._pieces[t]
+
+    def hf(self, t):
+        return self.base.hf(t) - len(self.relative(t)[1]) if t >= 0 else 0
+
+    def stable_degree(self):
+        """(sigma0, n): the Hilbert function first repeats from sigma0 to
+        sigma0 + 1, at the value n."""
+        t = next(t for t in range(1, MAX_HF_PROBE) if self.hf(t) == self.hf(t - 1))
+        return t - 1, self.hf(t)
+
+
 def degreewise_colon(ideal, other_gens):
     """Reference I : J for the saturated ideal I of a zero-scheme cone (a
-    GradedSpaces), J generated by other_gens: one left kernel per degree t,
-    of the blocks of multiplication by each generator of J from (S/I)_t,
-    as a SubIdeal over I.  The quotient is saturated too, so its generators
-    lie below its stabilization degree plus one; the loop runs two degrees
-    further as a consistency window.  gorenstein.point_ideal_quotient,
+    GradedSpaces), J generated by other_gens, as HeldPieces over I: in each
+    degree t, one left kernel of the blocks of multiplication by each
+    generator of J from (S/I)_t.  A generator in I adds a zero block, and a
+    degree-0 one an invertible block.  gorenstein.point_ideal_quotient,
     which reads the colon off the stable degree alone, is compared with
     this.
     """
     gens_j = [g for g in other_gens if not g.is_zero()]
     if not gens_j:
         raise ValueError("quotient by the zero ideal")
-    if any(g.degree == 0 for g in gens_j):
-        return SubIdeal(ideal)
-    gens_j = [g for g in gens_j if not graded_contains(ideal, g)]
-    if not gens_j:
-        return SubIdeal.unit(ideal)
     p = ideal.p
-    sigma0, n = ideal.stable_degree()
-    pieces, hist = {}, []
-    for t in range(sigma0 + n + 4):
+
+    def piece(t):
         blocks = np.concatenate([ideal.mult_matrix(f, t) for f in gens_j], axis=1)
-        pieces[t] = rref(kernel_basis_array(blocks.T, p), p)
-        hist.append(ideal.hf(t) - len(pieces[t][1]))
-        if hist[-3:] == [hist[-1]] * 3:
-            return SubIdeal(ideal, pieces)
-    raise ValueError("pieces did not stabilize")
+        return rref(kernel_basis_array(blocks.T, p), p)
+
+    return HeldPieces(ideal, piece)
 
 
 def residual(ideal_g, ideal_x):
-    """Reference I_Y = I_G : I_X, the degreewise colon ideal (a SubIdeal
+    """Reference I_Y = I_G : I_X, the degreewise colon ideal (HeldPieces
     over I_G), for gorenstein.residual, which reads Y off the kernel of
     f_d(T) instead."""
     if not all(graded_contains(ideal_x, g) for g in ideal_g.gens):
@@ -854,16 +875,18 @@ def graded_mult_matrix(ideal, f, t):
 
 
 def ideal_gens(ideal):
-    """A generating set of a GradedSpaces ideal or of a SubIdeal J: the
-    base's generators and, for each relative piece J holds, its rows lifted
-    onto the base's standard monomials, unreduced.  The handed-in pieces
-    alone generate J, and the pieces grown from them lie in J."""
-    if not isinstance(ideal, SubIdeal):
+    """A generating set of a GradedSpaces ideal I, or of an ideal J held
+    over one (a SubIdeal or HeldPieces): I's generators and the rows of
+    (J/I)_t lifted onto I's standard monomials for t <= sigma0_I + 1,
+    unreduced.  Every J here is a saturated ideal of points X in G, so
+    sigma0_J <= sigma0_I and reg J = sigma0_J + 1 <= sigma0_I + 1: those
+    pieces generate J."""
+    if isinstance(ideal, GradedSpaces):
         return list(ideal.gens)
     base = ideal.base
     gens = list(base.gens)
-    for t, (R, _) in sorted(ideal._pieces.items()):
-        gens += [MultiPoly(t, row, ideal.p) for row in base.lift(R, t)]
+    for t in range(base.stable_degree()[0] + 2):
+        gens += [MultiPoly(t, row, ideal.p) for row in base.lift(ideal.relative(t)[0], t)]
     return gens
 
 

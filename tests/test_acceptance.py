@@ -1,14 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The graph criterion runs the desk-scale candidate set (h-vector degree at
-most 40) at p = 10007 and checks that the point counts 1..20 land in the
-connected component of 1; set GORLINK_EXTENDED=1 to process every
-candidate (degree up to 96, takes much longer) and additionally require
-the component to be exactly {1..33, 37, 38}.
+The graph criteria run every candidate that is not excluded as an ACM
+curve (h-vector degree up to 96) at p = 10007 and require the connected
+component of 1 to be exactly {1..33, 37, 38}, the paper's theorem.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 from itertools import product
@@ -31,7 +28,6 @@ from gorlink.store import load_certificates, save_certificate
 from gorlink.tangent import verify_edge
 from gorlink.unipoly import UniPoly, is_squarefree
 
-EXTENDED = os.environ.get("GORLINK_EXTENDED") == "1"
 ACCEPTANCE_PRIME = 10007
 ACCEPTANCE_SEED = 2024
 
@@ -234,14 +230,8 @@ def test_criterion_10_flagship_link(capsys):
 # the graph run: shared store for criteria 11, 12, 13
 
 
-def _desk_candidates():
-    cands = enumerate_candidates(6)
-    degree_cap = 96 if EXTENDED else 40
-    return [
-        c
-        for c in cands
-        if c.h.degree <= degree_cap and c.status != "excluded-acm"
-    ]
+def _candidates():
+    return [c for c in enumerate_candidates(6) if c.status != "excluded-acm"]
 
 
 def _search_job(job):
@@ -254,9 +244,9 @@ def _search_job(job):
 
 
 @pytest.fixture(scope="module")
-def desk_store(tmp_path_factory):
+def full_store(tmp_path_factory):
     store = str(tmp_path_factory.mktemp("acceptance_store"))
-    jobs = [(c.h.csv(), c.d) for c in _desk_candidates()]
+    jobs = [(c.h.csv(), c.d) for c in _candidates()]
     with worker_pool(2) as pool:
         certs = list(pool.map(_search_job, jobs))
     for cert in certs:
@@ -264,16 +254,16 @@ def desk_store(tmp_path_factory):
     return store
 
 
-def test_criterion_11_smoothness_consistency(desk_store, capsys):
-    certs, _ = load_certificates(desk_store)
+def test_criterion_11_smoothness_consistency(full_store, capsys):
+    certs, _ = load_certificates(full_store)
     verified = [c for c in certs if c.verdict == "verified"]
     ok = bool(verified) and all(c.hom_SG == c.gdim for c in verified)
     with capsys.disabled():
         _report(11, ok, "hom(S_G) = g(h) on all %d verified certificates" % len(verified))
 
 
-def test_criterion_12_additivity(desk_store, capsys):
-    certs, _ = load_certificates(desk_store)
+def test_criterion_12_additivity(full_store, capsys):
+    certs, _ = load_certificates(full_store)
     verified = [c for c in certs if c.verdict == "verified"]
     ok = bool(verified) and all(
         additivity_shift(c.h, c.h_x, c.h_y) is not None for c in verified
@@ -282,9 +272,9 @@ def test_criterion_12_additivity(desk_store, capsys):
         _report(12, ok, "h_X + shifted reverse(h_Y) = h_G on all %d verified certificates" % len(verified))
 
 
-def test_criterion_13_graph_component(desk_store, capsys):
+def test_criterion_13_graph_component(full_store, capsys):
     t0 = time.time()
-    graph, report = build_graph(desk_store)
+    graph, report = build_graph(full_store)
     comp = glicci_component(graph)
     edge_pairs = {(a, b) for a, b, _ in graph.edges}
     ok = not report
@@ -293,13 +283,11 @@ def test_criterion_13_graph_component(desk_store, capsys):
     ok &= all(n not in comp for n in (34, 35, 36)) and all(
         n not in comp for n in range(39, 48)
     )
-    if EXTENDED:
-        ok &= comp == set(range(1, 34)) | {37, 38}
+    ok &= comp == set(range(1, 34)) | {37, 38}
     elapsed = time.time() - t0
     with capsys.disabled():
         _report(
             13,
             ok,
-            "component of 1 = %s; %d edges (%s scale); %.1fs"
-            % (sorted(comp), len(graph.edges), "extended" if EXTENDED else "desk", elapsed),
+            "component of 1 = %s; %d edges; %.1fs" % (sorted(comp), len(graph.edges), elapsed),
         )

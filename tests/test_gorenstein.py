@@ -310,13 +310,17 @@ def test_extraction_trivial_cases():
     assert w is not None and w.factor.degree == 8
     whole = extract_subscheme(gb, w.ell, w.xh, w.factor)
     unit = extract_subscheme(gb, w.ell, w.xh, UniPoly.one(p))
-    # both are sub-ideals over I_G, with no factor image to take Y from
+    # both take the general path, W = f(T) = 0 and W = 1, as sub-ideals
+    # over I_G, and the residual of each is the other
     for sub in (whole, unit):
         assert isinstance(sub, SubIdeal) and sub.base is gb
-        with pytest.raises(ValueError):
-            residual(gb, sub)
-    assert oracle.same_ideal(whole, gb) and oracle.same_ideal(whole, SubIdeal(gb))
-    assert oracle.graded_is_unit(unit) and oracle.same_ideal(unit, SubIdeal.unit(gb))
+    n = gb.scheme_degree()
+    nothing = SubIdeal(gb, w.xh, np.zeros((0, n), dtype=np.int64))
+    everything = SubIdeal(gb, w.xh, np.eye(n, dtype=np.int64))
+    assert oracle.same_ideal(whole, gb) and oracle.same_ideal(whole, nothing)
+    assert oracle.graded_is_unit(unit) and oracle.same_ideal(unit, everything)
+    assert oracle.same_ideal(residual(gb, whole), unit)
+    assert oracle.same_ideal(residual(gb, unit), whole)
 
 
 def test_extraction_matches_saturation_formula():
@@ -434,14 +438,15 @@ def test_residual_of_whole_scheme_is_unit():
     # by the colon, I_G : I_G is the unit ideal, a sub-ideal over I_G; and
     # a degree-0 generator gives I_G : S = I_G
     _, gb = random_gorenstein((1, 3, 3, 1), 101, SplitStream(9).child("gorenstein"))
-    unit = oracle.residual(gb, gb)
-    assert isinstance(unit, SubIdeal) and unit.base is gb
-    assert oracle.graded_is_unit(unit) and oracle.same_ideal(unit, SubIdeal.unit(gb))
-    same = oracle.degreewise_colon(gb, [P("3", 101)])
-    assert isinstance(same, SubIdeal) and same.base is gb and oracle.same_ideal(same, gb)
-    # the same two colons in the stable degree: all of (S/I_G)_sigma0, and 0
     _, xh, _ = char_poly_of_projection(gb, SplitStream(9).child("xh"))
     n = gb.scheme_degree()
+    unit = oracle.residual(gb, gb)
+    assert isinstance(unit, oracle.HeldPieces) and unit.base is gb
+    everything = SubIdeal(gb, xh, np.eye(n, dtype=np.int64))
+    assert oracle.graded_is_unit(unit) and oracle.same_ideal(unit, everything)
+    same = oracle.degreewise_colon(gb, [P("3", 101)])
+    assert isinstance(same, oracle.HeldPieces) and same.base is gb and oracle.same_ideal(same, gb)
+    # the same two colons in the stable degree: all of (S/I_G)_sigma0, and 0
     R, pivots = point_ideal_quotient(gb, gb.gens, xh)
     assert pivots == list(range(n)) and np.array_equal(R, np.eye(n))
     R, pivots = point_ideal_quotient(gb, [P("3", 101)], xh)
@@ -494,8 +499,9 @@ def test_stable_colon_matches_degreewise_colon(p):
     pairs, X from one split and Y from a split of another degree of the
     same G.  The colon by the oracle's generating set of I_Y has the
     reference's sigma0 piece, and involution_holds, which takes it by one
-    held piece of I_Y, gives the reference's verdict.  The check builds no
-    piece of I_G and grows none of I_Y."""
+    piece of I_Y, gives the reference's verdict.  Once the oracle has read
+    I_Y's pieces up to sigma0 + 1, the check builds no piece of I_G and
+    none of I_Y."""
     true_pairs = mismatched = 0
     for h, ds in (((1, 3, 3, 1), (3, 5)), ((1, 3, 6, 6, 3, 1), (8, 12))):
         for attempt in range(10):
@@ -513,8 +519,8 @@ def test_stable_colon_matches_degreewise_colon(p):
         checks = []
         for xh, gbx, _ in splits:
             for _, _, gby in splits:
-                built, held = set(gb._pieces), set(gby._pieces)
                 gens_y = oracle.ideal_gens(gby)
+                built, held = set(gb._pieces), set(gby._pieces)
                 checks.append((gbx, gens_y, point_ideal_quotient(gb, gens_y, xh),
                                involution_holds(gb, gbx, gby, xh)))
                 assert set(gb._pieces) == built and set(gby._pieces) == held

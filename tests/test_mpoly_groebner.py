@@ -12,9 +12,8 @@ from gorlink.mpoly import (
     monomials_of_degree,
     product_positions,
 )
-from gorlink.groebner import SubIdeal, groebner, h_vector
+from gorlink.groebner import SubIdeal, _xh_pushes, groebner, h_vector
 from gorlink.gorenstein import (
-    _xh_pushes,
     extract_subscheme,
     is_reduced_and_split,
     random_gorenstein,
@@ -525,9 +524,9 @@ def test_pieces_match_macaulay_build_examples():
 
 
 def test_collector_ideals_match_macaulay_build():
-    """I_X and I_Y carry the relative pieces the degreewise collector fed
-    in; the pieces above them grow from the highest of those, and every
-    full piece, lifted onto I_G's, equals the Macaulay build."""
+    """I_X and I_Y hold the relative pieces that extraction read, built
+    when first read; every full piece, lifted onto I_G's, equals the
+    Macaulay build of the pieces up to sigma0_G + 1."""
     p = 101
     _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
@@ -536,12 +535,37 @@ def test_collector_ideals_match_macaulay_build():
     gby = residual(gb, gbx)
     for ideal in (gbx, gby):
         assert 0 < max(ideal._pieces) < PIECE_TOP
-        gens = oracle.ideal_gens(ideal)  # from the handed-in pieces alone
+        gens = oracle.ideal_gens(ideal)  # from the pieces up to sigma0_G + 1
         for t in range(PIECE_TOP + 1):
             R, pivots = oracle.lifted_piece(ideal, t)
             R_exp, piv_exp = oracle.macaulay_piece(gens, t, p)
             assert pivots == piv_exp and np.array_equal(R, R_exp), t
             assert len(pivots) == monomial_count(t) - ideal.hf(t), t
+
+
+@pytest.mark.parametrize("p", [101, 10007, 32003, (1 << 31) - 1])
+def test_pulled_back_pieces_match_macaulay_build(p):
+    """The pieces of I_X and I_Y, pulled back from the stable degree when
+    first read (below sigma0 = 3 by the pushes of x_h, above it as x_h
+    times the piece below) and lifted onto I_G's, equal for t <= 8 the
+    Macaulay pieces of the oracle's own ideals: the saturation of
+    I_G + (F_d) by x_h, and the colon I_G : I_X by elimination."""
+    for attempt in range(10):
+        st = SplitStream(13).child("pullback", p, attempt)
+        _, gb = random_gorenstein((1, 3, 3, 1), p, st.child("g"))
+        w = is_reduced_and_split(gb, 3, st.child("s"))
+        if w is not None:
+            break
+    assert w is not None and gb.stable_degree()[0] == 3
+    gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+    gby = residual(gb, gbx)
+    slow_x = oracle.extract_subscheme_by_saturation(gb, w.ell, w.xh, w.factor)
+    slow_y = ideal_quotient(oracle.groebner(gb.gens, p), slow_x)
+    for sub, slow in ((gbx, slow_x), (gby, slow_y)):
+        for t in range(PIECE_TOP, -1, -1):
+            R, pivots = oracle.lifted_piece(sub, t)
+            R2, pivots2 = oracle.macaulay_piece(slow.gens, t, p)
+            assert pivots == pivots2 and np.array_equal(R, R2), (p, t)
 
 
 @pytest.mark.parametrize("h, d, p", [((1, 3, 3, 1), 5, 101), ((1, 3, 6, 6, 3, 1), 8, 32003)])
@@ -561,14 +585,16 @@ def test_sub_ideals_match_graded_spaces(h, d, p):
     gby = residual(gb, gbx)
     colon = oracle.degreewise_colon(gb, oracle.ideal_gens(gby))
     rng = np.random.default_rng(12)
+    assert isinstance(gbx, SubIdeal) and isinstance(gby, SubIdeal)
+    assert isinstance(colon, oracle.HeldPieces)
     for sub in (gbx, gby, colon):
-        assert isinstance(sub, SubIdeal) and sub.base is gb
+        assert sub.base is gb
         gens = oracle.ideal_gens(sub)
         full = groebner(gens, p)
         assert sub.stable_degree() == full.stable_degree()
         for t in range(PIECE_TOP + 1):
             assert sub.hf(t) == full.hf(t), t
-            # relative pieces are reduced echelon forms, whether fed in or grown
+            # relative pieces are reduced echelon forms, below sigma0 and above
             R, pivots = sub.relative(t)
             R2, pivots2 = rref(R, p)
             assert pivots == pivots2 and np.array_equal(R, R2), t
