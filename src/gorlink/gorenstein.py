@@ -32,22 +32,18 @@ the same x_h, from the left kernel of W (see residual).
 
 T comes from one frame per (I_G, x_h), held on I_G: T_i = x_i/x_h on the
 stable piece (S/I_G)_sigma0, and T = sum ell_i T_i.  The projection,
-extraction and the involution check all read it.  The involution is
-checked in the stable degree alone (see involution_holds).  x_h is a
-nonzerodivisor on S/I_G, which the frame checks, so it is one on S/I_X
-and on S/(I_G : I_Y) too, and each of those ideals is pulled back from
-its sigma0 piece, as the SubIdeal I_X is from the row space of W:
-x_h^(sigma0 - t) carries degree t into sigma0, and above sigma0 each
-piece is x_h times the one below.  So I_G : I_Y = I_X iff the two
-sigma0 pieces agree, and the colon's piece is the functions g with
-g y(T_0, ..., T_3) = 0 for every y in a generating set of I_Y modulo I_G:
-one left kernel, with no piece of I_G above sigma0 + 1.  That set is one
-piece of I_Y, built already when sigma0_Y was read: x_h avoids Y and is
-a nonzerodivisor on S/I_Y, so I_Y is saturated and
-reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of Syzygies,
-ch. 4), which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is saturated,
-so I_G : I_Y = I_G : (I_Y)_(>= t), which the lifted rows of
-(I_Y/I_G)_t generate modulo I_G.
+extraction and the involution check all read it.  x_h is a nonzerodivisor
+on S/I_G, which the frame checks, so it is one on S/I_X and on
+S/(I_G : I_Y) too, and each of those ideals is pulled back from its sigma0
+piece (see gorlink.groebner).  So I_G : I_Y = I_X iff the two sigma0
+pieces agree (see involution_holds), and the colon's piece is the
+functions g with g y(T_0, ..., T_3) = 0 for every y in a generating set of
+I_Y modulo I_G: one left kernel, with no piece of I_G above sigma0 + 1.
+That set is one piece of I_Y, built already when sigma0_Y was read: x_h
+avoids Y and is a nonzerodivisor on S/I_Y, so I_Y is saturated and
+reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of Syzygies, ch. 4),
+which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is saturated, so
+I_G : I_Y = I_G : (I_Y)_(>= t) = I_G : (lifted rows of (I_Y/I_G)_t).
 
 I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
 ideal made after the split contains it and is a SubIdeal over it, whose
@@ -503,9 +499,11 @@ def extract_subscheme(ideal, ell, xh, f_d):
     keeps W as `factor_image`: the left kernel ker f_d(T) = im f_e(T), for
     a square-free f = f_d f_e (so coprime factors), cuts out Y in residual.
     d = 0 gives W = 1 and the unit ideal, d = deg G gives W = f(T) = 0 and
-    I_G.  Raises ExtractionError when W's rank or the resulting degree
-    disagrees with deg f_d.
+    I_G.  Raises ValueError for d > deg G, and ExtractionError when W's
+    rank or the resulting degree disagrees with d.
     """
+    if f_d.degree > ideal.scheme_degree():
+        raise ValueError("factor degree exceeds the scheme degree")
     p = ideal.p
     T = _linear_operator(_stable_operators(ideal, xh), ell, p)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)

@@ -269,10 +269,10 @@ class SubIdeal:
 
     x_h must be a nonzerodivisor on S/I and row V invariant under each
     T_i = x_i / x_h (stable_operators), so that J is an ideal.
-    relative(t), the RREF of (J/I)_t, is built when first read: for
-    t <= sigma0 one left kernel of the push x_h^(sigma0 - t)
-    (stable_pushes) reduced against RREF(V), above it the RREF of x_h times
-    the piece below.  J's Hilbert function is the base's less their ranks.
+    relative(t), the RREF of (J/I)_t, is RREF(V) at sigma0; below it one
+    left kernel of the push x_h^(sigma0 - t) (stable_pushes) reduced against
+    RREF(V), above it the RREF of x_h times the piece below, each built when
+    first read.  J's Hilbert function is the base's less their ranks.
     """
 
     def __init__(self, base, xh, V):
@@ -287,7 +287,10 @@ class SubIdeal:
         """(R, pivots) of (J/I)_t."""
         if t not in self._pieces:
             base, p = self.base, self.p
-            if t <= base.stable_degree()[0]:
+            sigma0 = base.stable_degree()[0]
+            if t == sigma0:
+                self._pieces[t] = self._image
+            elif t < sigma0:
                 push = base.stable_pushes(self.xh)[t]
                 self._pieces[t] = _left_kernel(reduce_rows(push, *self._image, p), p)
             else:

@@ -321,6 +321,9 @@ def test_extraction_trivial_cases():
     assert oracle.graded_is_unit(unit) and oracle.same_ideal(unit, everything)
     assert oracle.same_ideal(residual(gb, whole), unit)
     assert oracle.same_ideal(residual(gb, unit), whole)
+    # a factor of degree above deg G is the caller's error, not a failed split
+    with pytest.raises(ValueError):
+        extract_subscheme(gb, w.ell, w.xh, UniPoly([0] * (n + 1) + [1], p))
 
 
 def test_extraction_matches_saturation_formula():
@@ -499,9 +502,8 @@ def test_stable_colon_matches_degreewise_colon(p):
     pairs, X from one split and Y from a split of another degree of the
     same G.  The colon by the oracle's generating set of I_Y has the
     reference's sigma0 piece, and involution_holds, which takes it by one
-    piece of I_Y, gives the reference's verdict.  Once the oracle has read
-    I_Y's pieces up to sigma0 + 1, the check builds no piece of I_G and
-    none of I_Y."""
+    piece of I_Y, gives the reference's verdict.  The check builds no
+    piece of I_G and none of I_Y, and the stable colon none of I_G."""
     true_pairs = mismatched = 0
     for h, ds in (((1, 3, 3, 1), (3, 5)), ((1, 3, 6, 6, 3, 1), (8, 12))):
         for attempt in range(10):
@@ -519,11 +521,13 @@ def test_stable_colon_matches_degreewise_colon(p):
         checks = []
         for xh, gbx, _ in splits:
             for _, _, gby in splits:
-                gens_y = oracle.ideal_gens(gby)
                 built, held = set(gb._pieces), set(gby._pieces)
-                checks.append((gbx, gens_y, point_ideal_quotient(gb, gens_y, xh),
-                               involution_holds(gb, gbx, gby, xh)))
+                holds = involution_holds(gb, gbx, gby, xh)
                 assert set(gb._pieces) == built and set(gby._pieces) == held
+                gens_y = oracle.ideal_gens(gby)
+                built = set(gb._pieces)
+                checks.append((gbx, gens_y, point_ideal_quotient(gb, gens_y, xh), holds))
+                assert set(gb._pieces) == built
         for gbx, gens_y, (R, pivots), holds in checks:
             slow = oracle.degreewise_colon(gb, gens_y)
             R2, pivots2 = slow.relative(sigma0)
