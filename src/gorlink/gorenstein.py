@@ -144,15 +144,6 @@ class DegreeMatrix(Frozen):
         source = group(g - self.socle_degree for g in self.gen_degrees)
         return source, target
 
-    def __eq__(self, other):
-        return isinstance(other, DegreeMatrix) and (
-            self.gen_degrees,
-            self.socle_degree,
-        ) == (other.gen_degrees, other.socle_degree)
-
-    def __repr__(self):
-        return "DegreeMatrix(gens=%r, socle=%d)" % (self.gen_degrees, self.socle_degree)
-
 
 def generic_degree_matrix(h):
     """Degree data of the generic skew presentation for this h-vector.
@@ -249,13 +240,6 @@ class SkewPolyMatrix(Frozen):
             for (i, j), value in entries.items()
         }
         return cls(dm, upper, p)
-
-    def __eq__(self, other):
-        return isinstance(other, SkewPolyMatrix) and (
-            self.p == other.p
-            and self.degree_matrix == other.degree_matrix
-            and self.upper == other.upper
-        )
 
 
 def submaximal_pfaffians(M):
@@ -355,12 +339,11 @@ def random_gorenstein(h, p, stream):
 class ProjectionWitness(Frozen):
     """A projection certificate: dehomogenizer x_h, direction ell, factor."""
 
-    __slots__ = ("ell", "xh", "char_poly", "factor")
+    __slots__ = ("ell", "xh", "factor")
 
-    def __init__(self, ell, xh, char_poly, factor):
+    def __init__(self, ell, xh, factor):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xh", xh)
-        object.__setattr__(self, "char_poly", char_poly)
         object.__setattr__(self, "factor", factor)
 
 
@@ -451,7 +434,7 @@ def is_reduced_and_split(ideal, d, stream):
             continue
         # square-free means the factor degrees are the residue-field
         # degrees of the points of G; no other projection can change them
-        return ProjectionWitness(ell, xh, f, fd) if fd is not None else None
+        return ProjectionWitness(ell, xh, fd) if fd is not None else None
     return None
 
 

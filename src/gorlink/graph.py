@@ -11,25 +11,7 @@ from .store import load_certificates
 from .tangent import replay_certificate
 from .hvectors import MAX_LINK_DEGREE
 
-__all__ = ["UnionFind", "LinkageGraph", "build_graph", "glicci_component", "emit_dot"]
-
-
-class UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+__all__ = ["LinkageGraph", "build_graph", "glicci_component", "emit_dot"]
 
 
 class LinkageGraph:
@@ -77,13 +59,17 @@ def build_graph(store_dir, replay=False):
 
 
 def glicci_component(graph):
-    """The connected component of node 1 (these point counts are glicci)."""
-    uf = UnionFind(graph.d_max + 1)
-    for a, b, _ in graph.edges:
-        if a <= graph.d_max and b >= 1:
-            uf.union(a, b)
-    root = uf.find(1)
-    return {n for n in graph.nodes if uf.find(n) == root}
+    """The connected component of node 1 (these point counts are glicci),
+    grown over the edges between nodes 1..d_max until no edge leaves it."""
+    nodes = set(graph.nodes)
+    edges = [(a, b) for a, b, _ in graph.edges if a in nodes and b in nodes]
+    component, size = {1} & nodes, 0
+    while size != len(component):
+        size = len(component)
+        for a, b in edges:
+            if a in component or b in component:
+                component |= {a, b}
+    return component
 
 
 def emit_dot(graph):

@@ -80,25 +80,12 @@ class HVector(Frozen):
     def __getitem__(self, i):
         return self.entries[i]
 
-    def __eq__(self, other):
-        if isinstance(other, HVector):
-            return self.entries == other.entries
-        if isinstance(other, tuple):
-            return self.entries == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def csv(self):
         return ",".join(str(x) for x in self.entries)
 
     @classmethod
     def from_csv(cls, text):
         return cls(int(t) for t in text.split(","))
-
-    def __repr__(self):
-        return "HVector({%s})" % ", ".join(str(x) for x in self.entries)
 
 
 def generic_hvector(d):
@@ -142,18 +129,6 @@ class GorensteinType(Frozen):
         up = [triangular(i) for i in range(1, s + 1)]
         middle = [triangular(s) + c] * (1 if self.kind == "I" else 2)
         return HVector(up + middle + list(reversed(up)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GorensteinType)
-            and (self.kind, self.s, self.c) == (other.kind, other.s, other.c)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.s, self.c))
-
-    def __repr__(self):
-        return "GorensteinType(%s, s=%d, c=%d)" % (self.kind, self.s, self.c)
 
 
 def parse_gorenstein_type(h):
@@ -270,21 +245,6 @@ class LinkCandidate(Frozen):
 
     def line(self):
         return "%s %d %d %d %s" % (self.h.csv(), self.d, self.e, self.gdim, self.status)
-
-    def __eq__(self, other):
-        return isinstance(other, LinkCandidate) and (
-            self.h,
-            self.d,
-            self.e,
-            self.gdim,
-            self.status,
-        ) == (other.h, other.d, other.e, other.gdim, other.status)
-
-    def __hash__(self):
-        return hash((self.h, self.d, self.e, self.gdim, self.status))
-
-    def __repr__(self):
-        return "LinkCandidate(%s)" % self.line()
 
 
 def enumerate_candidates(s_max):

@@ -88,9 +88,6 @@ class RationalPolynomial(Frozen):
         q = Fraction(q)
         return sum((c * q**e for e, c in self.coeffs.items()), Fraction(0))
 
-    def __eq__(self, other):
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
     def format(self, var="q"):
         """Canonical text: terms by descending exponent, 'num/den' coefficients."""
         if not self.coeffs:

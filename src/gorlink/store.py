@@ -128,7 +128,6 @@ def parse_certificate(text):
         witness = ProjectionWitness(
             _linear_form(fields, "ell", p),
             _linear_form(fields, "xh", p),
-            None,
             UniPoly.from_coeff_csv(fields["factor"], p),
         )
         dims = dict(kv.split("=") for kv in fields["dims"].split())

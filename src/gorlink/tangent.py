@@ -133,6 +133,9 @@ class EdgeCertificate(Frozen):
     )
 
     def __init__(self, **kw):
+        unknown = sorted(kw.keys() - self.__slots__)
+        if unknown:
+            raise TypeError("EdgeCertificate has no field %s" % ", ".join(unknown))
         for name in self.__slots__:
             object.__setattr__(self, name, kw.get(name))
 

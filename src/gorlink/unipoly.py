@@ -139,16 +139,6 @@ class UniPoly(Frozen):
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.p))
-
     def coeff_csv(self):
         """Ascending coefficients as 'c0,c1,...'; empty string for zero."""
         return ",".join(str(c) for c in self.coeffs)

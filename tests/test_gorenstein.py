@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from gorlink.gf import charpoly_mod_p
 from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import SubIdeal, groebner, h_vector
 from gorlink.gorenstein import (
@@ -278,29 +279,30 @@ def test_witness_splits_checks_char_poly():
     _, gb = random_gorenstein((1, 3, 3, 1), p, SplitStream(8).child("gorenstein"))
     w = is_reduced_and_split(gb, 5, SplitStream(8).child("w"))
     assert w is not None and witness_splits(gb, w, 5)
-    cofactor = UniPoly(sympy_ddf.quotient(w.char_poly.coeffs, w.factor.coeffs, p), p)
-    assert witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, cofactor), 3)
+    f = charpoly_mod_p(multiplication_operator(gb, w.ell, w.xh), p)
+    cofactor = UniPoly(sympy_ddf.quotient(f, w.factor.coeffs, p), p)
+    assert witness_splits(gb, ProjectionWitness(w.ell, w.xh, cofactor), 3)
     assert not witness_splits(gb, w, 4)  # the factor has degree 5
     c = w.factor.coeffs
     for bad in (UniPoly([2 * a for a in c], p), UniPoly([c[0] + 1, *c[1:]], p)):
         # not monic, or not a divisor
-        assert not witness_splits(gb, ProjectionWitness(w.ell, w.xh, None, bad), 5)
+        assert not witness_splits(gb, ProjectionWitness(w.ell, w.xh, bad), 5)
     # a double point: the char poly t^2 of x1/x0 is not square-free
     double = groebner([P("x1^2", p), P("x2", p), P("x3", p)], p)
     t = UniPoly([0, 1], p)
-    assert not witness_splits(double, ProjectionWitness(P("x1", p), P("x0", p), None, t), 1)
+    assert not witness_splits(double, ProjectionWitness(P("x1", p), P("x0", p), t), 1)
     # x_h = x1 vanishes at the point, so it is no dehomogenizer there
-    assert not witness_splits(double, ProjectionWitness(P("x0", p), P("x1", p), None, t), 1)
+    assert not witness_splits(double, ProjectionWitness(P("x0", p), P("x1", p), t), 1)
     # three points on a line: the char poly t(t - 1)(t - 2) of x1/x0 is
     # square-free; t(t - 3) is monic of degree 2 and shares only t with it
     three = groebner([P("x1^3 + 98*x0*x1^2 + 2*x0^2*x1", p), P("x2", p), P("x3", p)], p)
     x1, x0 = P("x1", p), P("x0", p)
-    assert witness_splits(three, ProjectionWitness(x1, x0, None, UniPoly([0, 100, 1], p)), 2)
-    assert not witness_splits(three, ProjectionWitness(x1, x0, None, UniPoly([0, 98, 1], p)), 2)
+    assert witness_splits(three, ProjectionWitness(x1, x0, UniPoly([0, 100, 1], p)), 2)
+    assert not witness_splits(three, ProjectionWitness(x1, x0, UniPoly([0, 98, 1], p)), 2)
     # a double point beside a simple one: t^2 (t - 1) is not square-free,
     # though the monic factor t - 1 divides it
     fat = groebner([P("x1^3 + 100*x0*x1^2", p), P("x2", p), P("x3", p)], p)
-    assert not witness_splits(fat, ProjectionWitness(x1, x0, None, UniPoly([100, 1], p)), 1)
+    assert not witness_splits(fat, ProjectionWitness(x1, x0, UniPoly([100, 1], p)), 1)
 
 
 def test_extraction_trivial_cases():

@@ -16,7 +16,7 @@ from gorlink.store import (
     write_index,
 )
 from gorlink.splitstats import EXACT_CAP, LIMIT_CAP, montecarlo_split_fraction
-from gorlink.tangent import verify_edge, replay_certificate
+from gorlink.tangent import EdgeCertificate, verify_edge, replay_certificate
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +32,7 @@ def test_certificate_roundtrip(small_cert):
     assert serialize_certificate(back) == text
     assert back.h == small_cert.h and back.verdict == "verified"
     assert back.matrix == small_cert.matrix
+    assert back == small_cert  # the certificate the search made
     ok, _, dims = replay_certificate(back)
     assert ok and dims == (0, 18, 21)
 
@@ -76,6 +77,10 @@ def test_inconclusive_certificate_roundtrip(tmp_path):
     back = parse_certificate(text)
     assert back.verdict == "inconclusive" and back.matrix is None
     assert serialize_certificate(back) == text
+    # the file has no dims line, so gdim does not come back
+    assert back != cert and (cert.gdim, back.gdim) == (21, None)
+    fields = {name: getattr(back, name) for name in EdgeCertificate.__slots__}
+    assert EdgeCertificate(**dict(fields, gdim=cert.gdim)) == cert
     ok, _, _ = replay_certificate(back)
     assert ok  # an inconclusive certificate replays as itself
     # and it contributes no edge to the graph

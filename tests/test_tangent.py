@@ -17,6 +17,7 @@ from gorlink.gorenstein import (
 )
 from gorlink.hvectors import additivity_shift, family_dim_of, generic_hvector
 from gorlink.rng import SplitStream
+from gorlink.store import parse_certificate, serialize_certificate
 from gorlink.unipoly import UniPoly
 from gorlink.tangent import (
     EdgeCertificate,
@@ -178,6 +179,13 @@ def test_verify_edge_excluded_candidate_never_verifies():
     assert cert.verdict in ("refuted", "inconclusive")
     if cert.verdict == "refuted":
         assert not cert.tests["hom_IX"]  # the d-side dominance is what fails
+        assert parse_certificate(serialize_certificate(cert)) == cert
+
+
+def test_certificate_refuses_unknown_fields():
+    assert EdgeCertificate(hom_IX=3).hom_IX == 3
+    with pytest.raises(TypeError, match="hom_ix"):
+        EdgeCertificate(hom_ix=3)
 
 
 def test_verify_edge_input_validation():
@@ -206,7 +214,7 @@ def test_replay_refuses_a_split_with_an_empty_side():
     ideal = groebner([f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()], 101)
     T = multiplication_operator(ideal, w.ell, w.xh)
     for d, factor in ((0, UniPoly.one(101)), (n, UniPoly(charpoly_mod_p(T, 101), 101))):
-        witness = ProjectionWitness(w.ell, w.xh, None, factor)
+        witness = ProjectionWitness(w.ell, w.xh, factor)
         assert witness_splits(ideal, witness, d)
         fields = {name: getattr(cert, name) for name in EdgeCertificate.__slots__}
         fields.update(d=d, e=n - d, witness=witness)
