@@ -488,7 +488,7 @@ def extract_subscheme(ideal, ell, xh, f_d):
     if f_d.degree > ideal.scheme_degree():
         raise ValueError("factor degree exceeds the scheme degree")
     p = ideal.p
-    T = _linear_operator(_stable_operators(ideal, xh), ell, p)
+    T = multiplication_operator(ideal, ell, xh)
     W = _matrix_poly([c % p for c in f_d.coeffs], T, p)
     ideal_x = _vanishing_ideal(ideal, xh, W, f_d.degree)
     ideal_x.factor_image = W

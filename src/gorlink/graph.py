@@ -7,6 +7,7 @@ the same pair give parallel edges.  A node is glicci exactly when it
 lies in the connected component of node 1.
 """
 
+from ._frozen import Frozen
 from .store import load_certificates
 from .tangent import replay_certificate
 from .hvectors import MAX_LINK_DEGREE
@@ -14,23 +15,19 @@ from .hvectors import MAX_LINK_DEGREE
 __all__ = ["LinkageGraph", "build_graph", "glicci_component", "emit_dot"]
 
 
-class LinkageGraph:
+class LinkageGraph(Frozen):
     """Nodes 1..d_max plus a multiset of labelled undirected edges."""
 
+    __slots__ = ("d_max", "edges")
+
     def __init__(self, edges=(), d_max=MAX_LINK_DEGREE):
-        self.d_max = d_max
-        self.nodes = tuple(range(1, d_max + 1))
-        cleaned = []
-        for d, e, h_csv in edges:
-            a, b = max(d, e), min(d, e)
-            cleaned.append((a, b, h_csv))
-        self.edges = tuple(sorted(set(cleaned), key=lambda t: (t[1], t[0], t[2])))
+        cleaned = {(max(d, e), min(d, e), h_csv) for d, e, h_csv in edges}
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "edges", tuple(sorted(cleaned, key=lambda t: (t[1], t[0], t[2]))))
 
-    def __eq__(self, other):
-        return isinstance(other, LinkageGraph) and self.edges == other.edges
-
-    def __repr__(self):
-        return "LinkageGraph(%d edges)" % len(self.edges)
+    @property
+    def nodes(self):
+        return tuple(range(1, self.d_max + 1))
 
 
 def build_graph(store_dir, replay=False):

@@ -140,19 +140,12 @@ class EdgeCertificate(Frozen):
             object.__setattr__(self, name, kw.get(name))
 
 
-def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
-    """All tests downstream of a successful reduced split; returns
-    (tests dict, dims tuple, h_x, h_y)."""
-    e = sum(_entries(h)) - d
-    tests = {
-        "reduced_split": True,
-        "generic_hf_X": False,
-        "generic_hf_Y": False,
-        "additivity": False,
-        "hom_IX": False,
-        "hom_IY": False,
-        "smooth_SG": False,
-    }
+def _run_attempt(h, d, p, seed, attempt, matrix, ideal_g, witness):
+    """The certificate of one attempt whose witness is a reduced split:
+    extracts X and Y, runs every test and takes the verdict from them.
+    Raises ExtractionError when the pair cannot be taken."""
+    e = h.degree - d
+    gdim = family_dim_of(h)
     ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
     ideal_y = residual(ideal_g, ideal_x)
     if not involution_holds(ideal_g, ideal_x, ideal_y, witness.xh):
@@ -160,20 +153,29 @@ def _run_attempt(h, d, matrix, ideal_g, witness, gdim):
     h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
     # HF = min(C(t + 3, 3), d) up to stabilization iff the h-vector is
     # generic(d), as the tetrahedral numbers C(t + 3, 3) strictly increase
-    tests["generic_hf_X"] = h_x == generic_hvector(d).entries
-    tests["generic_hf_Y"] = h_y == generic_hvector(e).entries
-    tests["additivity"] = additivity_shift(h, h_x, h_y) is not None
+    generic_x = h_x == generic_hvector(d).entries
+    generic_y = h_y == generic_hvector(e).entries
     hom_ix, hom_iy, hom_sg = hom_dim_zero(matrix, ideal_g, (ideal_x, ideal_y))
     # exact-sequence bound from 0 -> Hom(I,I_X/I) -> Hom(I,S_G) -> Hom(I,S_X):
     # dim Hom(I_G, S_X)_0 = 3d needs X reduced with generic Hilbert function,
     # so only a generic witness can turn a violation into an internal error
-    if tests["generic_hf_X"] and tests["generic_hf_Y"]:
+    if generic_x and generic_y:
         if hom_sg > hom_ix + 3 * d or hom_sg > hom_iy + 3 * e:
             raise ExtractionError("exact sequence bound violated")
-    tests["hom_IX"] = hom_ix == gdim - 3 * d
-    tests["hom_IY"] = hom_iy == gdim - 3 * e
-    tests["smooth_SG"] = hom_sg == gdim
-    return tests, (hom_ix, hom_iy, hom_sg), h_x, h_y
+    tests = {
+        "reduced_split": True,
+        "generic_hf_X": generic_x,
+        "generic_hf_Y": generic_y,
+        "additivity": additivity_shift(h, h_x, h_y) is not None,
+        "hom_IX": hom_ix == gdim - 3 * d,
+        "hom_IY": hom_iy == gdim - 3 * e,
+        "smooth_SG": hom_sg == gdim,
+    }
+    return EdgeCertificate(
+        h=h, d=d, e=e, p=p, seed=seed, attempt=attempt, matrix=matrix, witness=witness,
+        hom_IX=hom_ix, hom_IY=hom_iy, hom_SG=hom_sg, gdim=gdim, tests=tests,
+        verdict="verified" if all(tests.values()) else "refuted", h_x=h_x, h_y=h_y,
+    )
 
 
 def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
@@ -187,10 +189,9 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
     """
     check_modulus(p)
     h = HVector(_entries(h))
-    e = h.degree - d
     if not (1 <= d <= h.degree - 1):
         raise ValueError("need 1 <= d < degree(h)")
-    gdim = family_dim_of(h)
+    family_dim_of(h)  # refuses an h that is not admissible before any draw
     root = SplitStream(seed).child("edge", h.csv(), p)
     last = None
     for attempt in range(max_attempts):
@@ -203,49 +204,31 @@ def verify_edge(h, d, p, seed, max_attempts=DEFAULT_MAX_ATTEMPTS):
         if witness is None:
             continue
         try:
-            tests, dims, h_x, h_y = _run_attempt(h, d, matrix, ideal, witness, gdim)
+            last = _run_attempt(h, d, p, seed, attempt, matrix, ideal, witness)
         except ExtractionError:
             continue
-        verdict = "verified" if all(tests.values()) else "refuted"
-        last = EdgeCertificate(
-            h=h,
-            d=d,
-            e=e,
-            p=p,
-            seed=seed,
-            attempt=attempt,
-            matrix=matrix,
-            witness=witness,
-            hom_IX=dims[0],
-            hom_IY=dims[1],
-            hom_SG=dims[2],
-            gdim=gdim,
-            tests=tests,
-            verdict=verdict,
-            h_x=h_x,
-            h_y=h_y,
-        )
-        if verdict == "verified":
+        if last.verdict == "verified":
             return last
     if last is not None:
         return last
-    return EdgeCertificate(h=h, d=d, e=e, p=p, seed=seed, attempt=max_attempts, gdim=gdim,
+    return EdgeCertificate(h=h, d=d, e=h.degree - d, p=p, seed=seed, attempt=max_attempts,
                            tests={"reduced_split": False}, verdict="inconclusive")
 
 
 def replay_certificate(cert):
-    """Recompute every claim in a certificate from its stored witness.
+    """Rebuild a certificate from its stored matrix and witness and compare.
 
-    Entirely deterministic: re-checks that 0 < d < degree(h), that h is a
-    Gorenstein h-vector, e = degree(h) - d, gdim = g(h) and that the stored
-    matrix has the generic degree layout of h (which bounds the entry
-    degrees before any Pfaffian is taken), rebuilds the ideal from the stored matrix,
-    recomputes the characteristic polynomial of the stored projection (square-free,
-    divisible by the stored monic degree-d factor), extracts the subscheme
-    from the stored projection data and re-runs all the tests, comparing
-    the h-vectors of X and Y as well.  A matrix whose Pfaffians do not cut
-    out a zero-scheme cone is a mismatch too.  Returns (ok, recomputed
-    tests, recomputed dims).
+    Entirely deterministic: first re-checks that 0 < d < degree(h), that h
+    is a Gorenstein h-vector, e = degree(h) - d, gdim = g(h) and that the
+    stored matrix has the generic degree layout of h (which bounds the entry
+    degrees before any Pfaffian is taken); then rebuilds the ideal from the
+    matrix, checks its h-vector and that the stored projection splits it
+    (square-free char poly, divisible by the stored monic degree-d factor),
+    and runs the search's own attempt on the stored matrix and witness.  ok
+    is whether the rebuilt certificate equals the stored one, field for
+    field; the seed and attempt number are carried over, not re-derived.  A
+    matrix whose Pfaffians do not cut out a zero-scheme cone is a mismatch
+    too.  Returns (ok, recomputed tests, recomputed dims).
     """
     if cert.matrix is None:
         return cert.verdict == "inconclusive", {}, ()
@@ -261,16 +244,8 @@ def replay_certificate(cert):
     if not has_h_vector(ideal, cert.h.entries) or not witness_splits(ideal, cert.witness, cert.d):
         return False, {}, ()
     try:
-        tests, dims, h_x, h_y = _run_attempt(
-            cert.h, cert.d, cert.matrix, ideal, cert.witness, cert.gdim
-        )
+        again = _run_attempt(cert.h, cert.d, cert.p, cert.seed, cert.attempt, cert.matrix,
+                             ideal, cert.witness)
     except ExtractionError:
         return False, {}, ()
-    verdict = "verified" if all(tests.values()) else "refuted"
-    ok = (
-        verdict == cert.verdict
-        and dims == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
-        and tests == cert.tests
-        and (h_x, h_y) == (tuple(cert.h_x), tuple(cert.h_y))
-    )
-    return ok, tests, dims
+    return again == cert, again.tests, (again.hom_IX, again.hom_IY, again.hom_SG)

@@ -2,7 +2,8 @@
 
 The graph criteria run every candidate that is not excluded as an ACM
 curve (h-vector degree up to 96) at p = 10007 and require the connected
-component of 1 to be exactly {1..33, 37, 38}, the paper's theorem.
+component of 1 to be exactly {1..33, 37, 38}, the paper's theorem, and
+every certificate of that run to replay from its file.
 """
 
 import math
@@ -24,8 +25,13 @@ from gorlink.hvectors import (
     family_dim_of,
     parse_gorenstein_type,
 )
-from gorlink.store import load_certificates, save_certificate
-from gorlink.tangent import verify_edge
+from gorlink.store import (
+    load_certificates,
+    parse_certificate,
+    save_certificate,
+    serialize_certificate,
+)
+from gorlink.tangent import replay_certificate, verify_edge
 from gorlink.unipoly import UniPoly, is_squarefree
 
 ACCEPTANCE_PRIME = 10007
@@ -244,12 +250,16 @@ def _search_job(job):
 
 
 @pytest.fixture(scope="module")
-def full_store(tmp_path_factory):
-    store = str(tmp_path_factory.mktemp("acceptance_store"))
+def full_search():
     jobs = [(c.h.csv(), c.d) for c in _candidates()]
     with worker_pool(2) as pool:
-        certs = list(pool.map(_search_job, jobs))
-    for cert in certs:
+        return list(pool.map(_search_job, jobs))
+
+
+@pytest.fixture(scope="module")
+def full_store(full_search, tmp_path_factory):
+    store = str(tmp_path_factory.mktemp("acceptance_store"))
+    for cert in full_search:
         save_certificate(cert, store)
     return store
 
@@ -290,4 +300,25 @@ def test_criterion_13_graph_component(full_store, capsys):
             13,
             ok,
             "component of 1 = %s; %d edges; %.1fs" % (sorted(comp), len(graph.edges), elapsed),
+        )
+
+
+def _replay_job(cert):
+    return replay_certificate(cert)[0]
+
+
+def test_criterion_14_replay(full_search, full_store, capsys):
+    t0 = time.time()
+    certs, errors = load_certificates(full_store)
+    with worker_pool(2) as pool:
+        replayed = list(pool.map(_replay_job, certs))
+    elapsed = time.time() - t0
+    roundtrip = [parse_certificate(serialize_certificate(c)) == c for c in full_search]
+    ok = not errors and len(certs) == len(full_search) and all(replayed) and all(roundtrip)
+    with capsys.disabled():
+        _report(
+            14,
+            ok,
+            "%d/%d stored certificates replay ok, %d/%d searched ones round-trip; %.1fs"
+            % (sum(replayed), len(full_search), sum(roundtrip), len(full_search), elapsed),
         )

@@ -12,6 +12,7 @@ import pytest
 
 import gorlink
 from gorlink._frozen import Frozen
+from gorlink.graph import LinkageGraph
 from gorlink.hvectors import GorensteinType, HVector, enumerate_candidates
 from gorlink.splitstats import RationalPolynomial
 from gorlink.store import parse_certificate
@@ -47,6 +48,7 @@ def _instances():
         GorensteinType("I", 1, 1),
         enumerate_candidates(1)[0],
         RationalPolynomial({0: 1, 2: Fraction(1, 2)}),
+        LinkageGraph([(cert.d, cert.e, cert.h.csv())]),
     ]
 
 

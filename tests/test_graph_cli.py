@@ -16,7 +16,7 @@ from gorlink.store import (
     write_index,
 )
 from gorlink.splitstats import EXACT_CAP, LIMIT_CAP, montecarlo_split_fraction
-from gorlink.tangent import EdgeCertificate, verify_edge, replay_certificate
+from gorlink.tangent import verify_edge, replay_certificate
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +77,8 @@ def test_inconclusive_certificate_roundtrip(tmp_path):
     back = parse_certificate(text)
     assert back.verdict == "inconclusive" and back.matrix is None
     assert serialize_certificate(back) == text
-    # the file has no dims line, so gdim does not come back
-    assert back != cert and (cert.gdim, back.gdim) == (21, None)
-    fields = {name: getattr(back, name) for name in EdgeCertificate.__slots__}
-    assert EdgeCertificate(**dict(fields, gdim=cert.gdim)) == cert
+    # it states no gdim, and its file has no dims line
+    assert back == cert and cert.gdim is None
     ok, _, _ = replay_certificate(back)
     assert ok  # an inconclusive certificate replays as itself
     # and it contributes no edge to the graph
@@ -308,6 +306,16 @@ def test_empty_graph_component():
 def test_toy_component():
     graph = LinkageGraph([(2, 1, "1,1,1"), (3, 2, "1,2,1")])
     assert glicci_component(graph) == {1, 2, 3}
+
+
+def test_graphs_differing_in_d_max_are_unequal():
+    # node 2 is in the component of 1 only when the graph has a node 2
+    small = LinkageGraph([(2, 1, "1,1")], d_max=1)
+    full = LinkageGraph([(1, 2, "1,1")], d_max=47)
+    assert (glicci_component(small), glicci_component(full)) == ({1}, {1, 2})
+    assert small != full and full != small
+    same = LinkageGraph([(2, 1, "1,1")])
+    assert full == same and hash(full) == hash(same) and full.nodes == tuple(range(1, 48))
 
 
 def test_component_monotone_under_more_edges():

@@ -205,6 +205,35 @@ def test_replay_is_deterministic_and_bit_exact():
     assert dims1 == dims2 == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
 
 
+MISSTATED = [
+    ("e", lambda c: c.e + 1),
+    ("gdim", lambda c: c.gdim + 1),
+    ("hom_IX", lambda c: c.hom_IX + 1),
+    ("hom_IY", lambda c: c.hom_IY + 1),
+    ("hom_SG", lambda c: c.hom_SG - 1),
+    ("tests", lambda c: dict(c.tests, additivity=False)),
+    ("verdict", lambda c: "refuted"),
+    ("h_x", lambda c: c.h_x + (1,)),
+    ("h_y", lambda c: c.h_y + (1,)),
+]
+
+
+@pytest.fixture(scope="module")
+def cert_6_1():
+    cert = verify_edge((1, 3, 3, 1), 6, 101, seed=4)
+    assert cert.verdict == "verified"
+    return cert
+
+
+@pytest.mark.parametrize("field, misstate", MISSTATED, ids=[f for f, _ in MISSTATED])
+def test_replay_refuses_each_misstated_field(cert_6_1, field, misstate):
+    # replay rebuilds the whole certificate, so one changed field is a mismatch
+    fields = {name: getattr(cert_6_1, name) for name in EdgeCertificate.__slots__}
+    assert replay_certificate(EdgeCertificate(**fields))[0]
+    fields[field] = misstate(cert_6_1)
+    assert replay_certificate(EdgeCertificate(**fields))[0] is False
+
+
 def test_replay_refuses_a_split_with_an_empty_side():
     # d = 0 with the factor 1, or d = deg G with the whole char poly, passes
     # the witness check, but such a split has no residual to take: replay
