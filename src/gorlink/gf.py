@@ -56,7 +56,6 @@ __all__ = [
     "rref_unit_triangular",
     "reduce_rows",
     "kernel_basis_array",
-    "rank",
     "charpoly_mod_p",
 ]
 
@@ -259,10 +258,6 @@ def reduce_rows(V, R, pivots, p):
     reduction is then V - V[:, pivots] @ R, one product.
     """
     return _eliminate(_reduce(np.array(V, dtype=np.int64), p), R, pivots, p)
-
-
-def rank(A, p):
-    return len(rref(A, p)[1])
 
 
 def kernel_basis_array(A, p):

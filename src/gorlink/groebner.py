@@ -44,6 +44,7 @@ monomial, contracted with f's coefficients (see GradedSpaces.normal_forms).
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -148,14 +149,28 @@ class GradedSpaces:
         pair of variables some leading monomial (a pivot of a piece) lies in
         those two variables alone.  While that certificate is missing after
         the first repeat, the scan goes on and raises if the value moves.
-        Raises ValueError when no repeat shows up below MAX_HF_PROBE.
+
+        Raises ValueError at the first t past the top generator degree where
+        hf(t) > hf(t - 1) and hf(t) reaches Macaulay's bound hf(t - 1)^<t - 1>
+        (_macaulay_bound): I is generated in degrees <= t - 1, so by
+        Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns and Herzog,
+        Cohen-Macaulay Rings, Thm 4.3.3) the Hilbert function then keeps
+        growing at that bound in every later degree, which the Hilbert
+        function of a zero-scheme cone never does.  Raises ValueError too
+        when no repeat shows up below MAX_HF_PROBE.
         """
         if self._stable is None:
             missing = set(_PAIRS)
             values = []
             sigma0 = None
+            top = max([1] + [g.degree for g in self.gens])  # the bound needs t - 1 >= 1
             for t in range(MAX_HF_PROBE):
                 values.append(self.hf(t))
+                if t > top and values[-2] < values[-1] == _macaulay_bound(values[-2], t - 1):
+                    raise ValueError(
+                        "Hilbert function grows at the Macaulay bound past the "
+                        "generator degrees; S/I is not a zero-scheme cone"
+                    )
                 monos = monomials_of_degree(t)
                 for col in self.piece(t)[1] if missing else ():
                     support = {i for i in range(NVARS) if monos[col][i]}
@@ -252,6 +267,23 @@ class GradedSpaces:
         if key not in self._pushes:
             self._pushes[key] = _xh_pushes(self, xh, self.stable_degree()[0])
         return self._pushes[key]
+
+
+def _macaulay_bound(a, d):
+    """a^<d>, the largest value in degree d + 1 of a Hilbert function whose
+    value in degree d >= 1 is a (Macaulay): a = C(k_d, d) + C(k_(d-1), d - 1)
+    + ... + C(k_j, j) with k_d > k_(d-1) > ... > k_j >= j >= 1, each k the
+    largest that fits, gives a^<d> = C(k_d + 1, d + 1) + ... + C(k_j + 1, j + 1)
+    (Bruns and Herzog, Cohen-Macaulay Rings, 4.2.6)."""
+    bound = 0
+    while a:
+        k = d
+        while comb(k + 1, d) <= a:
+            k += 1
+        a -= comb(k, d)
+        bound += comb(k + 1, d + 1)
+        d -= 1
+    return bound
 
 
 def _xh_pushes(ideal, xh, top):

@@ -4,17 +4,25 @@ A degree-zero homomorphism from the Pfaffian ideal I_G to S/I_G is
 pinned down by the images of the generators, one element of (S/I_G)_g in
 each generator degree g, subject to one linear constraint block per row
 of the skew presentation matrix (whose columns span the full first
-syzygy module).  The solutions are the left kernel K of one constraint
-matrix over GF(p).
+syzygy module).  Stacking the images of a basis of each (S/I_G)_g gives
+one constraint matrix A over GF(p), and the maps are its left kernel, of
+dimension rows(A) - rank A.
 
 For an ideal J containing I_G, J/I_G is a submodule of S/I_G, so a
 relation vanishes in J/I_G exactly when it vanishes in S/I_G: the maps
-into J/I_G are the maps in K whose generator images lie in (J/I_G)_g.
+into J/I_G are the combinations of the rows B_J of A whose generator
+images lie in (J/I_G)_g, and their dimension is rows(B_J) - rank(B_J A).
 J is held as a gorlink.groebner.SubIdeal over I_G, whose pieces are
-echelon bases of (J/I_G)_g in the same coordinates as K.  Reducing each
-generator's block of K modulo that basis is linear, so
-dim Hom(I_G, J/I_G)_0 is dim K minus the rank of the reduced blocks.  One
-kernel per attempt serves S/I_G, I_X/I_G and I_Y/I_G.
+echelon bases of (J/I_G)_g in the same coordinates as A, so B_J A is one
+product per generator.  Each B_J A lies in the sum over the relations k
+of (J/I_G)_(sigma - g_k), and for the ideals of disjoint subschemes, as
+X and Y are in G = X u Y reduced (I_X meets I_Y in I_G), those sums are
+direct.  So one running echelon form, folding in B_X A and then B_Y A,
+gains exactly rank(B_J A) pivots at each fold, and the rows of A at a
+complement of the (J/I_G)_g in each generator block complete [B_X; B_Y]
+to an invertible change of the unknowns: after they are folded in too,
+the pivot count is rank A.  All three dimensions come from one
+elimination of rank A pivot steps, with no kernel.
 
 The dominance criterion for a candidate split deg G = d + e: with
 gdim the dimension of the family of Gorenstein cones for this h-vector,
@@ -32,7 +40,7 @@ recomputed as a consistency check.
 import numpy as np
 
 from ._frozen import Frozen
-from .gf import check_modulus, kernel_basis_array, rank, reduce_rows
+from .gf import _safe_matmul, check_modulus, extend_rref
 from .groebner import groebner, h_vector, has_h_vector
 from .gorenstein import (
     ExtractionError,
@@ -54,6 +62,7 @@ from .hvectors import (
     generic_hvector,
     parse_gorenstein_type,
 )
+from .mpoly import product_positions
 from .rng import SplitStream
 
 __all__ = [
@@ -71,43 +80,89 @@ def hom_dim_zero(M, ideal_g, subs):
     """Degree-zero Hom dimensions from the Pfaffian ideal I_G of M.
 
     Returns dim Hom(I_G, J/I_G)_0 for each ideal J in subs, in order,
-    followed by dim Hom(I_G, S/I_G)_0.  The unknowns are the generator
-    images in S/I_G, one element per generator degree; the constraints say
-    every row of the skew matrix maps to zero.  The maps into J/I_G are
-    those whose generator images lie in J/I_G, so each J only restricts the
-    one kernel.  Each J must be a SubIdeal over ideal_g itself, which is
-    how it contains I_G; raises ValueError otherwise.
+    followed by dim Hom(I_G, S/I_G)_0, as the pivots each block of rows
+    adds to one running echelon form of the constraint matrix A (see the
+    module docstring).  Each J must be a SubIdeal over ideal_g itself, which
+    is how it contains I_G, and the J/I_G must form a direct sum; raises
+    ValueError otherwise.  The sum is checked once, on the stable pieces,
+    which carries it to every degree t: x_h is a nonzerodivisor, so below
+    sigma0 x_h^(sigma0 - t) maps (S/I_G)_t injectively into the stable
+    piece and each (J/I_G)_t into (J/I_G)_sigma0, and above it
+    x_h^(t - sigma0) maps the stable piece bijectively onto (S/I_G)_t and
+    (J/I_G)_sigma0 onto (J/I_G)_t.
     """
     for J in subs:
         if getattr(J, "base", None) is not ideal_g:
             raise ValueError("hom_dim_zero needs each J held over I_G")
-    dm = M.degree_matrix
-    gens = dm.gen_degrees
-    sigma = dm.socle_degree
     p = M.p
+    sigma0 = ideal_g.stable_degree()[0]
+    if len(_sum_pivots(subs, sigma0)) < sum(len(J.relative(sigma0)[1]) for J in subs):
+        raise ValueError("hom_dim_zero needs the J/I_G to form a direct sum")
+    gens = M.degree_matrix.gen_degrees
+    A, offsets = _constraint_matrix(M, ideal_g)
+    R, pivots = A[:0], []
+    dims = []
+    for J in subs:
+        BA = np.concatenate([
+            _safe_matmul(J.relative(g)[0], A[offsets[j] : offsets[j + 1]], p)
+            for j, g in enumerate(gens)
+        ])
+        before = len(pivots)
+        R, pivots = extend_rref(R, pivots, BA, p)
+        dims.append(len(BA) - (len(pivots) - before))
+    # the rows of A at the columns left free by the sum of the (J/I_G)_g
+    free = {}
+    for g in set(gens):
+        is_free = np.ones(ideal_g.hf(g), dtype=bool)
+        is_free[_sum_pivots(subs, g)] = False
+        free[g] = is_free.nonzero()[0]
+    rest = np.concatenate([offsets[j] + free[g] for j, g in enumerate(gens)])
+    R, pivots = extend_rref(R, pivots, A[rest], p)
+    return (*dims, len(A) - len(pivots))
+
+
+def _sum_pivots(subs, t):
+    """Pivot columns of the sum of the (J/I_G)_t, J in subs: each piece is
+    in RREF already, so the others are folded into the first."""
+    if not subs:
+        return []
+    R, pivots = subs[0].relative(t)
+    for J in subs[1:]:
+        R, pivots = extend_rref(R, pivots, J.relative(t)[0], J.p)
+    return pivots
+
+
+def _constraint_matrix(M, ideal_g):
+    """(A, offsets): row block j of A holds the images of the standard
+    monomials of (S/I_G)_(g_j) under generator j's column of M, one column
+    block per relation k over (S/I_G)_(sigma - g_k); offsets[j] is the first
+    row of block j.
+
+    Entry (k, j) of M multiplies the image of generator j into relation k,
+    and the entry (j, k) below the diagonal is -f.  The blocks are grouped by
+    their row degree t and entry degree u: N_(t + u) gathered at the
+    products of the degree-t standard monomials with every degree-u
+    monomial is contracted with the coefficient rows of every entry of the
+    group, of either sign, in one product.
+    """
+    dm = M.degree_matrix
+    gens, sigma, p = dm.gen_degrees, dm.socle_degree, M.p
     offsets = np.cumsum([0] + [ideal_g.hf(g) for g in gens])
     col_offsets = np.cumsum([0] + [ideal_g.hf(sigma - g) for g in gens])
     A = np.zeros((int(offsets[-1]), int(col_offsets[-1])), dtype=np.int64)
-    # entry (k, j) multiplies the image of generator j into relation k; the
-    # entry (j, k) below the diagonal is -f, so its block is minus f's
+    groups = {}
     for (k, j), f in M.upper.items():
-        A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = (
-            ideal_g.mult_matrix(f, gens[j])
-        )
-        A[offsets[k] : offsets[k + 1], col_offsets[j] : col_offsets[j + 1]] = (
-            -ideal_g.mult_matrix(f, gens[k]) % p
-        )
-    # the solutions are the left kernel of A
-    K = kernel_basis_array(A.T, p)
-    dims = []
-    for J in subs:
-        # each generator's image modulo the echelon basis of (J/I_G)_g
-        blocks = [
-            reduce_rows(K[:, offsets[j] : offsets[j + 1]], *J.relative(g), p)
-            for j, g in enumerate(gens)
-        ]
-        dims.append(len(K) - rank(np.hstack(blocks), p))
-    return (*dims, len(K))
+        groups.setdefault((gens[j], f.degree), []).append((j, k, f.coeffs))
+        groups.setdefault((gens[k], f.degree), []).append((k, j, -f.coeffs % p))
+    for (t, u), blocks in groups.items():
+        products = product_positions(t, u)[ideal_g.piece(t)[2]]
+        table = ideal_g.normal_forms(t + u)[products.T]
+        coeffs = np.array([c for _, _, c in blocks])
+        images = _safe_matmul(coeffs, table.reshape(len(table), -1), p)
+        images = images.reshape(len(blocks), len(products), -1)
+        for (j, k, _), image in zip(blocks, images):
+            A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = image
+    return A, offsets
 
 
 class EdgeCertificate(Frozen):

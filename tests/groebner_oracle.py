@@ -35,9 +35,11 @@ computes I : J with one left kernel in every degree, held as HeldPieces,
 which the program's one annihilator in the stable degree is compared
 with.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
-constraint matrix over echelon frames of I_X/I_G, built on full_piece,
-which the program's one kernel over S/I_G, restricted per submodule, is
-compared with.
+constraint matrix over echelon frames of I_X/I_G, built on full_piece, and
+hom_dim_by_kernel from the left kernel of one constraint matrix over
+S/I_G, restricted per submodule; the program's pivot counts of one
+running elimination are compared with both.  rank is the pivot count of
+an RREF, which the program no longer needs.
 
 The ring arithmetic of forms (poly_add, poly_sub, poly_neg, poly_mul)
 lives here, since only this engine and the tests use it, and so does the
@@ -55,7 +57,7 @@ import heapq
 import numpy as np
 
 from gorlink._frozen import Frozen
-from gorlink.gf import inv_mod, kernel_basis_array, rank, reduce_rows, rref
+from gorlink.gf import inv_mod, kernel_basis_array, reduce_rows, rref
 from gorlink.groebner import GradedSpaces
 from gorlink.mpoly import (
     NVARS,
@@ -70,6 +72,11 @@ from gorlink.mpoly import (
 )
 
 MAX_HF_PROBE = 80
+
+
+def rank(A, p):
+    """Rank of A mod p: the pivot count of its RREF."""
+    return len(rref(A, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +935,7 @@ def same_ideal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# degree-zero Hom by one constraint matrix per target
+# degree-zero Hom by one constraint matrix per target, or by one kernel
 
 
 def hom_dim_by_frames(M, den, num):
@@ -965,6 +972,36 @@ def hom_dim_by_frames(M, den, num):
         A[rows[j] : rows[j + 1], cols[k] : cols[k + 1]] = mult_map(f, gens[j])
         A[rows[k] : rows[k + 1], cols[j] : cols[j + 1]] = -mult_map(f, gens[k]) % p
     return int(rows[-1]) - rank(A.T, p)
+
+
+def hom_dim_by_kernel(M, ideal_g, subs):
+    """hom_dim_zero's dimensions from the left kernel K of one constraint
+    matrix over S/I_G: a map lands in J/I_G iff its generator images do, so
+    each J restricts K by reducing each generator's block of K modulo the
+    echelon basis of (J/I_G)_g, and dim Hom(I_G, J/I_G)_0 is dim K less the
+    rank of the reduced blocks.  Built from mult_matrix, one call per
+    nonzero entry and sign."""
+    dm = M.degree_matrix
+    gens, sigma, p = dm.gen_degrees, dm.socle_degree, M.p
+    offsets = np.cumsum([0] + [ideal_g.hf(g) for g in gens])
+    col_offsets = np.cumsum([0] + [ideal_g.hf(sigma - g) for g in gens])
+    A = np.zeros((int(offsets[-1]), int(col_offsets[-1])), dtype=np.int64)
+    for (k, j), f in M.upper.items():
+        A[offsets[j] : offsets[j + 1], col_offsets[k] : col_offsets[k + 1]] = (
+            ideal_g.mult_matrix(f, gens[j])
+        )
+        A[offsets[k] : offsets[k + 1], col_offsets[j] : col_offsets[j + 1]] = (
+            -ideal_g.mult_matrix(f, gens[k]) % p
+        )
+    K = kernel_basis_array(A.T, p)
+    dims = []
+    for J in subs:
+        blocks = [
+            reduce_rows(K[:, offsets[j] : offsets[j + 1]], *J.relative(g), p)
+            for j, g in enumerate(gens)
+        ]
+        dims.append(len(K) - rank(np.hstack(blocks), p))
+    return (*dims, len(K))
 
 
 def graded_is_unit(ideal):

@@ -16,13 +16,13 @@ from gorlink.gf import (
     inv_mod,
     is_odd_prime,
     kernel_basis_array,
-    rank,
     reduce_rows,
     rref,
     rref_unit_triangular,
 )
 from gorlink.rng import SplitStream
 from gf_reference import det_mod_p, reduce_rows as ref_reduce_rows, rref as ref_rref
+from groebner_oracle import rank
 
 
 def test_is_odd_prime():

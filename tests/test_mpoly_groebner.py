@@ -265,6 +265,25 @@ def test_h_vector_rejects_positive_dimension():
         h_vector(groebner(line))
 
 
+def test_positive_dimension_refused_at_the_macaulay_bound():
+    # the plane's Hilbert function 1, 3, 6 reaches Macaulay's bound 3^<1> = 6
+    # past its generator degree, so by Gotzmann's persistence it grows
+    # forever: refused with no piece above degree 2 built
+    plane = groebner([P("x0")])
+    with pytest.raises(ValueError, match="Macaulay"):
+        h_vector(plane)
+    assert max(plane._pieces) == 2
+    # the line killing x1 to first order: 3^<2> = 4 in degree 3
+    line = groebner([P("x0"), P("x1^2"), P("x1*x2"), P("x1*x3")])
+    with pytest.raises(ValueError, match="Macaulay"):
+        line.stable_degree()
+    assert max(line._pieces) == 3
+    # four collinear points grow at the bound (1, 2, 3, 4) only up to their
+    # quartic generator's degree, and are a cone
+    quartic = P("x1^4 + 3*x0*x1^3 + x0^3*x1 + 3*x0^4")
+    assert h_vector(groebner([P("x2"), P("x3"), quartic])) == (1, 1, 1, 1)
+
+
 def test_ideal_contains_equality_and_unit_match_oracle():
     # pieces spanned by any generating set give the same ideal as the
     # reduced Buchberger basis, and membership agrees with normal forms

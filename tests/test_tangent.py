@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gorlink.gf import charpoly_mod_p, rank
+from gorlink.gf import charpoly_mod_p
 from gorlink.mpoly import MultiPoly
 from gorlink.groebner import SubIdeal, groebner, h_vector
 from gorlink.gorenstein import (
@@ -72,8 +72,8 @@ def test_graded_piece_twenty_in_thirty():
         R, pivots = gbx.relative(t)
         assert R.shape == (dim, gb.hf(t)) and len(pivots) == dim
         coords = oracle.graded_coords(gb, oracle.full_piece(gbx, t)[0], t)
-        assert rank(coords, gb.p) == gb.hf(t) - gbx.hf(t) == dim
-        assert rank(np.vstack([coords, R]), gb.p) == dim
+        assert oracle.rank(coords, gb.p) == gb.hf(t) - gbx.hf(t) == dim
+        assert oracle.rank(np.vstack([coords, R]), gb.p) == dim
 
 
 def test_hom_into_quotient_of_complete_intersection():
@@ -102,30 +102,36 @@ def test_hom_presentation_check():
 
 
 def test_hom_dim_zero_matches_frame_oracle():
-    # one kernel over S/I_G restricted per submodule against one constraint
-    # matrix per target over echelon frames
-    for h, d, p in (
-        ((1, 3, 3, 1), 5, 101),
-        ((1, 3, 3, 1), 6, 10007),
-        ((1, 3, 6, 10, 6, 3, 1), 20, 101),
-        ((1, 3, 6, 10, 6, 3, 1), 20, 10007),
-    ):
-        unit = groebner([P("1", p)], p)
-        found = 0
-        for attempt in range(20):
-            st = SplitStream(5).child("oracle", attempt)
-            M, gb = random_gorenstein(h, p, st.child("g"))
-            w = is_reduced_and_split(gb, d, st.child("s"))
-            if w is None:
-                continue
-            gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
-            gby = residual(gb, gbx)
-            expected = tuple(oracle.hom_dim_by_frames(M, gb, J) for J in (gbx, gby, unit))
-            assert hom_dim_zero(M, gb, (gbx, gby)) == expected, (h, d, p, attempt)
-            found += 1
-            if found == 2:
-                break
-        assert found, (h, d, p)
+    # the pivots one running elimination gains per block of rows against one
+    # constraint matrix per target over echelon frames, and against one
+    # kernel over S/I_G restricted per submodule; p = 2^31 - 1 takes the
+    # limbs of _safe_matmul in the stacked fill of A
+    for h, d in (((1, 3, 3, 1), 5), ((1, 3, 3, 1), 6), ((1, 3, 6, 10, 6, 3, 1), 20)):
+        for p in (101, 10007, 32003, 2**31 - 1):
+            unit = groebner([P("1", p)], p)
+            found = 0
+            for attempt in range(20):
+                st = SplitStream(5).child("oracle", attempt)
+                M, gb = random_gorenstein(h, p, st.child("g"))
+                w = is_reduced_and_split(gb, d, st.child("s"))
+                if w is None:
+                    continue
+                gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+                gby = residual(gb, gbx)
+                expected = tuple(oracle.hom_dim_by_frames(M, gb, J) for J in (gbx, gby, unit))
+                assert hom_dim_zero(M, gb, (gbx, gby)) == expected, (h, d, p, attempt)
+                assert oracle.hom_dim_by_kernel(M, gb, (gbx, gby)) == expected
+                found += 1
+                if found == 2:
+                    break
+            assert found, (h, d, p)
+
+
+def test_hom_dim_zero_refuses_pieces_that_meet():
+    # I_X twice is not a direct sum over I_G, so its pivots would not add up
+    M, gb, gbx = _twenty_in_thirty(31, "gp")
+    with pytest.raises(ValueError, match="direct sum"):
+        hom_dim_zero(M, gb, (gbx, gbx))
 
 
 def test_generic_hilbert_function_test():
