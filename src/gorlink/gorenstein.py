@@ -26,24 +26,32 @@ multiplication operator, which is exactly the space of functions on G
 vanishing along X: a form of degree t lies in I_X iff its normal form
 times x_h^(sigma0 - t) falls in it.  The result equals I_G + (homogenized
 factor) with x_h divided out (the saturation by x_h) and is verified
-through its postconditions (degree, and the liaison involution
-I_G : I_Y = I_X).  The residual Y is pulled back in the same way, along
-the same x_h, from the left kernel of W (see residual).
+through its postconditions (the rank of W, and the degree).  The residual
+Y is pulled back in the same way, along the same x_h, from the left kernel
+of W (see residual).  T = mult(ell) mult(x_h)^-1 on the stable piece
+(S/I_G)_sigma0, the inverse held on I_G per x_h; that it exists is the
+check that x_h is a nonzerodivisor on S/I_G.
 
-T comes from one frame per (I_G, x_h), held on I_G: T_i = x_i/x_h on the
-stable piece (S/I_G)_sigma0, and T = sum ell_i T_i.  The projection,
-extraction and the involution check all read it.  x_h is a nonzerodivisor
-on S/I_G, which the frame checks, so it is one on S/I_X and on
-S/(I_G : I_Y) too, and each of those ideals is pulled back from its sigma0
-piece (see gorlink.groebner).  So I_G : I_Y = I_X iff the two sigma0
-pieces agree (see involution_holds), and the colon's piece is the
-functions g with g y(T_0, ..., T_3) = 0 for every y in a generating set of
-I_Y modulo I_G: one left kernel, with no piece of I_G above sigma0 + 1.
-That set is one piece of I_Y, built already when sigma0_Y was read: x_h
-avoids Y and is a nonzerodivisor on S/I_Y, so I_Y is saturated and
-reg(I_Y) = sigma0_Y + 1 =: t (Eisenbud, The Geometry of Syzygies, ch. 4),
-which makes (I_Y)_t generate (I_Y)_(>= t); and I_G is saturated, so
-I_G : I_Y = I_G : (I_Y)_(>= t) = I_G : (lifted rows of (I_Y/I_G)_t).
+The liaison involution I_G : I_Y = I_X then holds with nothing left to
+check, once f = f_d f_e is square-free.  A = (S/I_G)_sigma0 is the ring of
+functions on G, of dimension n = deg G, and T acts on it by
+multiplication by ell/x_h.  A square-free f is the minimal polynomial of
+T, so 1, T, ..., T^(n-1) are independent and A = F_p[T] = F_p[t]/(f).  In
+that ring the row space of f_d(T), (I_X/I_G)_sigma0, is the ideal (f_d),
+and its left kernel, (I_Y/I_G)_sigma0, is ann(f_d) = (f_e).  As I_G is
+saturated and x_h a nonzerodivisor on S/I_G, g in A kills I_Y modulo I_G
+iff it kills (I_Y/I_G)_sigma0 in A, so the sigma0 piece of I_G : I_Y is
+ann((f_e)) = (f_d), f_d and f_e being coprime: the sigma0 piece of I_X.
+x_h is a nonzerodivisor on S/(I_G : I_Y), whose associated primes lie
+among those of S/I_G, and on S/I_X, so both ideals are pulled back from
+their sigma0 pieces (see gorlink.groebner), and they are equal.  This is
+geometric linkage: G = X u Y is reduced and X, Y share no point
+(Kleppe, Migliore, Miro-Roig, Nagel and Peterson, Mem. AMS 732, 2001).
+The facts the proof rests on are checked: f is square-free (in the search
+and in witness_splits), W has rank n - d and I_X and I_Y the degrees d
+and n - d (_vanishing_ideal), and I_X/I_G and I_Y/I_G form a direct sum
+(gorlink.tangent.hom_dim_zero).  Only the tests take the colon, by
+point_ideal_quotient (the colon in the stable degree) and by references.
 
 I_G is a gorlink.groebner.GradedSpaces, built once per attempt; every
 ideal made after the split contains it and is a SubIdeal over it, whose
@@ -72,7 +80,6 @@ __all__ = [
     "extract_subscheme",
     "residual",
     "point_ideal_quotient",
-    "involution_holds",
     "is_reduced_and_split",
     "witness_splits",
     "DegeneracyError",
@@ -354,21 +361,6 @@ def _random_linear(stream, p):
             return MultiPoly.linear_form(coeffs, p)
 
 
-def _stable_operators(ideal, xh):
-    """ideal.stable_operators(xh), T_0..T_3 on the stable piece; raises
-    BadPositionError when x_h is not invertible there."""
-    T = ideal.stable_operators(xh)
-    if T is None:
-        raise BadPositionError("x_h is not invertible on the stable piece")
-    return T
-
-
-def _linear_operator(T, ell, p):
-    """sum ell_i T_i: multiplication by ell/x_h, from the stacked T_i."""
-    n = T.shape[1]
-    return _safe_matmul(ell.coeffs[None], T.reshape(NVARS, n * n), p).reshape(n, n)
-
-
 def multiplication_operator(ideal, ell, xh):
     """Matrix of multiplication by ell/x_h on the stable graded piece.
 
@@ -379,11 +371,14 @@ def multiplication_operator(ideal, ell, xh):
     Cohen-Macaulay of dimension 1: a zero-divisor x_h vanishes at a point
     of the scheme, and its annihilator (I : x_h)/I is nonzero in every
     degree from sigma0 on, because the residual scheme of I : x_h has
-    smaller degree.  T is sum ell_i T_i over the frame T_0..T_3 that the
-    ideal holds per x_h (GradedSpaces.stable_operators), which extraction
-    and the involution check read too.
+    smaller degree.  T is mult(ell) mult(x_h)^-1, the inverse held on the
+    ideal per x_h (GradedSpaces.stable_inverse), so the projection and
+    extraction build it once.
     """
-    return _linear_operator(_stable_operators(ideal, xh), ell, ideal.p)
+    inverse = ideal.stable_inverse(xh)
+    if inverse is None:
+        raise BadPositionError("x_h is not invertible on the stable piece")
+    return _safe_matmul(ideal.mult_matrix(ell, ideal.stable_degree()[0]), inverse, ideal.p)
 
 
 def _projection_char_poly(ideal, ell, xh):
@@ -477,7 +472,7 @@ def extract_subscheme(ideal, ell, xh, f_d):
     Equals (I_G + (F_d)) : x_h^infinity, F_d the x_h-homogenization of
     f_d(ell/x_h): the SubIdeal pulled back along x_h from the row space of
     W = f_d(T) on the stable piece, T the multiplication operator.  W
-    commutes with every T_i = x_i/x_h, since T is a combination of them,
+    commutes with multiplication by every x_i/x_h, as T = ell/x_h does,
     so its row space is invariant under them, as a SubIdeal needs.  I_X
     keeps W as `factor_image`: the left kernel ker f_d(T) = im f_e(T), for
     a square-free f = f_d f_e (so coprime factors), cuts out Y in residual.
@@ -502,8 +497,8 @@ def residual(ideal_g, ideal_x):
     V = ker f_d(T) (+) ker f_e(T); f_d(T) f_e(T) = f(T) = 0 then gives
     ker f_d(T) = im f_e(T): the functions vanishing along Y are the left
     kernel of I_X's W, with no cofactor, char poly or colon.  That kernel
-    commutes with the T_i as W does.  Raises ValueError for an ideal_x
-    without a factor_image from ideal_g.
+    is invariant under every x_i/x_h, as W's row space is.  Raises
+    ValueError for an ideal_x without a factor_image from ideal_g.
     """
     if getattr(ideal_x, "base", None) is not ideal_g or not hasattr(ideal_x, "factor_image"):
         raise ValueError("residual needs an I_X that extract_subscheme took from I_G")
@@ -526,26 +521,19 @@ def _vanishing_ideal(ideal, xh, V, degree):
     return sub
 
 
-def _first_factors(k):
-    """(row, var) over the monomials of degree k + 1: monomial i is
-    monomials_of_degree(k)[row[i]] times x_var[i], its first factorization
-    in product_positions(k, 1)."""
-    _, first = np.unique(product_positions(k, 1), return_index=True)
-    return np.divmod(first, NVARS)
-
-
 def point_ideal_quotient(ideal, other_gens, xh):
     """((I : J)/I) in the stable degree sigma0 of I, as the RREF (R, pivots)
     over I's standard monomials; J is generated by other_gens.
 
-    I must be saturated with x_h a nonzerodivisor on S/I, which the frame
-    T_0..T_3 of x_h checks (BadPositionError otherwise).  Then x_h is a
+    I must be saturated with x_h a nonzerodivisor on S/I, which the
+    inverse of x_h checks (BadPositionError otherwise).  Then x_h is a
     nonzerodivisor on S/(I : J) too, whose associated primes lie among
     those of S/I, and x_h^k maps (S/I)_sigma0 onto (S/I)_(sigma0 + k).  So
     a g in (S/I)_sigma0 kills a generator y of degree k exactly when
     g * y / x_h^k, which is g @ y(T_0, ..., T_3), is 0: the piece is the
     left kernel of the block row [y_1(T) | y_2(T) | ...], one y(T) per
-    generator.  A y in I has y(T) = 0 and adds no block.
+    generator.  A y in I has y(T) = 0 and adds no block.  T_v = x_v/x_h is
+    multiplication_operator(ideal, x_v, xh).
 
     The operators m(T) of the monomials are built level by level, m' x_v
     from m'(T) T_v (the T_v commute), in one stacked product per variable
@@ -554,16 +542,9 @@ def point_ideal_quotient(ideal, other_gens, xh):
     over v of y_v(T) T_v, where y_v sums c_m m' over the terms c_m m of y
     whose first factorization is m' x_v.
 
-    The piece decides the whole ideal.  For any ideal Q containing I with
-    x_h a nonzerodivisor on S/Q, as I : J and a saturated I_X containing I
-    are, (Q/I)_t is {g : g x_h^(sigma0 - t) in (Q/I)_sigma0} for
-    t <= sigma0 and x_h (Q/I)_(t - 1) above it, since x_h is bijective on
-    S/I from sigma0 on.  So I : J = I_X if and only if their sigma0 pieces
-    agree, and no piece of I above sigma0 + 1 is read.
-
-    Any generating set of J modulo I gives the colon, and as I is
-    saturated, I : J = I : J_(>= t) for every t; so involution_holds
-    passes one piece of I_Y, in degree reg(I_Y) (see the module docstring).
+    The piece decides the whole colon, pulled back from it along x_h (see
+    gorlink.groebner).  The search and replay take no colon (see the module
+    docstring); the tests check the liaison involution with this one.
     """
     gens = {}
     for g in other_gens:
@@ -572,14 +553,17 @@ def point_ideal_quotient(ideal, other_gens, xh):
     if not gens:
         raise ValueError("quotient by the zero ideal")
     p = ideal.p
-    T = _stable_operators(ideal, xh)
-    n = T.shape[1]
+    T = [multiplication_operator(ideal, MultiPoly.linear_form(e, p), xh)
+         for e in np.eye(NVARS, dtype=np.int64)]
+    n = len(T[0])
     if 0 in gens:  # J is the unit ideal, and I : J is I
         return np.zeros((0, n), dtype=np.int64), []
     level = np.eye(n, dtype=np.int64)[None]  # m(T) for the monomials m of degree k
     blocks = []
     for k in range(max(gens)):
-        row, var = _first_factors(k)
+        # monomial i of degree k + 1 is x_var[i] times monomial row[i] of
+        # degree k, its first factorization in product_positions(k, 1)
+        row, var = np.divmod(np.unique(product_positions(k, 1), return_index=True)[1], NVARS)
         if k + 1 in gens:
             split = np.zeros((NVARS, len(gens[k + 1]), len(level)), dtype=np.int64)
             split[var, :, row] = np.array(gens[k + 1]).T
@@ -598,15 +582,3 @@ def point_ideal_quotient(ideal, other_gens, xh):
     if not blocks:
         return np.eye(n, dtype=np.int64), list(range(n))
     return _left_kernel(np.concatenate(blocks, axis=1), p)
-
-
-def involution_holds(ideal_g, ideal_x, ideal_y, xh):
-    """Does the liaison involution I_G : I_Y = I_X hold?  I_X and I_Y are
-    SubIdeals over I_G, x_h a nonzerodivisor on S/I_G.  The colon is taken
-    by the lifted rows of (I_Y/I_G)_t, t = sigma0_Y + 1 (see the module
-    docstring), a piece that reading sigma0_Y has built already."""
-    t = ideal_y.stable_degree()[0] + 1
-    rows = ideal_g.lift(ideal_y.relative(t)[0], t)
-    R, pivots = point_ideal_quotient(ideal_g, [MultiPoly(t, row, ideal_g.p) for row in rows], xh)
-    R_x, pivots_x = ideal_x.relative(ideal_g.stable_degree()[0])
-    return pivots == pivots_x and np.array_equal(R, R_x)

@@ -70,9 +70,9 @@ class GradedSpaces:
     monomials and reduction against them is the normal form), plus the
     standard-monomial coordinate frame of (S/I)_t.
 
-    Every reader of (S/I) coordinates (mult_matrix, stable_operators and
-    stable_pushes) goes through the normal-form table of a piece
-    (normal_forms), which the reduced echelon form gives with no
+    Every reader of (S/I) coordinates (mult_matrix, and through it
+    stable_inverse and stable_pushes) goes through the normal-form table of
+    a piece (normal_forms), which the reduced echelon form gives with no
     elimination.
     """
 
@@ -81,7 +81,7 @@ class GradedSpaces:
         self.p = p
         self._pieces = {}
         self._tables = {}
-        self._operators = {}
+        self._inverses = {}
         self._pushes = {}
         self._stable = None
 
@@ -235,33 +235,27 @@ class GradedSpaces:
         table = self.normal_forms(t + f.degree)
         return _safe_matmul(f.coeffs[nonzero], table[products], self.p)
 
-    def stable_operators(self, xh):
-        """(T_0, ..., T_3), stacked in shape (4, n, n): multiplication by
-        x_i / x_h on the stable piece (S/I)_sigma0, in the row convention of
-        mult_matrix; None when multiplication by the linear form x_h from
-        sigma0 to sigma0 + 1 is not bijective.
+    def stable_inverse(self, xh):
+        """mult(x_h)^-1 from (S/I)_(sigma0 + 1) back to the stable piece
+        (S/I)_sigma0, in the row convention of mult_matrix; None when
+        multiplication by the linear form x_h from sigma0 to sigma0 + 1 is
+        not bijective.
 
-        T_i = mult(x_i) mult(x_h)^-1, where mult(x_i) is N_{sigma0 + 1}
-        gathered at x_i times each standard monomial, and the inverse comes
-        from one RREF of [mult(x_h) | 1].  Multiplication by ell / x_h is then
-        sum ell_i T_i.  Built once per x_h and held, as the pieces and tables
-        are, so one frame serves every reader of the same (I, x_h).
+        Multiplication by ell / x_h on the stable piece is then
+        mult(ell) mult(x_h)^-1.  The inverse comes from one RREF of
+        [mult(x_h) | 1], built once per x_h and held, as the pieces and
+        tables are, so one inverse serves every reader of the same (I, x_h).
         """
         key = xh.coeffs.tobytes()
-        if key not in self._operators:
+        if key not in self._inverses:
             sigma0, n = self.stable_degree()
             X = self.mult_matrix(xh, sigma0)
             R, pivots = rref(np.concatenate([X, np.eye(n, dtype=np.int64)], axis=1), self.p)
-            T = None
-            if pivots[:n] == list(range(n)):
-                products = product_positions(sigma0, 1)[self.piece(sigma0)[2]]
-                L = self.normal_forms(sigma0 + 1)[products].transpose(1, 0, 2)
-                T = _safe_matmul(L.astype(np.int64), R[:, n:], self.p)
-            self._operators[key] = T
-        return self._operators[key]
+            self._inverses[key] = R[:, n:] if pivots[:n] == list(range(n)) else None
+        return self._inverses[key]
 
     def stable_pushes(self, xh):
-        """_xh_pushes(self, xh, sigma0), held per x_h as stable_operators
+        """_xh_pushes(self, xh, sigma0), held per x_h as stable_inverse
         is, so the SubIdeals pulled back along one x_h share it."""
         key = xh.coeffs.tobytes()
         if key not in self._pushes:
@@ -300,7 +294,7 @@ class SubIdeal:
     and pulled back along x_h from the row space of V in (S/I)_sigma0.
 
     x_h must be a nonzerodivisor on S/I and row V invariant under each
-    T_i = x_i / x_h (stable_operators), so that J is an ideal.
+    x_i / x_h, which is mult(x_i) stable_inverse(x_h), so that J is an ideal.
     relative(t), the RREF of (J/I)_t, is RREF(V) at sigma0; below it one
     left kernel of the push x_h^(sigma0 - t) (stable_pushes) reduced against
     RREF(V), above it the RREF of x_h times the piece below, each built when

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._frozen import Frozen
-from ._workers import worker_pool
+from ._workers import worker_count, worker_pool
 from .gf import check_modulus
 from .rng import SplitStream
 from . import unipoly
@@ -283,6 +283,7 @@ def _montecarlo_chunk(n, k, q, seed, lo, hi):
 
 
 def _montecarlo_parallel(n, k, q, trials, seed, workers):
+    workers = worker_count(workers)
     chunk = (trials + workers - 1) // workers
     with worker_pool(workers) as pool:
         futures = [

@@ -46,7 +46,6 @@ from .gorenstein import (
     ExtractionError,
     extract_subscheme,
     generic_degree_matrix,
-    involution_holds,
     is_reduced_and_split,
     random_gorenstein,
     residual,
@@ -203,8 +202,6 @@ def _run_attempt(h, d, p, seed, attempt, matrix, ideal_g, witness):
     gdim = family_dim_of(h)
     ideal_x = extract_subscheme(ideal_g, witness.ell, witness.xh, witness.factor)
     ideal_y = residual(ideal_g, ideal_x)
-    if not involution_holds(ideal_g, ideal_x, ideal_y, witness.xh):
-        raise ExtractionError("liaison involution failed")
     h_x, h_y = h_vector(ideal_x), h_vector(ideal_y)
     # HF = min(C(t + 3, 3), d) up to stabilization iff the h-vector is
     # generic(d), as the tetrahedral numbers C(t + 3, 3) strictly increase

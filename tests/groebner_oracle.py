@@ -33,7 +33,9 @@ those pieces.  lifted_piece reads J_t off the program's own relative
 piece instead, for the tests that compare the two.  degreewise_colon
 computes I : J with one left kernel in every degree, held as HeldPieces,
 which the program's one annihilator in the stable degree is compared
-with.
+with.  involution_holds takes I_G : I_Y by that annihilator and compares
+it with I_X: the program relies on the involution as a theorem of
+square-free projections, and the tests check it.
 hom_dim_by_frames computes each degree-zero Hom dimension from its own
 constraint matrix over echelon frames of I_X/I_G, built on full_piece, and
 hom_dim_by_kernel from the left kernel of one constraint matrix over
@@ -58,6 +60,7 @@ import numpy as np
 
 from gorlink._frozen import Frozen
 from gorlink.gf import inv_mod, kernel_basis_array, reduce_rows, rref
+from gorlink.gorenstein import point_ideal_quotient
 from gorlink.groebner import GradedSpaces
 from gorlink.mpoly import (
     NVARS,
@@ -717,6 +720,23 @@ def residual(ideal_g, ideal_x):
     if not all(graded_contains(ideal_x, g) for g in ideal_g.gens):
         raise ValueError("residual needs I_G contained in I_X")
     return degreewise_colon(ideal_g, ideal_gens(ideal_x))
+
+
+def involution_holds(ideal_g, ideal_x, ideal_y, xh):
+    """Does the liaison involution I_G : I_Y = I_X hold?  I_X and I_Y are
+    SubIdeals over I_G, x_h a nonzerodivisor on S/I_G.  The colon is taken
+    by the lifted rows of (I_Y/I_G)_t, t = sigma0_Y + 1, a piece that
+    reading sigma0_Y has built already: x_h avoids Y and is a nonzerodivisor
+    on S/I_Y, so I_Y is saturated and reg(I_Y) = sigma0_Y + 1 (Eisenbud,
+    The Geometry of Syzygies, ch. 4), which makes (I_Y)_t generate
+    (I_Y)_(>= t); and I_G is saturated, so I_G : I_Y = I_G : (I_Y)_(>= t).
+    The program takes no colon: with a square-free char poly the involution
+    is a theorem (see gorlink.gorenstein), which the tests check with this."""
+    t = ideal_y.stable_degree()[0] + 1
+    rows = ideal_g.lift(ideal_y.relative(t)[0], t)
+    R, pivots = point_ideal_quotient(ideal_g, [MultiPoly(t, row, ideal_g.p) for row in rows], xh)
+    R_x, pivots_x = ideal_x.relative(ideal_g.stable_degree()[0])
+    return pivots == pivots_x and np.array_equal(R, R_x)
 
 
 # saturation -----------------------------------------------------------------

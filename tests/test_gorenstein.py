@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from gorlink.gf import charpoly_mod_p
+from gorlink.gf import charpoly_mod_p, rref
 from gorlink.mpoly import MultiPoly, monomials_of_degree
 from gorlink.groebner import SubIdeal, groebner, h_vector
 from gorlink.gorenstein import (
@@ -14,7 +16,6 @@ from gorlink.gorenstein import (
     char_poly_of_projection,
     extract_subscheme,
     generic_degree_matrix,
-    involution_holds,
     is_reduced_and_split,
     multiplication_operator,
     numerator_polynomial,
@@ -24,8 +25,10 @@ from gorlink.gorenstein import (
     submaximal_pfaffians,
     witness_splits,
 )
+from gorlink import gorenstein
 from gorlink.hvectors import enumerate_candidates
 from gorlink.rng import SplitStream
+from gorlink.store import parse_certificate
 from gorlink.unipoly import UniPoly
 
 import groebner_oracle as oracle
@@ -216,7 +219,7 @@ def test_char_poly_single_point():
     sigma0, n = gb.stable_degree()
     assert (sigma0, n) == (0, 1)
     T = multiplication_operator(gb, P("x1", p), P("x0", p))
-    from gorlink.gf import charpoly_mod_p
+    from gorlink.gf import charpoly_mod_p, rref
 
     assert charpoly_mod_p(T, p) == [0, 1]  # f = t
 
@@ -228,7 +231,7 @@ def test_char_poly_two_points():
     sigma0, n = gb.stable_degree()
     assert n == 2
     T = multiplication_operator(gb, P("x1", p), P("x0", p))
-    from gorlink.gf import charpoly_mod_p
+    from gorlink.gf import charpoly_mod_p, rref
 
     # f = t(t-1) = t^2 - t
     assert charpoly_mod_p(T, p) == [0, (-1) % p, 1]
@@ -383,7 +386,7 @@ def test_residual_matches_colon_reference(p):
             assert gby.scheme_degree() == sum(h) - d
             assert oracle.same_ideal(gby, oracle.residual(gb, gbx)), (h, d, p, attempt)
             assert oracle.same_ideal(oracle.degreewise_colon(gb, oracle.ideal_gens(gby)), gbx)
-            assert involution_holds(gb, gbx, gby, w.xh)
+            assert oracle.involution_holds(gb, gbx, gby, w.xh)
             checked += 1
             break
     assert checked == 3
@@ -408,7 +411,7 @@ def test_end_to_end_split_30_points():
         # liaison involution
         assert oracle.same_ideal(oracle.degreewise_colon(gb, oracle.ideal_gens(gby)), gbx)
         assert oracle.same_ideal(oracle.degreewise_colon(gb, oracle.ideal_gens(gbx)), gby)
-        assert involution_holds(gb, gbx, gby, w.xh) and involution_holds(gb, gby, gbx, w.xh)
+        assert oracle.involution_holds(gb, gbx, gby, w.xh) and oracle.involution_holds(gb, gby, gbx, w.xh)
         break
     assert found
 
@@ -476,25 +479,43 @@ def _exact_product(A, B, p):
 
 
 @pytest.mark.parametrize("p", [10007, (1 << 31) - 1])
-def test_stable_frame(p):
-    """The frame T_0..T_3 of x_h: T_i = mult(x_i) mult(x_h)^-1, the T_i
-    commute, sum ell_i T_i is multiplication_operator's T, and the frame is
-    built once per x_h."""
+def test_stable_frame(p, monkeypatch):
+    """The held inverse of x_h: mult(x_h)^-1 on the stable piece, built once
+    per x_h; multiplication_operator is mult(ell) mult(x_h)^-1, linear in
+    ell; and the T_v = x_v/x_h that point_ideal_quotient builds from it
+    commute."""
     _, gb = random_gorenstein((1, 3, 6, 6, 3, 1), p, SplitStream(44).child("g"))
     ell, xh, f = char_poly_of_projection(gb, SplitStream(44).child("proj"))
     sigma0, n = gb.stable_degree()
-    T = gb.stable_operators(xh)
-    assert T.shape == (4, n, n) and gb.stable_operators(xh) is T
-    inverse = oracle._matrix_inverse(gb.mult_matrix(xh, sigma0), p)
-    for i in range(4):
+    inverse = gb.stable_inverse(xh)
+    reference = oracle._matrix_inverse(gb.mult_matrix(xh, sigma0), p)
+    assert inverse.shape == (n, n) and np.array_equal(inverse, reference)
+    T = multiplication_operator(gb, ell, xh)
+    assert np.array_equal(T, _exact_product(gb.mult_matrix(ell, sigma0), reference, p))
+    assert UniPoly(charpoly_mod_p(T, p), p) == f
+
+    rrefs = []
+    monkeypatch.setattr("gorlink.groebner.rref", lambda *a: rrefs.append(a) or rref(*a))
+    operators = []
+    real_operator = gorenstein.multiplication_operator
+    monkeypatch.setattr(
+        gorenstein, "multiplication_operator",
+        lambda *a: operators.append(real_operator(*a)) or operators[-1],
+    )
+    point_ideal_quotient(gb, gb.gens, xh)
+    assert gb.stable_inverse(xh) is inverse and rrefs == []
+    assert len(operators) == 4
+    for i, T_i in enumerate(operators):
         x_i = MultiPoly.linear_form([int(i == j) for j in range(4)], p)
-        assert np.array_equal(T[i], _exact_product(gb.mult_matrix(x_i, sigma0), inverse, p))
-        for j in range(i):
-            assert np.array_equal(_exact_product(T[i], T[j], p), _exact_product(T[j], T[i], p))
-    reference = _exact_product(gb.mult_matrix(ell, sigma0), inverse, p)
-    combined = sum(c * T[i].astype(object) for i, c in enumerate(ell.coeffs.tolist())) % p
-    assert np.array_equal(combined.astype(np.int64), reference)
-    assert np.array_equal(multiplication_operator(gb, ell, xh), reference)
+        assert np.array_equal(T_i, _exact_product(gb.mult_matrix(x_i, sigma0), reference, p))
+        for T_j in operators[:i]:
+            assert np.array_equal(_exact_product(T_i, T_j, p), _exact_product(T_j, T_i, p))
+    combined = sum(c * T_i.astype(object) for c, T_i in zip(ell.coeffs.tolist(), operators)) % p
+    assert np.array_equal(combined.astype(np.int64), T)
+    # another x_h builds one more inverse, and holds it apart
+    other = MultiPoly.linear_form([1, 2, 3, 4], p)
+    assert gb.stable_inverse(other) is not None and len(rrefs) == 1
+    assert gb.stable_inverse(other) is not inverse and len(rrefs) == 1
 
 
 @pytest.mark.parametrize("p", [101, 10007, 32003, (1 << 31) - 1])
@@ -524,7 +545,7 @@ def test_stable_colon_matches_degreewise_colon(p):
         for xh, gbx, _ in splits:
             for _, _, gby in splits:
                 built, held = set(gb._pieces), set(gby._pieces)
-                holds = involution_holds(gb, gbx, gby, xh)
+                holds = oracle.involution_holds(gb, gbx, gby, xh)
                 assert set(gb._pieces) == built and set(gby._pieces) == held
                 gens_y = oracle.ideal_gens(gby)
                 built = set(gb._pieces)
@@ -538,6 +559,31 @@ def test_stable_colon_matches_degreewise_colon(p):
             true_pairs += holds
             mismatched += not holds
     assert (true_pairs, mismatched) == (4, 4)
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixture")
+
+
+def test_involution_holds_on_fixture_certificates():
+    """The liaison involution, which the search and replay take as a theorem
+    of a square-free projection, holds both ways on every stored
+    certificate: I_G from the stored matrix, I_X and I_Y from the stored
+    witness, and the colon taken by the oracle."""
+    checked = 0
+    for name in sorted(os.listdir(FIXTURE)):
+        if not name.endswith(".cert"):
+            continue
+        with open(os.path.join(FIXTURE, name)) as fh:
+            cert = parse_certificate(fh.read())
+        gb = groebner([f for f in submaximal_pfaffians(cert.matrix) if not f.is_zero()], cert.p)
+        w = cert.witness
+        assert witness_splits(gb, w, cert.d), name
+        gbx = extract_subscheme(gb, w.ell, w.xh, w.factor)
+        gby = residual(gb, gbx)
+        assert oracle.involution_holds(gb, gbx, gby, w.xh), name
+        assert oracle.involution_holds(gb, gby, gbx, w.xh), name
+        checked += 1
+    assert checked == 14
 
 
 def test_matrix_serialization_roundtrip():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from fractions import Fraction
 from itertools import product
@@ -214,6 +215,36 @@ def test_montecarlo_deterministic_and_worker_independent(monkeypatch):
     parallel = montecarlo_split_fraction(8, 4, 101, 60, seed=5, workers=2)
     assert parallel == a
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_montecarlo_workers_capped_at_cpu_count(monkeypatch):
+    """--jobs above the core count starts no more workers than there are
+    cores, and the trials are chunked by the workers the pool holds.  The
+    pool is a stand-in that runs each chunk when it is submitted, so no
+    process starts."""
+    sizes, chunks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            chunks.append(args[-2:])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = montecarlo_split_fraction(8, 4, 101, 60, seed=5)
+    assert montecarlo_split_fraction(8, 4, 101, 60, seed=5, workers=100000) == serial
+    assert sizes == [3] and chunks == [(0, 20), (20, 40), (40, 60)]
 
 
 def test_montecarlo_exact_near_2_31():

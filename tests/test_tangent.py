@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from gorlink import gorenstein
 from gorlink.gf import charpoly_mod_p
 from gorlink.mpoly import MultiPoly
 from gorlink.groebner import SubIdeal, groebner, h_vector
@@ -209,6 +212,25 @@ def test_replay_is_deterministic_and_bit_exact():
     assert ok1 and ok2
     assert tests1 == tests2 == cert.tests
     assert dims1 == dims2 == (cert.hom_IX, cert.hom_IY, cert.hom_SG)
+
+
+FIXTURE_7_1 = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "fixture", "edge_7_1_0a09c033_2024.cert"
+)
+
+
+def test_search_and_replay_take_no_colon(monkeypatch):
+    """The liaison involution follows from the square-free projection, so
+    neither the search nor replay takes the colon I_G : I_Y."""
+
+    def refuse(*args):
+        raise AssertionError("a colon was taken")
+
+    monkeypatch.setattr(gorenstein, "point_ideal_quotient", refuse)
+    assert verify_edge((1, 3, 3, 1), 3, 10007, 2024).verdict == "verified"
+    with open(FIXTURE_7_1) as fh:
+        cert = parse_certificate(fh.read())
+    assert cert.verdict == "verified" and replay_certificate(cert)[0]
 
 
 MISSTATED = [
